@@ -13,12 +13,11 @@ bounds and the special functions they need), `harness` (experiment grids,
 CSV records, summaries), `cli` (command-line front end).
 """
 
-from .partition import (Box, Cell, CellId, PartitionTree, add_evaluations,
-                        children_of, make_tree, open_cell)
+from .partition import Box, Cell, CellId, PartitionTree, make_tree
 from .objectives import (GARLAND_ARGMAX, GARLAND_FLOAT_MAX, GARLAND_OPTIMUM,
                          EvaluationStream, NoiseModel, Objective, garland,
-                         garland_objective, get_objective, observe,
-                         wrapped_sine, wrapped_sine_objective)
+                         garland_objective, get_objective, wrapped_sine,
+                         wrapped_sine_objective)
 from .optimizers import (RunConfig, RunResult, doo_run, sequool_run, soo_run,
                          stroquool_run, uniform_run)
 from .theory import (BoundInputs, SmoothnessParams, confidence_radius,
@@ -33,9 +32,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Box", "Cell", "CellId", "PartitionTree",
-    "make_tree", "children_of", "open_cell", "add_evaluations",
+    "make_tree",
     "GARLAND_ARGMAX", "GARLAND_FLOAT_MAX", "GARLAND_OPTIMUM",
-    "Objective", "NoiseModel", "EvaluationStream", "observe",
+    "Objective", "NoiseModel", "EvaluationStream",
     "garland", "wrapped_sine", "garland_objective", "wrapped_sine_objective",
     "get_objective",
     "RunConfig", "RunResult",

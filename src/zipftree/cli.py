@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 
-from .harness import ExperimentSpec, format_summary, run_experiment, summarize
+from .harness import (ExperimentSpec, format_summary, record_writer,
+                      run_experiment, spec_comments, summarize)
 
 
 def build_parser():
@@ -86,18 +85,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = spec_from_args(args)
-        to_stdout = spec.out is None
-        if to_stdout:
-            # run_experiment streams CSV to spec.out; use a temp file, then echo
-            tmp = tempfile.NamedTemporaryFile(
-                mode="w", suffix=".csv", delete=False)
-            tmp.close()
-            spec.out = tmp.name
         records = run_experiment(spec, jobs=args.jobs)
-        if to_stdout:
-            with open(spec.out) as fh:
-                sys.stdout.write(fh.read())
-            os.unlink(spec.out)
+        if spec.out is None:
+            write = record_writer(sys.stdout, spec_comments(spec))
+            for rec in records:
+                write(rec)
         if args.summary:
             print(format_summary(summarize(records)))
     except (ValueError, OSError, json.JSONDecodeError) as exc:

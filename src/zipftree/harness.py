@@ -17,6 +17,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,15 @@ __all__ = [
 CSV_FIELDS = ("algo", "objective", "n", "b", "seed", "regret",
               "openings", "evaluations", "wall_ms")
 
-_KNOWN_ALGOS = {"sequool", "stroquool", "soo", "doo", "uniform"}
-_DETERMINISTIC = {"sequool", "soo", "doo"}
+# name -> (deterministic feedback only, runner(a, obj, noise, cfg)) with a the
+# AlgoSpec; runners look the *_run functions up as module globals at call time
+_ALGOS = {
+    "sequool": (True, lambda a, obj, noise, cfg: sequool_run(obj, cfg)),
+    "stroquool": (False, lambda a, obj, noise, cfg: stroquool_run(obj, noise, cfg)),
+    "soo": (True, lambda a, obj, noise, cfg: soo_run(obj, cfg)),
+    "doo": (True, lambda a, obj, noise, cfg: doo_run(obj, cfg, a.nu, a.rho)),
+    "uniform": (False, lambda a, obj, noise, cfg: uniform_run(obj, noise, cfg)),
+}
 
 
 @dataclass(frozen=True)
@@ -71,9 +79,9 @@ def parse_algo(token) -> AlgoSpec:
             if rest:
                 raise ValueError(f"algorithm {name!r} takes no parameters")
             spec = AlgoSpec(name)
-    if spec.name not in _KNOWN_ALGOS:
+    if spec.name not in _ALGOS:
         raise ValueError(f"unknown algorithm {spec.name!r} "
-                         f"(known: {', '.join(sorted(_KNOWN_ALGOS))})")
+                         f"(known: {', '.join(sorted(_ALGOS))})")
     if spec.name == "doo" and (spec.nu is None or spec.rho is None):
         raise ValueError("doo requires nu and rho")
     return spec
@@ -157,23 +165,13 @@ def _run_one(task):
     obj = get_objective(objective_name)
     seed = derive_seed(master_seed, algo.label, n, b, rep)
     cfg = RunConfig(budget_n=n, seed=seed, branching=branching)
-    if name in _DETERMINISTIC and b != 0.0:
+    deterministic, runner = _ALGOS[name]
+    if deterministic and b != 0.0:
         raise ValueError(f"{name} is a deterministic-feedback algorithm; "
                          f"run it with b=0 (got b={b})")
     noise = NoiseModel(b, seed=seed)
     t0 = time.perf_counter()
-    if name == "sequool":
-        res = sequool_run(obj, cfg)
-    elif name == "stroquool":
-        res = stroquool_run(obj, noise, cfg)
-    elif name == "soo":
-        res = soo_run(obj, cfg)
-    elif name == "doo":
-        res = doo_run(obj, cfg, nu, rho)
-    elif name == "uniform":
-        res = uniform_run(obj, noise, cfg)
-    else:  # pragma: no cover - parse_algo screens names
-        raise ValueError(f"unknown algorithm {name!r}")
+    res = runner(algo, obj, noise, cfg)
     wall_ms = (time.perf_counter() - t0) * 1e3
     # regret is always scored on the true objective value at x(n)
     regret = obj.optimum_value - obj.eval(res.recommendation)
@@ -202,24 +200,20 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1):
         raise ValueError(f"objective {spec.objective!r} has no optimum_value; "
                          "cannot score regret")
     tasks = _tasks(spec)
-    writer_ctx = _RecordWriter(spec, obj) if spec.out else None
     records = []
-    try:
-        if jobs <= 1:
-            produced = map(_run_one, tasks)
+    with (open(spec.out, "w", newline="") if spec.out else nullcontext()) as fh:
+        if fh:
+            write = record_writer(fh, spec_comments(spec))
+            fh.flush()
+        with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
+              else nullcontext()) as pool:
+            produced = (pool.map(_run_one, tasks, chunksize=8) if pool
+                        else map(_run_one, tasks))
             for rec in produced:
                 records.append(rec)
-                if writer_ctx:
-                    writer_ctx.write(rec)
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for rec in pool.map(_run_one, tasks, chunksize=8):
-                    records.append(rec)
-                    if writer_ctx:
-                        writer_ctx.write(rec)
-    finally:
-        if writer_ctx:
-            writer_ctx.close()
+                if fh:
+                    write(rec)
+                    fh.flush()
     return records
 
 
@@ -233,42 +227,41 @@ def _fmt(value):
     return str(value)
 
 
-class _RecordWriter:
-    def __init__(self, spec, obj):
-        self.fh = open(spec.out, "w", newline="")
-        self.fh.write("# zipftree regret records\n")
-        self.fh.write(f"# objective={obj.name}\n")
-        self.fh.write(f"# optimum_value={obj.optimum_value!r}\n")
-        if obj.optimum_note:
-            self.fh.write(f"# optimum_note={obj.optimum_note}\n")
-        self.fh.write(f"# master_seed={spec.master_seed} "
-                      f"branching={spec.branching} delta={spec.delta!r}\n")
-        self.writer = csv.writer(self.fh)
-        self.writer.writerow(CSV_FIELDS)
-        self.fh.flush()
+def spec_comments(spec: ExperimentSpec):
+    """Comment lines heading a grid's records: the objective, its optimum
+    and the settings that reproduce the grid."""
+    obj = get_objective(spec.objective)
+    lines = [f"objective={obj.name}", f"optimum_value={obj.optimum_value!r}"]
+    if obj.optimum_note:
+        lines.append(f"optimum_note={obj.optimum_note}")
+    lines.append(f"master_seed={spec.master_seed} "
+                 f"branching={spec.branching} delta={spec.delta!r}")
+    return lines
 
-    def write(self, rec: RegretRecord):
-        self.writer.writerow([rec.algo, rec.objective, rec.n, _fmt(rec.b),
-                              rec.seed, _fmt(rec.regret), rec.openings,
-                              rec.evaluations, _fmt(rec.wall_ms)])
-        self.fh.flush()
 
-    def close(self):
-        self.fh.close()
+def record_writer(fh, comments=()):
+    """Write the records header (title, `# comment` lines, CSV field row) to
+    the text stream `fh`; returns write(record), which appends one row."""
+    fh.write("# zipftree regret records\n")
+    for line in comments:
+        fh.write(f"# {line}\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
+
+    def write(rec: RegretRecord):
+        writer.writerow([rec.algo, rec.objective, rec.n, _fmt(rec.b),
+                         rec.seed, _fmt(rec.regret), rec.openings,
+                         rec.evaluations, _fmt(rec.wall_ms)])
+
+    return write
 
 
 def write_records(records, path, meta=None):
     """Plain CSV dump (same schema as run_experiment's incremental writer)."""
     with open(path, "w", newline="") as fh:
-        fh.write("# zipftree regret records\n")
-        for key, value in (meta or {}).items():
-            fh.write(f"# {key}={value}\n")
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
+        write = record_writer(fh, [f"{k}={v}" for k, v in (meta or {}).items()])
         for rec in records:
-            writer.writerow([rec.algo, rec.objective, rec.n, _fmt(rec.b),
-                             rec.seed, _fmt(rec.regret), rec.openings,
-                             rec.evaluations, _fmt(rec.wall_ms)])
+            write(rec)
 
 
 def read_records(path):

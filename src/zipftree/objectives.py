@@ -167,14 +167,6 @@ class NoiseModel:
         return out
 
 
-def observe(obj: Objective, noise: NoiseModel | None, x):
-    """One noisy observation y = f(x) + eps (exactly f(x) when b = 0)."""
-    v = obj.eval(x)
-    if noise is None or noise.range_b == 0.0:
-        return v
-    return v + float(noise.offsets(1)[0])
-
-
 class EvaluationStream:
     """Binds an objective to a noise stream and counts raw evaluations.
 
@@ -188,10 +180,6 @@ class EvaluationStream:
         self.objective = objective
         self.noise = noise
         self.n_evals = 0
-
-    def observe(self, point):
-        self.n_evals += 1
-        return observe(self.objective, self.noise, point)
 
     def observe_sum(self, point, count):
         v = self.objective.eval(point)

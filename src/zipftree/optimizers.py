@@ -12,6 +12,11 @@ x(n) they recommend:
   doo_run       -- optimistic baseline that knows the smoothness (nu, rho)
   uniform_run   -- breadth-first openings in cell-id order
 
+Each *_run is only a schedule -- which cell to open next, and with how many
+evaluations per child -- over one shared driver, _Run, which owns the tree,
+the evaluation stream, the optional event trace, the running best, the
+deepest depth and the assembly of the RunResult.
+
 Budgets are counted in openings; StroquOOL charges an opening performed with
 m evaluations per child as m budget units (see RunResult.budget_units_used).
 Tie-breaking is everywhere by lowest CellId (depth-major, then index) so runs
@@ -72,22 +77,51 @@ class RunResult:
     trace: list | None = None
 
 
-class _Best:
-    """Running argmax with lowest-CellId tie-breaking."""
+class _Run:
+    """Bookkeeping shared by every optimizer run.
 
-    __slots__ = ("value", "cid", "point")
+    Owns the tree, the evaluation stream and the optional trace; tracks the
+    budget units spent, the deepest depth evaluated and the running best
+    child value (ties go to the lowest CellId).
+    """
 
-    def __init__(self):
-        self.value = -math.inf
-        self.cid = None
-        self.point = None
+    def __init__(self, obj: Objective, noise: NoiseModel | None, cfg: RunConfig):
+        self.tree = make_tree(obj.domain, cfg.branching)
+        self.stream = EvaluationStream(obj, noise)
+        self.trace = [] if cfg.record_trace else None
+        self.units = 0
+        self.deepest = 0
+        self.best_value = -math.inf
+        self.best_cid = None
 
-    def update(self, value, cid, point):
-        if value > self.value or (value == self.value and
-                                  (self.cid is None or cid < self.cid)):
-            self.value = value
-            self.cid = cid
-            self.point = point
+    def log(self, *event):
+        if self.trace is not None:
+            self.trace.append(event)
+
+    def open(self, cid, evals=1):
+        """Open `cid` with `evals` evaluations per child; returns the tree's
+        [(child id, mean)]."""
+        if self.trace is not None:
+            self.trace.append(("open", cid.depth, cid.index, evals))
+        out = self.tree.open_cell(cid, evals, self.stream)
+        self.units += evals
+        if cid.depth >= self.deepest:
+            self.deepest = cid.depth + 1
+        for ccid, mean in out:
+            if mean >= self.best_value and (mean > self.best_value or (
+                    self.best_cid is None or ccid < self.best_cid)):
+                self.best_value = mean
+                self.best_cid = ccid
+        return out
+
+    def result(self, cid=None, value=None):
+        """The RunResult recommending `cid` (default: the running best)."""
+        if cid is None:
+            cid, value = self.best_cid, self.best_value
+        point = None if cid is None else self.tree.cells[cid].representative
+        return RunResult(point, value, self.tree.opening_ledger,
+                         self.stream.n_evals, self.deepest, self.units,
+                         self.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +171,8 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
     """
     n = cfg.budget_n
     K = cfg.branching
-    tree = make_tree(obj.domain, K)
-    stream = EvaluationStream(obj)
-    trace = [] if cfg.record_trace else None
+    run = _Run(obj, None, cfg)
+    cells = run.tree.cells
 
     h_max = int(n // harmonic(n))
     H = float(h_max)
@@ -147,22 +180,7 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
         H = _rescaled_depth_budget(n, h_max, K, cfg.cap_quota_by_cells)
     h_limit = int(H)
 
-    best = _Best()
-    deepest = 0
-
-    def open_one(cell, nxt):
-        nonlocal deepest
-        if trace is not None:
-            trace.append(("open", cell.id.depth, cell.id.index, 1))
-        for cid, mean in tree.open_cell(cell.id, 1, stream):
-            child = tree.cells[cid]
-            nxt.append(child)
-            best.update(mean, cid, child.representative)
-            if cid.depth > deepest:
-                deepest = cid.depth
-
-    by_depth = {1: []}
-    open_one(tree.root, by_depth[1])
+    by_depth = {1: [cells[cid] for cid, _ in run.open(run.tree.root.id)]}
 
     for h in range(1, h_limit + 1):
         cand = by_depth.pop(h, None)
@@ -174,11 +192,10 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
         cand.sort(key=lambda c: (-c.mean, c.id))
         nxt = by_depth.setdefault(h + 1, [])
         for cell in cand[:q]:
-            open_one(cell, nxt)
+            nxt.extend(cells[cid] for cid, _ in run.open(cell.id))
 
-    assert tree.opening_ledger <= n + 1, "harmonic budget identity violated"
-    return RunResult(best.point, best.value, tree.opening_ledger,
-                     stream.n_evals, deepest, tree.opening_ledger, trace)
+    assert run.tree.opening_ledger <= n + 1, "harmonic budget identity violated"
+    return run.result()
 
 
 # ---------------------------------------------------------------------------
@@ -202,28 +219,12 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
     n = cfg.budget_n
     if n < 8:
         raise ValueError(f"budget n={n} too small: StroquOOL needs n >= 8")
-    K = cfg.branching
     h_max = stroquool_h_max(n)
     p_max = h_max.bit_length() - 1  # floor(log2 h_max)
-    tree = make_tree(obj.domain, K)
-    stream = EvaluationStream(obj, noise)
-    trace = [] if cfg.record_trace else None
+    run = _Run(obj, noise, cfg)
+    tree = run.tree
 
-    units = 0
-    deepest = 0
-    by_depth = {1: []}
-
-    def open_with(cell, evals, nxt):
-        nonlocal units, deepest
-        units += evals
-        if trace is not None:
-            trace.append(("open", cell.id.depth, cell.id.index, evals))
-        for cid, _mean in tree.open_cell(cell.id, evals, stream):
-            nxt.append(tree.cells[cid])
-            if cid.depth > deepest:
-                deepest = cid.depth
-
-    open_with(tree.root, h_max, by_depth[1])
+    by_depth = {1: [tree.cells[cid] for cid, _ in run.open(tree.root.id, h_max)]}
 
     # exploration: each depth's statistics are final before its loop starts
     # (cells are created and evaluated by the openings one level up), so one
@@ -236,13 +237,10 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
         nxt = by_depth.setdefault(h + 1, [])
         for m in range(1, h_max // h + 1):
             q = h_max // (h * m)  # >= 1 since m <= h_max // h
-            pick = None
             for cell in cells:
                 if not cell.opened and cell.eval_count >= q:
-                    pick = cell
+                    nxt.extend(tree.cells[cid] for cid, _ in run.open(cell.id, q))
                     break
-            if pick is not None:
-                open_with(pick, q, nxt)
 
     # cross-validation: nominate per doubling threshold, then re-evaluate
     evaluated = [c for c in tree.cells.values() if c.eval_count > 0]
@@ -254,8 +252,7 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
         if not pool:
             continue
         c = min(pool, key=lambda c: (-c.mean, c.id))
-        if trace is not None:
-            trace.append(("candidate", p, c.id.depth, c.id.index))
+        run.log("candidate", p, c.id.depth, c.id.index)
         if c.id not in seen:
             seen.add(c.id)
             candidates.append(c)
@@ -264,19 +261,16 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
     fresh = {}
     for cell in sorted(candidates, key=lambda c: c.id):
         before = cell.reward_sum
-        tree.add_evaluations(cell.id, v_evals, stream)
+        tree.add_evaluations(cell.id, v_evals, run.stream)
         fresh[cell.id] = (cell.reward_sum - before) / v_evals
-        units += v_evals
-        if trace is not None:
-            trace.append(("validate", cell.id.depth, cell.id.index, v_evals))
+        run.units += v_evals
+        run.log("validate", cell.id.depth, cell.id.index, v_evals)
 
     out = min(fresh, key=lambda cid: (-fresh[cid], cid))
-    if trace is not None:
-        trace.append(("recommend", out.depth, out.index))
+    run.log("recommend", out.depth, out.index)
 
-    assert units <= n, "evaluation budget exceeded"
-    return RunResult(tree.cells[out].representative, fresh[out],
-                     tree.opening_ledger, stream.n_evals, deepest, units, trace)
+    assert run.units <= n, "evaluation budget exceeded"
+    return run.result(out, fresh[out])
 
 
 # ---------------------------------------------------------------------------
@@ -294,55 +288,29 @@ def soo_run(obj: Objective, cfg: RunConfig, depth_limit_fn=None) -> RunResult:
     """
     n = cfg.budget_n
     limit = depth_limit_fn or math.sqrt
-    tree = make_tree(obj.domain, cfg.branching)
-    stream = EvaluationStream(obj)
-    trace = [] if cfg.record_trace else None
+    run = _Run(obj, None, cfg)
 
-    heaps = {}  # depth -> [(-value, cid)]; entries are unopened leaves
-    best = _Best()
-    deepest = 0
-    max_depth = 0
-    t = 0
-
-    def open_cell_at(cid):
-        nonlocal t, deepest, max_depth
-        t += 1
-        if trace is not None:
-            trace.append(("open", cid.depth, cid.index, 1))
-        child_depth = cid.depth + 1
-        heap = heaps.setdefault(child_depth, [])
-        for ccid, mean in tree.open_cell(cid, 1, stream):
-            child = tree.cells[ccid]
-            heapq.heappush(heap, (-mean, ccid))
-            best.update(mean, ccid, child.representative)
-            if ccid.depth > deepest:
-                deepest = ccid.depth
-        max_depth = max(max_depth, child_depth)
+    # depth -> [(-value, cid)] of unopened leaves; the root has no value, so
+    # its key lets it pass the sweep test and leaves vmax at -inf
+    heaps = {0: [(math.inf, run.tree.root.id)]}
 
     progressed = True
-    while t < n and progressed:
+    while run.units < n and progressed:
         progressed = False
         vmax = -math.inf
         h = 0
-        while t < n and h <= min(max_depth, int(limit(t))):
-            if h == 0:
-                if not tree.root.opened:
-                    open_cell_at(tree.root.id)  # root has no value; vmax stays -inf
-                    progressed = True
-                h += 1
-                continue
+        while run.units < n and h <= min(run.deepest, int(limit(run.units))):
             heap = heaps.get(h)
-            if heap:
-                negv, cid = heap[0]
-                if -negv >= vmax:
-                    heapq.heappop(heap)
-                    open_cell_at(cid)
-                    vmax = -negv
-                    progressed = True
+            if heap and -heap[0][0] >= vmax:
+                negv, cid = heapq.heappop(heap)
+                vmax = -negv
+                nxt = heaps.setdefault(h + 1, [])
+                for ccid, mean in run.open(cid):
+                    heapq.heappush(nxt, (-mean, ccid))
+                progressed = True
             h += 1
 
-    return RunResult(best.point, best.value, tree.opening_ledger,
-                     stream.n_evals, deepest, tree.opening_ledger, trace)
+    return run.result()
 
 
 # ---------------------------------------------------------------------------
@@ -359,34 +327,15 @@ def doo_run(obj: Objective, cfg: RunConfig, nu: float, rho: float) -> RunResult:
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must be in (0, 1)")
     n = cfg.budget_n
-    tree = make_tree(obj.domain, cfg.branching)
-    stream = EvaluationStream(obj)
-    trace = [] if cfg.record_trace else None
+    run = _Run(obj, None, cfg)
 
-    best = _Best()
-    deepest = 0
-    heap = []  # (-(value + nu rho^depth), cid)
-    t = 0
-
-    def open_cell_at(cid):
-        nonlocal t, deepest
-        t += 1
-        if trace is not None:
-            trace.append(("open", cid.depth, cid.index, 1))
-        for ccid, mean in tree.open_cell(cid, 1, stream):
-            child = tree.cells[ccid]
-            heapq.heappush(heap, (-(mean + nu * rho ** ccid.depth), ccid))
-            best.update(mean, ccid, child.representative)
-            if ccid.depth > deepest:
-                deepest = ccid.depth
-
-    open_cell_at(tree.root.id)
-    while t < n and heap:
+    heap = [(0.0, run.tree.root.id)]  # (-(value + nu rho^depth), cid)
+    while heap and run.units < n:
         _key, cid = heapq.heappop(heap)
-        open_cell_at(cid)
+        for ccid, mean in run.open(cid):
+            heapq.heappush(heap, (-(mean + nu * rho ** ccid.depth), ccid))
 
-    return RunResult(best.point, best.value, tree.opening_ledger,
-                     stream.n_evals, deepest, tree.opening_ledger, trace)
+    return run.result()
 
 
 # ---------------------------------------------------------------------------
@@ -398,27 +347,15 @@ def uniform_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> Run
     mean.  The root's representative is observed once up front so depth 0
     participates (n openings cost K*n + 1 raw evaluations)."""
     n = cfg.budget_n
-    tree = make_tree(obj.domain, cfg.branching)
-    stream = EvaluationStream(obj, noise)
-    trace = [] if cfg.record_trace else None
+    run = _Run(obj, noise, cfg)
+    root = run.tree.root.id
 
-    tree.add_evaluations(tree.root.id, 1, stream)
-    if trace is not None:
-        trace.append(("evaluate", 0, 0, 1))
-    deepest = 0
-    queue = deque([tree.root.id])
-    opened = 0
-    while queue and opened < n:
-        cid = queue.popleft()
-        if trace is not None:
-            trace.append(("open", cid.depth, cid.index, 1))
-        for ccid, _mean in tree.open_cell(cid, 1, stream):
-            queue.append(ccid)
-            if ccid.depth > deepest:
-                deepest = ccid.depth
-        opened += 1
+    # the root's one observation is the first candidate for the running best
+    run.best_value = run.tree.add_evaluations(root, 1, run.stream)
+    run.best_cid = root
+    run.log("evaluate", 0, 0, 1)
+    queue = deque([root])
+    while queue and run.units < n:
+        queue.extend(cid for cid, _ in run.open(queue.popleft()))
 
-    rec = min((c for c in tree.cells.values() if c.eval_count > 0),
-              key=lambda c: (-c.mean, c.id))
-    return RunResult(rec.representative, rec.mean, tree.opening_ledger,
-                     stream.n_evals, deepest, tree.opening_ledger, trace)
+    return run.result()

@@ -234,8 +234,6 @@ class PartitionTree:
         return CellId(depth, index)
 
 
-# -- module-level operation aliases ----------------------------------------
-
 def make_tree(domain: Box, branching: int = 3, split_axis_rule=None) -> PartitionTree:
     """Fresh tree over `domain`: a single unopened root whose representative
     is the domain center."""
@@ -243,14 +241,3 @@ def make_tree(domain: Box, branching: int = 3, split_axis_rule=None) -> Partitio
         domain = Box(*domain)
     return PartitionTree(domain, branching, split_axis_rule)
 
-
-def children_of(tree: PartitionTree, cid: CellId):
-    return tree.children_of(cid)
-
-
-def open_cell(tree: PartitionTree, cid: CellId, evals_per_child: int, evaluator):
-    return tree.open_cell(cid, evals_per_child, evaluator)
-
-
-def add_evaluations(tree: PartitionTree, cid: CellId, count: int, evaluator):
-    return tree.add_evaluations(cid, count, evaluator)

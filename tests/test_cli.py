@@ -1,4 +1,5 @@
 import json
+import tempfile
 
 from zipftree.cli import main
 from zipftree.harness import read_records
@@ -74,6 +75,32 @@ def test_cli_error_paths(capsys):
     assert main(["--algo", "sequool", "--objective", "garland",
                  "--budget", "10", "--noise-b", "0.1", "--seeds", "1"]) == 1
     assert "deterministic-feedback" in capsys.readouterr().err
+
+
+def test_cli_failure_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    assert main(["--algo", "sequool", "--objective", "garland",
+                 "--budget", "10", "--noise-b", "0.1", "--seeds", "1"]) == 1
+    assert "deterministic-feedback" in capsys.readouterr().err
+    assert list(tmp.iterdir()) == []
+
+
+def test_cli_stdout_equals_out_file(tmp_path, capsys):
+    def without_wall_ms(text):
+        return [line if line.startswith("#") else line.rsplit(",", 1)[0]
+                for line in text.splitlines()]
+
+    args = ["--algo", "stroquool", "--algo", "uniform", "--objective",
+            "garland", "--budget", "10,30", "--noise-b", "0,0.5", "--seeds", "2"]
+    assert main(args) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "r.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert without_wall_ms(stdout) == without_wall_ms(out.read_text())
+    assert len(without_wall_ms(stdout)) == 5 + 1 + 16
 
 
 def test_cli_bad_config_json(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from zipftree.objectives import (GARLAND_ARGMAX, GARLAND_FLOAT_MAX,
                                  GARLAND_OPTIMUM, EvaluationStream,
                                  NoiseModel, Objective, garland,
-                                 garland_objective, get_objective, observe,
+                                 garland_objective, get_objective,
                                  wrapped_sine, wrapped_sine_objective)
 
 
@@ -183,18 +183,19 @@ def test_noise_validation_and_reset():
 def test_observe_reproducible():
     obj = garland_objective()
     nm = NoiseModel(0.2, seed=3)
-    ys = [observe(obj, nm, 0.3) for _ in range(5)]
+    stream = EvaluationStream(obj, nm)
+    ys = [stream.observe_sum(0.3, 1) for _ in range(5)]
     nm.reset()
-    assert ys == [observe(obj, nm, 0.3) for _ in range(5)]
+    assert ys == [stream.observe_sum(0.3, 1) for _ in range(5)]
     assert all(abs(y - garland(0.3)) <= 0.2 for y in ys)
-    assert observe(obj, None, 0.3) == garland(0.3)
-    assert observe(obj, NoiseModel(0.0), 0.3) == garland(0.3)
+    assert EvaluationStream(obj, None).observe_sum(0.3, 1) == garland(0.3)
+    assert EvaluationStream(obj, NoiseModel(0.0)).observe_sum(0.3, 1) == garland(0.3)
 
 
 def test_evaluation_stream_counts_and_batches():
     obj = garland_objective()
     stream = EvaluationStream(obj)  # noiseless
-    v = stream.observe((0.3,))
+    v = stream.observe_sum((0.3,), 1)
     assert v == garland(0.3)
     assert stream.n_evals == 1
     total = stream.observe_sum((0.3,), 7)

@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from zipftree.partition import (Box, CellId, PartitionTree, add_evaluations,
-                                children_of, make_tree, open_cell)
+from zipftree.partition import Box, CellId, PartitionTree, make_tree
 
 
 def value_fn(point):
@@ -43,7 +42,7 @@ def test_make_tree_root():
 
 def test_root_children_centers_are_thirds():
     tree = make_tree(Box([0.0], [1.0]), branching=3)
-    kids = children_of(tree, CellId(0, 0))
+    kids = tree.children_of(CellId(0, 0))
     assert [k.id for k in kids] == [CellId(1, 0), CellId(1, 1), CellId(1, 2)]
     centers = [k.representative[0] for k in kids]
     assert centers[0] == pytest.approx(1.0 / 6.0, abs=1e-16)
@@ -56,7 +55,7 @@ def test_root_children_centers_are_thirds():
 
 def test_open_cell_bookkeeping():
     tree = make_tree(Box([0.0], [1.0]), branching=3)
-    out = open_cell(tree, CellId(0, 0), 1, value_fn)
+    out = tree.open_cell(CellId(0, 0), 1, value_fn)
     assert [cid for cid, _ in out] == [CellId(1, 0), CellId(1, 1), CellId(1, 2)]
     for cid, mean in out:
         cell = tree.cell(cid)
@@ -67,11 +66,11 @@ def test_open_cell_bookkeeping():
     assert tree.opening_ledger == 1
     assert len(tree.cells) == 4
     with pytest.raises(ValueError, match="cell already opened"):
-        open_cell(tree, CellId(0, 0), 1, value_fn)
+        tree.open_cell(CellId(0, 0), 1, value_fn)
     with pytest.raises(ValueError, match="evals_per_child must be >= 1"):
-        open_cell(tree, CellId(1, 0), 0, value_fn)
+        tree.open_cell(CellId(1, 0), 0, value_fn)
     # children_of on an opened parent returns the registered cells
-    kids = children_of(tree, CellId(0, 0))
+    kids = tree.children_of(CellId(0, 0))
     assert all(k is tree.cells[k.id] for k in kids)
 
 
@@ -79,7 +78,7 @@ def test_children_tile_parent_exactly():
     tree = make_tree(Box([0.0], [1.0]), branching=3)
     cur = tree.root
     for _ in range(6):
-        out = open_cell(tree, cur.id, 1, value_fn)
+        out = tree.open_cell(cur.id, 1, value_fn)
         kids = [tree.cell(cid) for cid, _ in out]
         assert kids[0].box.lower[0] == cur.box.lower[0]
         assert kids[-1].box.upper[0] == cur.box.upper[0]
@@ -95,7 +94,7 @@ def test_middle_child_center_exact():
     tree = make_tree(Box([0.0], [1.0]), branching=3)
     cur = tree.root
     for depth in range(1, 13):
-        out = open_cell(tree, cur.id, 1, value_fn)
+        out = tree.open_cell(cur.id, 1, value_fn)
         mid = tree.cell(out[1][0])
         assert mid.id == CellId(depth, (3 ** depth - 1) // 2)
         assert mid.representative[0] == 0.5, depth
@@ -110,16 +109,16 @@ def test_add_evaluations_statistics():
         return next(draws)
 
     tree = make_tree(Box([0.0], [1.0]), branching=2)
-    (cid0, mean0), _ = open_cell(tree, CellId(0, 0), 1, noisy)
+    (cid0, mean0), _ = tree.open_cell(CellId(0, 0), 1, noisy)
     assert mean0 == 0.5
-    updated = add_evaluations(tree, cid0, 3, noisy)
+    updated = tree.add_evaluations(cid0, 3, noisy)
     cell = tree.cell(cid0)
     assert cell.eval_count == 4
     assert cell.reward_sum == pytest.approx(0.5 + 0.2 + 0.3 + 0.9)
     assert updated == cell.mean == cell.reward_sum / 4
     assert tree.opening_ledger == 1  # re-evaluation is not an opening
     with pytest.raises(ValueError, match="count must be >= 1"):
-        add_evaluations(tree, cid0, 0, noisy)
+        tree.add_evaluations(cid0, 0, noisy)
 
 
 def test_mean_requires_evaluations():
@@ -148,7 +147,7 @@ def test_cell_containing_matches_materialized_boxes():
     for _ in range(5):
         nxt = []
         for cell in frontier:
-            for cid, _ in open_cell(tree, cell.id, 1, value_fn):
+            for cid, _ in tree.open_cell(cell.id, 1, value_fn):
                 nxt.append(tree.cell(cid))
         frontier = nxt
     for k in range(101):
@@ -163,10 +162,10 @@ def test_cell_containing_matches_materialized_boxes():
 
 def test_axis_cycling_in_two_dims():
     tree = make_tree(Box([0.0, 0.0], [1.0, 2.0]), branching=2)
-    out0 = open_cell(tree, CellId(0, 0), 1, lambda p: p[0] + p[1])
+    out0 = tree.open_cell(CellId(0, 0), 1, lambda p: p[0] + p[1])
     left = tree.cell(out0[0][0])
     assert left.box.widths == (0.5, 2.0)      # depth 0 splits axis 0
-    out1 = open_cell(tree, left.id, 1, lambda p: p[0] + p[1])
+    out1 = tree.open_cell(left.id, 1, lambda p: p[0] + p[1])
     bottom = tree.cell(out1[0][0])
     assert bottom.box.widths == (0.5, 1.0)    # depth 1 splits axis 1
     assert bottom.id == CellId(2, 0)
@@ -175,7 +174,7 @@ def test_axis_cycling_in_two_dims():
 def test_split_axis_rule_override():
     tree = make_tree(Box([0.0, 0.0], [1.0, 1.0]), branching=2,
                      split_axis_rule=lambda depth, dim: 1)
-    out = open_cell(tree, CellId(0, 0), 1, lambda p: 0.0)
+    out = tree.open_cell(CellId(0, 0), 1, lambda p: 0.0)
     kid = tree.cell(out[0][0])
     assert kid.box.widths == (1.0, 0.5)  # always axis 1
 
@@ -184,7 +183,7 @@ def test_child_index_arithmetic_deep():
     tree = make_tree(Box([0.0], [1.0]), branching=4)
     cell = tree.root
     for _ in range(3):
-        out = open_cell(tree, cell.id, 1, value_fn)
+        out = tree.open_cell(cell.id, 1, value_fn)
         cell = tree.cell(out[-1][0])  # follow the last child
     assert cell.id == CellId(3, 4 ** 3 - 1)
 
@@ -197,7 +196,7 @@ def test_open_cell_batch_evaluations():
         return 1.0
 
     tree = make_tree(Box([0.0], [1.0]), branching=3)
-    out = open_cell(tree, CellId(0, 0), 5, recorder)
+    out = tree.open_cell(CellId(0, 0), 5, recorder)
     assert len(calls) == 15  # 3 children x 5 evaluations
     for cid, mean in out:
         assert tree.cell(cid).eval_count == 5
