@@ -31,8 +31,7 @@ from .harness import (AlgoSpec, ExperimentSpec, RegretRecord, derive_seed,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box", "Cell", "CellId", "PartitionTree",
-    "make_tree",
+    "Box", "Cell", "CellId", "PartitionTree", "make_tree",
     "GARLAND_ARGMAX", "GARLAND_FLOAT_MAX", "GARLAND_OPTIMUM",
     "Objective", "NoiseModel", "EvaluationStream",
     "garland", "wrapped_sine", "garland_objective", "wrapped_sine_objective",

@@ -101,8 +101,7 @@ class _Run:
     def open(self, cid, evals=1):
         """Open `cid` with `evals` evaluations per child; returns the tree's
         [(child id, mean)]."""
-        if self.trace is not None:
-            self.trace.append(("open", cid.depth, cid.index, evals))
+        self.log("open", cid.depth, cid.index, evals)
         out = self.tree.open_cell(cid, evals, self.stream)
         self.units += evals
         if cid.depth >= self.deepest:
