@@ -87,7 +87,7 @@ def _wrapped_sine_vec(x):
 def _as_point(x):
     if isinstance(x, (int, float)):
         return (float(x),)
-    return tuple(float(v) for v in x)
+    return tuple(map(float, x))
 
 
 class Objective:

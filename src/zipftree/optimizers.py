@@ -171,7 +171,6 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
     n = cfg.budget_n
     K = cfg.branching
     run = _Run(obj, None, cfg)
-    cells = run.tree.cells
 
     h_max = int(n // harmonic(n))
     H = float(h_max)
@@ -179,7 +178,9 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
         H = _rescaled_depth_budget(n, h_max, K, cfg.cap_quota_by_cells)
     h_limit = int(H)
 
-    by_depth = {1: [cells[cid] for cid, _ in run.open(run.tree.root.id)]}
+    # depth -> [(cid, mean)] as run.open returns them; each child holds one
+    # evaluation, so its mean is the cell's mean
+    by_depth = {1: run.open(run.tree.root.id)}
 
     for h in range(1, h_limit + 1):
         cand = by_depth.pop(h, None)
@@ -188,12 +189,13 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
         q = int(H // h)
         if cfg.cap_quota_by_cells:
             q = min(q, K ** h)
-        cand.sort(key=lambda c: (-c.mean, c.id))
+        cand.sort(key=lambda pair: (-pair[1], pair[0]))
         nxt = by_depth.setdefault(h + 1, [])
-        for cell in cand[:q]:
-            nxt.extend(cells[cid] for cid, _ in run.open(cell.id))
+        for cid, _ in cand[:q]:
+            nxt.extend(run.open(cid))
 
-    assert run.tree.opening_ledger <= n + 1, "harmonic budget identity violated"
+    if run.tree.opening_ledger > n + 1:
+        raise RuntimeError("harmonic budget identity violated")
     return run.result()
 
 
@@ -268,7 +270,8 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
     out = min(fresh, key=lambda cid: (-fresh[cid], cid))
     run.log("recommend", out.depth, out.index)
 
-    assert run.units <= n, "evaluation budget exceeded"
+    if run.units > n:
+        raise RuntimeError("evaluation budget exceeded")
     return run.result(out, fresh[out])
 
 

@@ -5,11 +5,16 @@ A cell is "opened" by splitting it into K equal-width children along one axis
 (the axis cycles with depth by default) and evaluating each child's
 representative point a requested number of times.  Budgets are counted in
 openings; the tree keeps a ledger of how many cells have been opened.
+
+A cell stores its bounds and its representative (the centre of its box) as
+plain tuples; `Cell.box` builds a `Box` from the bounds on demand.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import Callable, NamedTuple
 
 
@@ -64,9 +69,9 @@ class Box:
         return tuple(hi - lo for lo, hi in zip(self.lower, self.upper))
 
     def contains(self, point):
-        if len(point) != self.dim:
-            return False
-        return all(lo <= x <= hi for x, lo, hi in zip(point, self.lower, self.upper))
+        return (len(point) == len(self.lower)
+                and all(map(operator.le, self.lower, point))
+                and all(map(operator.le, point, self.upper)))
 
     def __eq__(self, other):
         return isinstance(other, Box) and self.lower == other.lower and self.upper == other.upper
@@ -79,17 +84,29 @@ class Box:
 
 
 class Cell:
-    """One cell of the partition with its running evaluation statistics."""
+    """One cell of the partition with its running evaluation statistics.
 
-    __slots__ = ("id", "box", "representative", "eval_count", "reward_sum", "opened")
+    lower / upper are the bounds of the cell's box and representative its
+    centre, all tuples of floats.
+    """
 
-    def __init__(self, cid, box, representative):
+    __slots__ = ("id", "lower", "upper", "representative", "eval_count",
+                 "reward_sum", "opened")
+
+    def __init__(self, cid, lower, upper, representative):
         self.id = cid
-        self.box = box
+        self.lower = lower
+        self.upper = upper
         self.representative = representative
         self.eval_count = 0
         self.reward_sum = 0.0
         self.opened = False
+
+    @property
+    def box(self):
+        """The cell's box, built from its bounds (not validated: deep cells
+        may have zero width)."""
+        return Box._unchecked(self.lower, self.upper)
 
     @property
     def mean(self):
@@ -104,15 +121,20 @@ class Cell:
 
 
 def _observe_sum(evaluator, point, count):
-    """Sum of `count` observations at `point`.
+    """Sum of `count` calls of the plain callable `evaluator` at `point`."""
+    return math.fsum(evaluator(point) for _ in range(count))
+
+
+def _observer(evaluator):
+    """`observe(point, count)` returning the sum of `count` observations.
 
     Evaluators may expose an `observe_sum(point, count)` batch method (see
     objectives.EvaluationStream); plain callables are invoked count times.
     """
     batch = getattr(evaluator, "observe_sum", None)
     if batch is not None:
-        return batch(point, count)
-    return math.fsum(evaluator(point) for _ in range(count))
+        return batch
+    return functools.partial(_observe_sum, evaluator)
 
 
 class PartitionTree:
@@ -132,7 +154,7 @@ class PartitionTree:
         self.branching = int(branching)
         # default: cycle the split axis with depth
         self.split_axis_rule = split_axis_rule or (lambda depth, dim: depth % dim)
-        root = Cell(CellId(0, 0), domain, domain.center)
+        root = Cell(CellId(0, 0), domain.lower, domain.upper, domain.center)
         self.root = root
         self.cells = {root.id: root}
         self.opening_ledger = 0
@@ -147,19 +169,30 @@ class PartitionTree:
 
     def _split(self, parent: Cell):
         K = self.branching
-        axis = self.split_axis_rule(parent.id.depth, parent.box.dim)
-        lo = parent.box.lower[axis]
-        hi = parent.box.upper[axis]
+        depth, index = parent.id
+        lower, upper, rep = parent.lower, parent.upper, parent.representative
+        axis = self.split_axis_rule(depth, len(lower))
+        lo = lower[axis]
+        hi = upper[axis]
         w = hi - lo
+        # the children differ from the parent only on `axis`, so the parent's
+        # bounds and centre are sliced once; a child's centre off `axis` is
+        # the parent's, which makes each representative equal Box.center
+        lo_head, lo_tail = lower[:axis], lower[axis + 1:]
+        up_head, up_tail = upper[:axis], upper[axis + 1:]
+        rep_head, rep_tail = rep[:axis], rep[axis + 1:]
+        depth += 1
+        index *= K
         children = []
         for j in range(K):
+            # each edge from its own formula, not the previous child's b: at
+            # j = 0 a -0.0 bound becomes +0.0, as cell_containing computes it
             a = lo + j * w / K
             b = hi if j == K - 1 else lo + (j + 1) * w / K  # last edge snaps exactly
-            lower = parent.box.lower[:axis] + (a,) + parent.box.lower[axis + 1:]
-            upper = parent.box.upper[:axis] + (b,) + parent.box.upper[axis + 1:]
-            box = Box._unchecked(lower, upper)
-            cid = CellId(parent.id.depth + 1, parent.id.index * K + j)
-            children.append(Cell(cid, box, box.center))
+            children.append(Cell(CellId(depth, index + j),
+                                 lo_head + (a,) + lo_tail,
+                                 up_head + (b,) + up_tail,
+                                 rep_head + (0.5 * (a + b),) + rep_tail))
         return children
 
     def children_of(self, cid):
@@ -183,11 +216,12 @@ class PartitionTree:
         children = self._split(parent)
         parent.opened = True
         self.opening_ledger += 1
+        observe = _observer(evaluator)
+        cells = self.cells
         out = []
         for child in children:
-            self.cells[child.id] = child
-            child.reward_sum = _observe_sum(evaluator, child.representative,
-                                            evals_per_child)
+            cells[child.id] = child
+            child.reward_sum = observe(child.representative, evals_per_child)
             child.eval_count = evals_per_child
             out.append((child.id, child.reward_sum / child.eval_count))
         return out
@@ -198,7 +232,7 @@ class PartitionTree:
         cell = self.cell(cid)
         if count < 1:
             raise ValueError("count must be >= 1")
-        cell.reward_sum += _observe_sum(evaluator, cell.representative, count)
+        cell.reward_sum += _observer(evaluator)(cell.representative, count)
         cell.eval_count += count
         return cell.reward_sum / cell.eval_count
 

@@ -8,6 +8,7 @@ from zipftree.objectives import (GARLAND_ARGMAX, GARLAND_FLOAT_MAX,
                                  NoiseModel, Objective, garland,
                                  garland_objective, get_objective,
                                  wrapped_sine, wrapped_sine_objective)
+from zipftree.partition import Box
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +123,51 @@ def test_objective_eval_checks_domain():
         obj.eval((1.25,))
     assert obj.optimum_value == GARLAND_OPTIMUM
     assert obj.optimum_point == (GARLAND_ARGMAX,)
+
+
+def _probe(domain):
+    """Objective on `domain` whose fn records the point it is handed."""
+    seen = []
+    return Objective("probe", domain, lambda p: seen.append(p) or 0.0), seen
+
+
+def test_objective_eval_rejects_nan_and_wrong_length():
+    obj = garland_objective()
+    for bad in (math.nan, (math.nan,), (0.5, 0.5), (), [0.25, 0.75],
+                np.array([0.5, 0.5]), -1e-300, 1.0 + 2 ** -52):
+        with pytest.raises(ValueError, match="outside domain of garland"):
+            obj.eval(bad)
+    plane, seen = _probe(Box([0.0, -1.0], [1.0, 1.0]))
+    for bad in ((0.5,), (0.5, math.nan), (math.nan, 0.0), (0.5, 0.0, 0.0)):
+        with pytest.raises(ValueError, match=r"outside domain of probe"):
+            plane.eval(bad)
+    assert seen == []  # fn is never reached
+
+
+def test_objective_eval_accepts_domain_edges():
+    plane, seen = _probe(Box([0.0, -1.0], [1.0, 1.0]))
+    corners = [(0.0, -1.0), (0.0, 1.0), (1.0, -1.0), (1.0, 1.0), (-0.0, 0.0)]
+    for corner in corners:
+        assert plane.eval(corner) == 0.0
+    assert seen == corners
+    assert garland_objective().eval(0.0) == 0.0
+    assert garland_objective().eval((1.0,)) == 0.0
+
+
+def test_objective_eval_converts_points_to_float_tuples():
+    line, seen = _probe(Box([0.0], [1.0]))
+    inputs = [0, 1, True, False, np.float64(0.25), np.array([0.25]),
+              [1], (np.float32(0.5),), (0.75,)]
+    for x in inputs:
+        line.eval(x)
+    assert seen == [(0.0,), (1.0,), (1.0,), (0.0,), (0.25,), (0.25,), (1.0,),
+                    (0.5,), (0.75,)]
+    assert all(type(p) is tuple and type(p[0]) is float for p in seen)
+    plane, seen = _probe(Box([0.0, 0.0], [1.0, 1.0]))
+    plane.eval(np.array([1, 0]))
+    plane.eval([True, 0.5])
+    assert seen == [(1.0, 0.0), (1.0, 0.5)]
+    assert all(type(v) is float for p in seen for v in p)
 
 
 def test_objective_registry():

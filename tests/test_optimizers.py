@@ -1,8 +1,13 @@
 import math
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from zipftree import optimizers
 from zipftree.objectives import (GARLAND_OPTIMUM, NoiseModel, Objective,
                                  garland_objective)
 from zipftree.optimizers import (RunConfig, doo_run, sequool_run, soo_run,
@@ -187,6 +192,62 @@ def test_stroquool_validation_calibrates_estimate():
         ubias.append(u.recommendation_value_estimate - GARLAND.eval(u.recommendation))
     assert statistics.median(ubias) > 0.9 * b
     assert statistics.median(sbias) < 0.5 * b
+
+
+# ---------------------------------------------------------------------------
+# budget invariants raise, so `python -O` keeps them
+# ---------------------------------------------------------------------------
+
+# a harmonic number below 1 lifts sequool's h_max past n; an h_max past n
+# makes stroquool's root opening alone overspend
+_VIOLATIONS = {
+    "sequool": ("harmonic", lambda n: 0.5,
+                lambda: sequool_run(GARLAND, RunConfig(budget_n=10)),
+                "harmonic budget identity violated"),
+    "stroquool": ("stroquool_h_max", lambda n: n + 1,
+                  lambda: stroquool_run(GARLAND, None, RunConfig(budget_n=8)),
+                  "evaluation budget exceeded"),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(_VIOLATIONS))
+def test_budget_violation_raises(algo, monkeypatch):
+    name, forced, run, message = _VIOLATIONS[algo]
+    monkeypatch.setattr(optimizers, name, forced)
+    with pytest.raises(RuntimeError, match=message):
+        run()
+
+
+_OPTIMIZED_SCRIPT = """
+from zipftree import optimizers
+from zipftree.objectives import garland_objective
+from zipftree.optimizers import RunConfig
+
+optimizers.harmonic = lambda n: 0.5
+optimizers.stroquool_h_max = lambda n: n + 1
+obj = garland_objective()
+for run in (lambda: optimizers.sequool_run(obj, RunConfig(budget_n=10)),
+            lambda: optimizers.stroquool_run(obj, None, RunConfig(budget_n=8))):
+    try:
+        run()
+    except RuntimeError as exc:
+        print(exc)
+    else:
+        print("no error")
+print("__debug__", __debug__)
+"""
+
+
+def test_budget_violation_raises_under_python_O():
+    src = str(Path(optimizers.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [_VIOLATIONS["sequool"][3],
+                                        _VIOLATIONS["stroquool"][3],
+                                        "__debug__ False"]
 
 
 # ---------------------------------------------------------------------------

@@ -202,3 +202,108 @@ def test_open_cell_batch_evaluations():
         assert tree.cell(cid).eval_count == 5
         assert mean == 1.0
     assert tree.opening_ledger == 1  # still one opening however many evals
+
+
+# ---------------------------------------------------------------------------
+# split geometry: cells store bounds and centre, Cell.box is built on demand
+# ---------------------------------------------------------------------------
+
+def _materialise(tree, levels, fn=value_fn):
+    """Open every cell of the first `levels` depths; returns all opened
+    parents in opening order."""
+    opened = []
+    frontier = [tree.root]
+    for _ in range(levels):
+        nxt = []
+        for cell in frontier:
+            for cid, _ in tree.open_cell(cell.id, 1, fn):
+                nxt.append(tree.cell(cid))
+            opened.append(cell)
+        frontier = nxt
+    return opened
+
+
+def _check_geometry(tree, opened):
+    K = tree.branching
+    for cell in tree.cells.values():
+        box = cell.box
+        assert cell.representative == box.center, cell
+        assert box == cell.box and hash(box) == hash(cell.box)
+        assert (box.lower, box.upper) == (cell.lower, cell.upper)
+    for parent in opened:
+        depth, index = parent.id
+        kids = [tree.cell(CellId(depth + 1, index * K + j)) for j in range(K)]
+        assert kids == tree.children_of(parent.id)
+        axis = tree.split_axis_rule(depth, parent.box.dim)
+        assert kids[0].lower[axis] == parent.lower[axis]
+        assert kids[-1].upper[axis] == parent.upper[axis]
+        for left, right in zip(kids, kids[1:]):
+            assert left.upper[axis] == right.lower[axis]
+        for kid in kids:
+            for i in range(parent.box.dim):
+                if i != axis:
+                    assert kid.lower[i] == parent.lower[i]
+                    assert kid.upper[i] == parent.upper[i]
+        # unopened cells split into fresh children with the same geometry
+        for kid in kids:
+            if not kid.opened:
+                for fresh in tree.children_of(kid.id):
+                    assert fresh.representative == fresh.box.center
+
+
+@pytest.mark.parametrize("domain, K, rule, levels", [
+    (Box([0.0], [1.0]), 3, None, 5),
+    (Box([0.0, -1.0], [1.0, 2.0]), 2, None, 7),
+    (Box([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]), 3, lambda depth, dim: (depth * 2) % dim, 4),
+    (Box([-1.0], [2.0]), 3, None, 5),
+], ids=["1d-K3", "2d-cycling", "3d-custom-rule", "minus1-to-2"])
+def test_split_geometry(domain, K, rule, levels):
+    tree = make_tree(domain, branching=K, split_axis_rule=rule)
+    opened = _materialise(tree, levels, lambda p: -sum(abs(v - 0.3) for v in p))
+    assert len(tree.cells) == sum(K ** h for h in range(levels + 1))
+    _check_geometry(tree, opened)
+
+
+def test_split_geometry_past_float_resolution():
+    # follow the child holding pi/6 well past depth 34, where cells lose all
+    # width; bounds and centres stay consistent all the way down
+    target = math.pi / 6
+    tree = make_tree(Box([0.0, 0.0], [1.0, 1.0]), branching=3)
+    cell, opened = tree.root, []
+    for _ in range(90):
+        opened.append(cell)
+        out = tree.open_cell(cell.id, 1, lambda p: -abs(p[0] - target) - abs(p[1] - target))
+        cell = tree.cell(max(out, key=lambda pair: (pair[1], -pair[0].index))[0])
+    assert cell.box.widths == (0.0, 0.0)
+    _check_geometry(tree, opened)
+
+
+def test_split_of_negative_zero_bound_starts_at_positive_zero():
+    # the edge formula lo + j*w/K gives 0.0 at j = 0, not the parent's -0.0
+    tree = make_tree(Box([-0.0], [1.0]), branching=3)
+    assert math.copysign(1.0, tree.root.lower[0]) == -1.0
+    out = tree.open_cell(CellId(0, 0), 1, value_fn)
+    first = tree.cell(out[0][0])
+    assert first.lower[0] == 0.0 and math.copysign(1.0, first.lower[0]) == 1.0
+    assert first.box.lower == (0.0,)
+    assert first.representative == first.box.center == (1.0 / 6.0,)
+
+
+def test_cell_box_is_built_from_bounds():
+    tree = make_tree(Box([0.0, 1.0], [2.0, 5.0]))
+    root = tree.root
+    assert root.box == tree.domain
+    assert root.box is not root.box  # rebuilt on each read
+    assert (root.lower, root.upper, root.representative) == ((0.0, 1.0), (2.0, 5.0), (1.0, 3.0))
+
+
+def test_box_contains_rejects_nan_and_wrong_length():
+    box = Box([0.0, -1.0], [1.0, 3.0])
+    assert box.contains((0.0, -1.0)) and box.contains((1.0, 3.0))  # closed
+    assert box.contains((-0.0, 0.0))
+    assert not box.contains((math.nan, 0.0))
+    assert not box.contains((0.5, math.nan))
+    assert not box.contains((0.5,))
+    assert not box.contains((0.5, 0.0, 0.0))
+    assert not box.contains(())
+    assert not box.contains((-math.inf, 0.0))
