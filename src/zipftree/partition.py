@@ -181,14 +181,17 @@ class PartitionTree:
         lo_head, lo_tail = lower[:axis], lower[axis + 1:]
         up_head, up_tail = upper[:axis], upper[axis + 1:]
         rep_head, rep_tail = rep[:axis], rep[axis + 1:]
+        # edge j is lo + j*w/K, as in cell_containing (so a -0.0 bound gives
+        # a +0.0 first edge), computed once and shared by the two children
+        # it separates; the last edge snaps exactly to hi
+        edges = [lo + j * w / K for j in range(K)]
+        edges.append(hi)
         depth += 1
         index *= K
         children = []
         for j in range(K):
-            # each edge from its own formula, not the previous child's b: at
-            # j = 0 a -0.0 bound becomes +0.0, as cell_containing computes it
-            a = lo + j * w / K
-            b = hi if j == K - 1 else lo + (j + 1) * w / K  # last edge snaps exactly
+            a = edges[j]
+            b = edges[j + 1]
             children.append(Cell(CellId(depth, index + j),
                                  lo_head + (a,) + lo_tail,
                                  up_head + (b,) + up_tail,
