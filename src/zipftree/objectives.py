@@ -128,12 +128,20 @@ class Objective:
         return f"Objective({self.name!r})"
 
 
+_NOISE_BLOCK = 4096  # unit draws taken from the generator at a time
+
+
 class NoiseModel:
     """Bounded zero-mean observation noise: y = f(x) + eps with |eps| <= b.
 
     distribution is "uniform" (uniform on [-b, b]) or "truncated-gaussian"
     (N(0, (b/2)^2) with draws outside [-b, b] rejected and redrawn).  Each
     instance owns a private seeded stream; use one instance per run.
+
+    Draws are read from a block of unit samples drawn ahead (rng.random or
+    rng.standard_normal, 4096 at a time) and scaled with the operations
+    numpy's uniform(-b, b) and normal(0, b/2) apply, so every offsets() call
+    returns the same values, bit for bit, as drawing it on its own would.
     """
 
     def __init__(self, range_b, distribution="uniform", seed=0):
@@ -144,25 +152,54 @@ class NoiseModel:
         self.range_b = float(range_b)
         self.distribution = distribution
         self.seed = int(seed)
-        self._rng = np.random.default_rng(self.seed)
+        self.reset()
 
     def reset(self, seed=None):
-        """Rewind (or reseed) the stream."""
+        """Rewind (or reseed) the stream, dropping the drawn-ahead block."""
         if seed is not None:
             self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
+        self._units = np.empty(0)  # unit draws; those before _pos are spent
+        self._pos = 0
+        self._scaled = self._units  # _units scaled for half-width _scaled_b
+        self._scaled_b = None
+
+    def _draws(self, count, b):
+        """The next `count` draws, scaled for half-width b."""
+        pos = self._pos
+        if pos + count > len(self._units):
+            # keep the unread tail and draw whole blocks after it
+            need = count - (len(self._units) - pos)
+            size = -(-need // _NOISE_BLOCK) * _NOISE_BLOCK
+            if self.distribution == "uniform":
+                fresh = self._rng.random(size)
+            else:
+                fresh = self._rng.standard_normal(size)
+            self._units = np.concatenate((self._units[pos:], fresh))
+            self._scaled_b = None
+            pos = 0
+        if self._scaled_b != b:
+            if self.distribution == "uniform":
+                self._scaled = -b + (b - -b) * self._units
+            else:
+                self._scaled = 0.0 + (0.5 * b) * self._units
+            self._scaled_b = b
+        self._pos = pos + count
+        return self._scaled[pos:pos + count]
 
     def offsets(self, count):
         """Array of `count` noise draws."""
+        if count < 0:
+            raise ValueError("count must be >= 0")
         b = self.range_b
         if b == 0.0:
             return np.zeros(count)
+        out = self._draws(count, b)
         if self.distribution == "uniform":
-            return self._rng.uniform(-b, b, count)
-        out = self._rng.normal(0.0, 0.5 * b, count)
+            return out
         bad = np.abs(out) > b
         while bad.any():
-            out[bad] = self._rng.normal(0.0, 0.5 * b, int(bad.sum()))
+            out[bad] = self._draws(int(bad.sum()), b)
             bad = np.abs(out) > b
         return out
 
@@ -186,7 +223,10 @@ class EvaluationStream:
         self.n_evals += count
         if self.noise is None or self.noise.range_b == 0.0:
             return count * v
-        return count * v + float(self.noise.offsets(count).sum())
+        eps = self.noise.offsets(count)
+        if count == 1:
+            return v + float(eps[0])
+        return count * v + float(eps.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -244,15 +244,17 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
                     break
 
     # cross-validation: nominate per doubling threshold, then re-evaluate
-    evaluated = [c for c in tree.cells.values() if c.eval_count > 0]
+    # rank the evaluated cells once; each threshold takes the first cell
+    # in that order with enough evaluations (keys are unique)
+    ranked = sorted((c for c in tree.cells.values() if c.eval_count > 0),
+                    key=lambda c: (-c.mean, c.id))
     candidates = []
     seen = set()
     for p in range(p_max + 1):
         thr = 1 << p
-        pool = [c for c in evaluated if c.eval_count >= thr]
-        if not pool:
-            continue
-        c = min(pool, key=lambda c: (-c.mean, c.id))
+        c = next((c for c in ranked if c.eval_count >= thr), None)
+        if c is None:
+            break  # thresholds only grow, so no later one finds a cell
         run.log("candidate", p, c.id.depth, c.id.index)
         if c.id not in seen:
             seen.add(c.id)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "SmoothnessParams", "BoundInputs", "harmonic", "stroquool_h_max",
@@ -28,7 +28,7 @@ __all__ = [
 # harmonic numbers
 # ---------------------------------------------------------------------------
 
-_hcache = [0.0]  # _hcache[k] = H(k); extended on demand
+_hcache = array("d", [0.0])  # _hcache[k] = H(k); extended on demand
 _hcomp = [0.0]   # Kahan compensation carried past the last cached entry
 
 
@@ -175,8 +175,11 @@ def _h_tilde_exact(h_max_alg, nu, rho, C, d, b, L):
     In logs this is A - log h - a h = 0 with a = (d+2) log(1/rho) and
     A = log(h_max nu^2 / (4 C b^2 L)); the left side is strictly decreasing,
     so the root is unique.  Solved by bracketing + brentq; the closed form
-    is h = W(a e^A) / a, which the tests cross-check.
+    is h = W(a e^A) / a, which the tests cross-check.  scipy is imported
+    here, on first use, so importing zipftree does not load it.
     """
+    from scipy.optimize import brentq
+
     a = (d + 2.0) * math.log(1.0 / rho)
     A = math.log(h_max_alg * nu * nu / (4.0 * C * b * b * L))
 

@@ -226,6 +226,100 @@ def test_noise_validation_and_reset():
     assert not np.array_equal(nm.offsets(8), first)
 
 
+class _PerCallNoise:
+    """Reference: NoiseModel's draws made one numpy call per offsets()."""
+
+    def __init__(self, range_b, distribution, seed):
+        self.range_b = range_b
+        self.distribution = distribution
+        self.reset(seed)
+
+    def reset(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def offsets(self, count):
+        b = self.range_b
+        if b == 0.0:
+            return np.zeros(count)
+        if self.distribution == "uniform":
+            return self._rng.uniform(-b, b, count)
+        out = self._rng.normal(0.0, 0.5 * b, count)
+        bad = np.abs(out) > b
+        while bad.any():
+            out[bad] = self._rng.normal(0.0, 0.5 * b, int(bad.sum()))
+            bad = np.abs(out) > b
+        return out
+
+
+def _bitwise_equal(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+# counts on both sides of the 4096-draw block, in an order that crosses
+# block edges at many offsets
+_BLOCK_COUNTS = [1, 2, 7, 8, 9, 4095, 4096, 4097, 9000]
+_COUNT_SEQUENCE = _BLOCK_COUNTS + [9, 4097, 1, 4095, 2, 9000, 8, 4096, 7] + [1] * 50
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "truncated-gaussian"])
+def test_noise_block_equals_per_call_draws(distribution):
+    nm = NoiseModel(0.4, distribution, seed=17)
+    ref = _PerCallNoise(0.4, distribution, 17)
+    for k in _COUNT_SEQUENCE:
+        assert _bitwise_equal(nm.offsets(k), ref.offsets(k)), k
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "truncated-gaussian"])
+def test_noise_block_follows_range_b_changes(distribution):
+    nm = NoiseModel(0.0, distribution, seed=4)
+    ref = _PerCallNoise(0.0, distribution, 4)
+    widths = [0.0, 1.0, 0.1, 0.0, 0.1, 2.5, 1e-300, 0.3]
+    for step, k in enumerate(_COUNT_SEQUENCE):
+        if step % 3 == 0:
+            nm.range_b = ref.range_b = widths[(step // 3) % len(widths)]
+        assert _bitwise_equal(nm.offsets(k), ref.offsets(k)), (step, k)
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "truncated-gaussian"])
+def test_noise_block_reset_mid_block(distribution):
+    nm = NoiseModel(0.25, distribution, seed=8)
+    ref = _PerCallNoise(0.25, distribution, 8)
+    for step, k in enumerate(_COUNT_SEQUENCE):
+        if step % 4 == 1:
+            nm.reset()
+            ref.reset(nm.seed)
+        elif step % 4 == 3:
+            nm.reset(seed=100 + step)
+            ref.reset(100 + step)
+        assert _bitwise_equal(nm.offsets(k), ref.offsets(k)), (step, k)
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "truncated-gaussian"])
+def test_observe_sum_equals_per_call_sum(distribution):
+    obj = garland_objective()
+    nm = NoiseModel(0.1, distribution, seed=23)
+    stream = EvaluationStream(obj, nm)
+    ref = _PerCallNoise(0.1, distribution, 23)
+    points = [0.0, 0.3, GARLAND_ARGMAX, 1.0]
+    for step, k in enumerate(_COUNT_SEQUENCE):
+        if step == 20:
+            nm.range_b = ref.range_b = 1.0
+        p = points[step % len(points)]
+        got = stream.observe_sum(p, k)
+        want = k * obj.eval(p) + float(ref.offsets(k).sum())
+        assert got == want, (step, k)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want), (step, k)
+    assert stream.n_evals == sum(_COUNT_SEQUENCE)
+
+
+def test_noise_rejects_negative_count():
+    nm = NoiseModel(0.5, seed=1)
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        nm.offsets(-1)
+    assert _bitwise_equal(nm.offsets(3), _PerCallNoise(0.5, "uniform", 1).offsets(3))
+
+
 def test_observe_reproducible():
     obj = garland_objective()
     nm = NoiseModel(0.2, seed=3)

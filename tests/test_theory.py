@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zipftree
 from zipftree.objectives import Objective, garland_objective, wrapped_sine_objective
 from zipftree.partition import Box
 from zipftree.theory import (BoundInputs, SmoothnessParams, confidence_radius,
@@ -26,6 +31,38 @@ def test_harmonic_against_rationals():
     assert harmonic(2) == 1.5
     with pytest.raises(ValueError, match="n must be >= 1"):
         harmonic(0)
+
+
+# H(n) as float.hex, recorded when the cache was a list of floats
+_HARMONIC_HEX = {
+    1: "0x1.0000000000000p+0",
+    2: "0x1.8000000000000p+0",
+    3: "0x1.d555555555555p+0",
+    10: "0x1.76e86e86e86e8p+1",
+    4097: "0x1.1ca6b0cd81c28p+3",
+    10**5: "0x1.82e27a22f3fb0p+3",
+    10**6: "0x1.cc9137a1df274p+3",
+}
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_harmonic_values_frozen_in_any_order(order):
+    # a fresh process per order, so the cache starts empty each time
+    ns = sorted(_HARMONIC_HEX)
+    if order == "descending":
+        ns.reverse()
+    elif order == "shuffled":
+        ns = [10, 10**6, 2, 4097, 1, 10**5, 3]
+    script = ("from zipftree.theory import harmonic\n"
+              f"for n in {ns!r}:\n    print(harmonic(n).hex())\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(zipftree.__file__).resolve().parents[1]),
+                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [_HARMONIC_HEX[n] for n in ns]
 
 
 def test_harmonic_cache_consistent():
