@@ -137,6 +137,7 @@ class NoiseModel:
     distribution is "uniform" (uniform on [-b, b]) or "truncated-gaussian"
     (N(0, (b/2)^2) with draws outside [-b, b] rejected and redrawn).  Each
     instance owns a private seeded stream; use one instance per run.
+    range_b may change between calls; distribution is fixed at construction.
 
     Draws are read from a block of unit samples drawn ahead (rng.random or
     rng.standard_normal, 4096 at a time) and scaled with the operations
@@ -150,7 +151,7 @@ class NoiseModel:
         if distribution not in ("uniform", "truncated-gaussian"):
             raise ValueError(f"unknown noise distribution {distribution!r}")
         self.range_b = float(range_b)
-        self.distribution = distribution
+        self._distribution = distribution
         self.seed = int(seed)
         self.reset()
 
@@ -164,6 +165,11 @@ class NoiseModel:
         self._scaled = self._units  # _units scaled for half-width _scaled_b
         self._scaled_b = None
 
+    @property
+    def distribution(self):
+        # read-only: the drawn-ahead block holds unit draws of this kind
+        return self._distribution
+
     def _draws(self, count, b):
         """The next `count` draws, scaled for half-width b."""
         pos = self._pos
@@ -171,7 +177,7 @@ class NoiseModel:
             # keep the unread tail and draw whole blocks after it
             need = count - (len(self._units) - pos)
             size = -(-need // _NOISE_BLOCK) * _NOISE_BLOCK
-            if self.distribution == "uniform":
+            if self._distribution == "uniform":
                 fresh = self._rng.random(size)
             else:
                 fresh = self._rng.standard_normal(size)
@@ -179,7 +185,7 @@ class NoiseModel:
             self._scaled_b = None
             pos = 0
         if self._scaled_b != b:
-            if self.distribution == "uniform":
+            if self._distribution == "uniform":
                 self._scaled = -b + (b - -b) * self._units
             else:
                 self._scaled = 0.0 + (0.5 * b) * self._units
@@ -194,8 +200,10 @@ class NoiseModel:
         b = self.range_b
         if b == 0.0:
             return np.zeros(count)
+        if b < 0.0:
+            raise ValueError("range_b must be >= 0")
         out = self._draws(count, b)
-        if self.distribution == "uniform":
+        if self._distribution == "uniform":
             return out
         bad = np.abs(out) > b
         while bad.any():

@@ -313,11 +313,26 @@ def test_observe_sum_equals_per_call_sum(distribution):
     assert stream.n_evals == sum(_COUNT_SEQUENCE)
 
 
-def test_noise_rejects_negative_count():
-    nm = NoiseModel(0.5, seed=1)
+@pytest.mark.parametrize("distribution", ["uniform", "truncated-gaussian"])
+def test_noise_rejects_negative_count_and_width(distribution):
+    # a negative count would move the block's read position backwards, and
+    # a negative width would never pass the truncated gaussian's rejection
+    nm = NoiseModel(0.5, distribution, seed=1)
     with pytest.raises(ValueError, match="count must be >= 0"):
         nm.offsets(-1)
-    assert _bitwise_equal(nm.offsets(3), _PerCallNoise(0.5, "uniform", 1).offsets(3))
+    nm.range_b = -0.5
+    with pytest.raises(ValueError, match="range_b must be >= 0"):
+        nm.offsets(2)
+    nm.range_b = 0.5
+    want = _PerCallNoise(0.5, distribution, 1).offsets(3)
+    assert _bitwise_equal(nm.offsets(3), want)
+
+
+def test_noise_distribution_is_fixed():
+    nm = NoiseModel(0.5, "truncated-gaussian", seed=1)
+    assert nm.distribution == "truncated-gaussian"
+    with pytest.raises(AttributeError):
+        nm.distribution = "uniform"
 
 
 def test_observe_reproducible():
