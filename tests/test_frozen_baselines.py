@@ -7,15 +7,23 @@ compares the openings, raw evaluations, deepest depth, budget units, the
 repr of the recommendation and of its value estimate, and a SHA-256 of the
 repr of the full event trace against values recorded from the library.
 Any change to a schedule, a tie-break or the bookkeeping shows up here.
+
+A second grid (FROZEN_EXTRA) covers what the first does not: 2-D and 3-D
+objectives without a vector_fn (one of them piecewise constant, so ties
+decide most openings), branchings K = 2 and K = 4, SequOOL's
+rescale_depth_budget and cap_quota_by_cells options, and truncated-gaussian
+noise for StroquOOL and uniform.
 """
 
 import hashlib
+import math
 
 import pytest
 
-from zipftree.objectives import NoiseModel, get_objective
+from zipftree.objectives import NoiseModel, Objective, get_objective
 from zipftree.optimizers import (RunConfig, doo_run, sequool_run, soo_run,
                                  stroquool_run, uniform_run)
+from zipftree.partition import Box
 
 NOISE_SEED = 2018
 
@@ -398,3 +406,514 @@ def test_frozen_result(objective, algo, n):
     cfg = RunConfig(budget_n=n, record_trace=True)
     res = RUNNERS[algo](get_objective(objective), cfg)
     assert digest(res) == FROZEN[(objective, algo, n)]
+
+
+# ---------------------------------------------------------------------------
+# custom objectives, K = 2 and 4, SequOOL's options, truncated-gaussian noise
+# ---------------------------------------------------------------------------
+
+def _bowl_2d(p):
+    x, y = p
+    return (-((x - 0.3) ** 2 + 3.0 * (y - 0.62) ** 2)
+            + 0.05 * math.sin(23.0 * x * y))
+
+
+def _steps_2d(p):
+    # piecewise constant: most comparisons between cells are ties
+    return (-math.floor(5.0 * abs(p[0] - 0.41))
+            - math.floor(3.0 * abs(p[1] - 0.58)))
+
+
+def _ridge_3d(p):
+    x, y, z = p
+    return -abs(x - 0.7) - 2.0 * (y - 0.25) ** 2 + math.cos(3.0 * z)
+
+
+# no vector_fn: the optimizers see only the scalar fn
+CUSTOM = {
+    "bowl-2d": lambda: Objective("bowl-2d", Box([0.0, 0.0], [1.0, 1.0]),
+                                 _bowl_2d),
+    "steps-2d": lambda: Objective("steps-2d", Box([-1.0, 0.0], [1.0, 2.0]),
+                                  _steps_2d),
+    "ridge-3d": lambda: Objective("ridge-3d",
+                                  Box([-1.0, 0.0, 0.5], [2.0, 1.0, 3.0]),
+                                  _ridge_3d),
+}
+
+
+def _truncated_gaussian(b):
+    return NoiseModel(b, "truncated-gaussian", seed=NOISE_SEED)
+
+
+# name -> (extra RunConfig fields, runner)
+EXTRA_RUNNERS = {
+    "sequool": ({}, RUNNERS["sequool"]),
+    "sequool:rescale": ({"rescale_depth_budget": True}, RUNNERS["sequool"]),
+    "sequool:cap": ({"cap_quota_by_cells": True}, RUNNERS["sequool"]),
+    "sequool:rescale+cap": ({"rescale_depth_budget": True,
+                             "cap_quota_by_cells": True}, RUNNERS["sequool"]),
+    "soo": ({}, RUNNERS["soo"]),
+    "doo(1,0.6)": ({}, RUNNERS["doo(1,0.6)"]),
+    "uniform": ({}, RUNNERS["uniform"]),
+    "uniform:tg=0.5": ({}, lambda obj, cfg: uniform_run(
+        obj, _truncated_gaussian(0.5), cfg)),
+    "stroquool": ({}, RUNNERS["stroquool"]),
+    "stroquool:b=0.5": ({}, RUNNERS["stroquool:b=0.5"]),
+    "stroquool:tg=0.5": ({}, lambda obj, cfg: stroquool_run(
+        obj, _truncated_gaussian(0.5), cfg)),
+}
+
+# (objective, K, algorithm, n) -> digest, over the objective/K settings
+# (garland, 2), (garland, 4), (bowl-2d, 3), (steps-2d, 2), (ridge-3d, 4)
+# and n in {20, 1500}
+FROZEN_EXTRA = {
+    ('garland', 2, 'sequool', 20): (
+        8, 16, 6, 8, '(0.3671875,)',
+        '0.8829185463454374',
+        'dd2e454ec4746b0daac5aaddf7a6088e9e6cdc1ddac9b0ba9be19790f9d68c9a'),
+    ('garland', 2, 'sequool', 1500): (
+        661, 1322, 191, 661, '(0.5235987755982989,)',
+        '0.9977723791254037',
+        '9c9668722c244e4d757e4eaf0f1a6e53017419ac91d8d943160e9e5446158fe6'),
+    ('garland', 2, 'sequool:rescale', 20): (
+        15, 30, 9, 15, '(0.576171875,)',
+        '0.9491711464790208',
+        '6aa2ca309ad0118059393f94d06afca7d3ae5a899d7f323b2b5ee2780e472b01'),
+    ('garland', 2, 'sequool:rescale', 1500): (
+        966, 1932, 262, 966, '(0.5235987755982989,)',
+        '0.9977723791254037',
+        '30d8d79e0aafb9b113683f9fe9ef7a3bafcb5562829677ba9c44643788175272'),
+    ('garland', 2, 'sequool:cap', 20): (
+        8, 16, 6, 8, '(0.3671875,)',
+        '0.8829185463454374',
+        'dd2e454ec4746b0daac5aaddf7a6088e9e6cdc1ddac9b0ba9be19790f9d68c9a'),
+    ('garland', 2, 'sequool:cap', 1500): (
+        661, 1322, 191, 661, '(0.5235987755982989,)',
+        '0.9977723791254037',
+        '9c9668722c244e4d757e4eaf0f1a6e53017419ac91d8d943160e9e5446158fe6'),
+    ('garland', 2, 'sequool:rescale+cap', 20): (
+        20, 40, 12, 20, '(0.5235595703125,)',
+        '0.9856815395768833',
+        'a092919c63977899791c6ea60a37248cd0f475054b510f8a189ab32ba43af1ef'),
+    ('garland', 2, 'sequool:rescale+cap', 1500): (
+        1499, 2998, 378, 1499, '(0.5235987755982989,)',
+        '0.9977723791254037',
+        '0cc24606fb5dec667ecc3ed8203e9a6076c5fb510cab2c2744a610972eefc1ba'),
+    ('garland', 2, 'soo', 20): (
+        3, 6, 2, 3, '(0.625,)',
+        '0.8332627102343574',
+        'bf98f62529ac1cfdc5205f32f5fd34121d4947402d2e1ffe2571333646b3f059'),
+    ('garland', 2, 'soo', 1500): (
+        3, 6, 2, 3, '(0.625,)',
+        '0.8332627102343574',
+        'bf98f62529ac1cfdc5205f32f5fd34121d4947402d2e1ffe2571333646b3f059'),
+    ('garland', 2, 'doo(1,0.6)', 20): (
+        20, 40, 14, 20, '(0.523590087890625,)',
+        '0.9920789432636357',
+        '1f4911180411b0811c859036a98d8d6d6fb557f4abd66adfbc3a350c83d71f0e'),
+    ('garland', 2, 'doo(1,0.6)', 1500): (
+        1500, 3000, 64, 1500, '(0.5235987755982989,)',
+        '0.9977723791254037',
+        'cd27411b7ada29504e3b7a27e8ef374f10b365763c1e419277101829f90cd4bd'),
+    ('garland', 2, 'uniform', 20): (
+        20, 41, 5, 20, '(0.46875,)',
+        '0.900040577189295',
+        '26bd4604a159f0b71328da2045edd041b5f9d3ada3b7b1394f10bb713472866d'),
+    ('garland', 2, 'uniform', 1500): (
+        1500, 3001, 11, 1500, '(0.47119140625,)',
+        '0.9833793771386087',
+        '05a99483eaea0b68522bad5452aac07eb04436758c613a427adcee69f85e8048'),
+    ('garland', 2, 'uniform:tg=0.5', 20): (
+        20, 41, 5, 20, '(0.4375,)',
+        '1.2043694538275327',
+        '26bd4604a159f0b71328da2045edd041b5f9d3ada3b7b1394f10bb713472866d'),
+    ('garland', 2, 'uniform:tg=0.5', 1500): (
+        1500, 3001, 11, 1500, '(0.419677734375,)',
+        '1.4062348910126936',
+        '05a99483eaea0b68522bad5452aac07eb04436758c613a427adcee69f85e8048'),
+    ('garland', 2, 'stroquool', 20): (
+        2, 5, 2, 3, '(0.375,)',
+        '0.7739112007497448',
+        'a87e177ffa86f10046eee83125daac11e7f02871eadd36faad4d3e8e2e060a0e'),
+    ('garland', 2, 'stroquool', 1500): (
+        17, 98, 10, 55, '(0.5234375,)',
+        '0.9732646155223179',
+        '4cc67508faa4c2ab5a0cd4a1dd453c4afa63308bd34e696443c5aaa02085e4fa'),
+    ('garland', 2, 'stroquool:b=0.5', 20): (
+        2, 5, 2, 3, '(0.375,)',
+        '0.412750004414149',
+        'a87e177ffa86f10046eee83125daac11e7f02871eadd36faad4d3e8e2e060a0e'),
+    ('garland', 2, 'stroquool:b=0.5', 1500): (
+        17, 98, 10, 55, '(0.5625,)',
+        '0.9372276755938267',
+        '25b8061de22018f8ce8b9f625c3615db7450cda68c07c8ecf2413bed51f38978'),
+    ('garland', 2, 'stroquool:tg=0.5', 20): (
+        2, 5, 2, 3, '(0.25,)',
+        '0.5282428470686339',
+        'fe757e1180c6f78f66a20d69718a278040b79522beb10cf6a8a76e29e5a19b26'),
+    ('garland', 2, 'stroquool:tg=0.5', 1500): (
+        17, 102, 10, 59, '(0.625,)',
+        '0.8961518312211092',
+        '70207803058983ae3376067d72e0432c99eb4cf588e0265bcb365ec2235c87df'),
+    ('garland', 4, 'sequool', 20): (
+        10, 40, 6, 10, '(0.5235595703125,)',
+        '0.9856815395768833',
+        'd850312c5237274084f012802430fc12513f5fac6a36ecc0a57c16aadc515fb4'),
+    ('garland', 4, 'sequool', 1500): (
+        767, 3068, 191, 767, '(0.5235987755982989,)',
+        '0.9977723791254037',
+        'f97720ecee990f03fa0450736e1212f05e109c1beafcee7302c855f437beac7f'),
+    ('garland', 4, 'sequool:rescale', 20): (
+        17, 68, 9, 17, '(0.4712390899658203,)',
+        '0.9958456796707651',
+        '680d30627dc8ee2df679334c7668de8369b9b2a5e570a4fba814f598e87fe5e0'),
+    ('garland', 4, 'sequool:rescale', 1500): (
+        1105, 4420, 262, 1105, '(0.5235987755982989,)',
+        '0.9977723791254037',
+        'f1cc4c4febc5292ce132adc445d9061a73a99f95bd1cfec2983c50d2ad9dd8e2'),
+    ('garland', 4, 'sequool:cap', 20): (
+        10, 40, 6, 10, '(0.5235595703125,)',
+        '0.9856815395768833',
+        'd850312c5237274084f012802430fc12513f5fac6a36ecc0a57c16aadc515fb4'),
+    ('garland', 4, 'sequool:cap', 1500): (
+        767, 3068, 191, 767, '(0.5235987755982989,)',
+        '0.9977723791254037',
+        'f97720ecee990f03fa0450736e1212f05e109c1beafcee7302c855f437beac7f'),
+    ('garland', 4, 'sequool:rescale+cap', 20): (
+        19, 76, 10, 19, '(0.4712390899658203,)',
+        '0.9958456796707651',
+        '9679ebda4c5eca9f716fb2eb5ba7524433b3db5ae491d7be5803b2dbe755a11c'),
+    ('garland', 4, 'sequool:rescale+cap', 1500): (
+        1492, 5968, 340, 1492, '(0.5235987755982989,)',
+        '0.9977723791254037',
+        '5806925ad8bc85513278df6652f78053a0ec4151ea7beb52fb21a3504812904d'),
+    ('garland', 4, 'soo', 20): (
+        20, 80, 5, 20, '(0.47119140625,)',
+        '0.9833793771386087',
+        'e9e98c8a31e4a248c86fb9d8034d08ead7538054edd76f0a78fecb641017955f'),
+    ('garland', 4, 'soo', 1500): (
+        1500, 6000, 39, 1500, '(0.5235987755982989,)',
+        '0.9977723791254037',
+        '85eb0e82a1fdd4baf42355b87cf767a060c547f4357b36ba34bdfdd91750f107'),
+    ('garland', 4, 'doo(1,0.6)', 20): (
+        20, 80, 6, 20, '(0.5235595703125,)',
+        '0.9856815395768833',
+        '2a96f5ad629825b09a33da9b88f408ee2c5b2bda18630d64584608d14f983f23'),
+    ('garland', 4, 'doo(1,0.6)', 1500): (
+        1500, 6000, 22, 1500, '(0.5235987755982876,)',
+        '0.9977721860344388',
+        'a6fb79fbe005067abb30b47f362eeb25e681cbb2d9564d54b616d0d261e7b503'),
+    ('garland', 4, 'uniform', 20): (
+        20, 81, 3, 20, '(0.5234375,)',
+        '0.9732646155223179',
+        '758e586eae16de03986e949f3deae05ca4cb33fb2e33866dab38bacda0d69d37'),
+    ('garland', 4, 'uniform', 1500): (
+        1500, 6001, 7, 1500, '(0.5235595703125,)',
+        '0.9856815395768833',
+        '17788d810fb1016b6ee40f16a0d9f43b880bf2a1eb03838211d5a47e155c0be2'),
+    ('garland', 4, 'uniform:tg=0.5', 20): (
+        20, 81, 3, 20, '(0.4453125,)',
+        '1.216837521354238',
+        '758e586eae16de03986e949f3deae05ca4cb33fb2e33866dab38bacda0d69d37'),
+    ('garland', 4, 'uniform:tg=0.5', 1500): (
+        1500, 6001, 7, 1500, '(0.5240478515625,)',
+        '1.4412595859037898',
+        '17788d810fb1016b6ee40f16a0d9f43b880bf2a1eb03838211d5a47e155c0be2'),
+    ('garland', 4, 'stroquool', 20): (
+        2, 9, 2, 3, '(0.625,)',
+        '0.8332627102343574',
+        'd326de9b5fc9f52789965507be1c8e465739487a5f5cfaacf5b2a608d5c1cef2'),
+    ('garland', 4, 'stroquool', 1500): (
+        19, 208, 10, 64, '(0.4712390899658203,)',
+        '0.9958456796707651',
+        'd377d73f2e66d34726ce9785629801cd1e501cfe5a6468273146c589840f1e0d'),
+    ('garland', 4, 'stroquool:b=0.5', 20): (
+        2, 9, 2, 3, '(0.625,)',
+        '0.5877293741722642',
+        'd326de9b5fc9f52789965507be1c8e465739487a5f5cfaacf5b2a608d5c1cef2'),
+    ('garland', 4, 'stroquool:b=0.5', 1500): (
+        19, 208, 10, 64, '(0.4155254364013672,)',
+        '1.1940165777366012',
+        '7ba2cfb6913864a416280b3cd6c4dc19d6fc0a2ff509de5288bb37b91f7f4161'),
+    ('garland', 4, 'stroquool:tg=0.5', 20): (
+        2, 9, 2, 3, '(0.375,)',
+        '0.7639210854307407',
+        'bbb97473870d0685098c188cb6640e1f9becbe5586b8aa9a5c30b879cd5b7a4d'),
+    ('garland', 4, 'stroquool:tg=0.5', 1500): (
+        19, 208, 10, 64, '(0.52099609375,)',
+        '1.018866856747775',
+        '685c152f10b4713e726f705383c07df3f66c64ef23e3c1c1e35228531aa81c75'),
+    ('bowl-2d', 3, 'sequool', 20): (
+        9, 27, 6, 9, '(0.12962962962962962, 0.6111111111111112)',
+        '0.019167391590462025',
+        '8d9dbad888b8d9d8c6057223cdc69067c4c111588cfe8d91e165661d31411a68'),
+    ('bowl-2d', 3, 'sequool', 1500): (
+        723, 2169, 191, 723, '(0.145223209486304, 0.6076702970232111)',
+        '0.02041501152570942',
+        '7db5ee5c4857628b276f4e604bf6bca39dddda2e0d50f92b3daf2146fd551061'),
+    ('bowl-2d', 3, 'sequool:rescale', 20): (
+        16, 48, 9, 16, '(0.14609053497942387, 0.6111111111111112)',
+        '0.020364699154409454',
+        '941e8535b5957a2483c2910555a81125d04f5a730384d2873c5871e5c16a627e'),
+    ('bowl-2d', 3, 'sequool:rescale', 1500): (
+        1060, 3180, 262, 1060, '(0.145223209486304, 0.6076702970232111)',
+        '0.02041501152570942',
+        '596025e42e80af10cd2e6f5cf14be24ff41c62e829608880e6ee050c3304ec12'),
+    ('bowl-2d', 3, 'sequool:cap', 20): (
+        9, 27, 6, 9, '(0.12962962962962962, 0.6111111111111112)',
+        '0.019167391590462025',
+        '8d9dbad888b8d9d8c6057223cdc69067c4c111588cfe8d91e165661d31411a68'),
+    ('bowl-2d', 3, 'sequool:cap', 1500): (
+        723, 2169, 191, 723, '(0.145223209486304, 0.6076702970232111)',
+        '0.02041501152570942',
+        '7db5ee5c4857628b276f4e604bf6bca39dddda2e0d50f92b3daf2146fd551061'),
+    ('bowl-2d', 3, 'sequool:rescale+cap', 20): (
+        21, 63, 11, 21, '(0.144718792866941, 0.6069958847736625)',
+        '0.02041127999578106',
+        '7bf3b2cb95cb90969e435dc315e8e8c853cf881c5bdd47f7d5188520601782f2'),
+    ('bowl-2d', 3, 'sequool:rescale+cap', 1500): (
+        1501, 4503, 351, 1501, '(0.145223209486304, 0.6076702970232111)',
+        '0.02041501152570942',
+        '118d234957dd6107b61657f6063dceb42dcfdb6ebdd693c599829db47f97d79b'),
+    ('bowl-2d', 3, 'soo', 20): (
+        20, 60, 5, 20, '(0.12962962962962962, 0.6111111111111112)',
+        '0.019167391590462025',
+        '6e18a9ffb893e9b05a960d78046406e9004deacbe288e4bcb64a3dd37a91b1ee'),
+    ('bowl-2d', 3, 'soo', 1500): (
+        1500, 4500, 39, 1500, '(0.145223209486304, 0.6076702967044163)',
+        '0.020415011525709414',
+        '3d790351700abf668308a10d5a9223f0c577b4551f720af6bc77fd263514119b'),
+    ('bowl-2d', 3, 'doo(1,0.6)', 20): (
+        20, 60, 5, 20, '(0.12962962962962962, 0.6111111111111112)',
+        '0.019167391590462025',
+        '90bc5122e33fd47bc197935210d493d0287f501d9c2e839a0e6c2ff6eaad63dc'),
+    ('bowl-2d', 3, 'doo(1,0.6)', 1500): (
+        1500, 4500, 14, 1500, '(0.14517604023776864, 0.6079103795153178)',
+        '0.020414841696863053',
+        '192d6c9b1a5f473922cc6aa25ac947b2fb73fd1d52c2907fa43f75df0d6b67a2'),
+    ('bowl-2d', 3, 'uniform', 20): (
+        20, 61, 4, 20, '(0.16666666666666666, 0.6111111111111112)',
+        '0.017818138593643732',
+        '0917ed5cf909572d1a7cc50d271403990893fdc9c6ff9043ebf4bfe7952c178b'),
+    ('bowl-2d', 3, 'uniform', 1500): (
+        1500, 4501, 8, 1500, '(0.1419753086419753, 0.6111111111111112)',
+        '0.02034834160490677',
+        'e7d077a7e68503e798f6b6406ff2117c225aaaa2889df789c80e1dd5ec1919d8'),
+    ('bowl-2d', 3, 'uniform:tg=0.5', 20): (
+        20, 61, 4, 20, '(0.05555555555555555, 0.38888888888888884)',
+        '0.27964100866388375',
+        '0917ed5cf909572d1a7cc50d271403990893fdc9c6ff9043ebf4bfe7952c178b'),
+    ('bowl-2d', 3, 'uniform:tg=0.5', 1500): (
+        1500, 4501, 8, 1500, '(0.12962962962962962, 0.537037037037037)',
+        '0.4850088966631175',
+        'e7d077a7e68503e798f6b6406ff2117c225aaaa2889df789c80e1dd5ec1919d8'),
+    ('bowl-2d', 3, 'stroquool', 20): (
+        2, 7, 2, 3, '(0.16666666666666666, 0.5)',
+        '-0.013938740269644631',
+        'fe757e1180c6f78f66a20d69718a278040b79522beb10cf6a8a76e29e5a19b26'),
+    ('bowl-2d', 3, 'stroquool', 1500): (
+        18, 154, 10, 62, '(0.14609053497942387, 0.6069958847736625)',
+        '0.020411019033944825',
+        'f38a6b8dab90aa3d5367ee7630dc535f0cc62cfa1eb087fd1e4b6e479ea5b4c1'),
+    ('bowl-2d', 3, 'stroquool:b=0.5', 20): (
+        2, 7, 2, 3, '(0.8333333333333333, 0.5)',
+        '0.11949099270265162',
+        'd326de9b5fc9f52789965507be1c8e465739487a5f5cfaacf5b2a608d5c1cef2'),
+    ('bowl-2d', 3, 'stroquool:b=0.5', 1500): (
+        18, 154, 10, 62, '(0.24074074074074073, 0.6481481481481481)',
+        '0.2545740137881596',
+        '64ff65becf36a5584da9298efe0aa1b5a614fcda91f3b27d83dead00370a690d'),
+    ('bowl-2d', 3, 'stroquool:tg=0.5', 20): (
+        2, 7, 2, 3, '(0.16666666666666666, 0.5)',
+        '-0.15371456053930133',
+        'fe757e1180c6f78f66a20d69718a278040b79522beb10cf6a8a76e29e5a19b26'),
+    ('bowl-2d', 3, 'stroquool:tg=0.5', 1500): (
+        18, 154, 10, 62, '(0.09259259259259259, 0.6111111111111112)',
+        '0.038412100226366375',
+        '79e35fd426637aac194727356d146738a25f683e55cde7b2d4d474145c0fcff8'),
+    ('steps-2d', 2, 'sequool', 20): (
+        8, 16, 6, 8, '(0.5, 0.5)',
+        '0.0',
+        'c9c282dd924e71b87adac1f1288797e82e037c3d60ca1ab33fbf76a31ed2ced1'),
+    ('steps-2d', 2, 'sequool', 1500): (
+        661, 1322, 191, 661, '(0.5, 0.5)',
+        '0.0',
+        '4483bfd21f18e7bc38722b3360c969ec60aba72310af9987cfd5c96507cc5cc3'),
+    ('steps-2d', 2, 'sequool:rescale', 20): (
+        15, 30, 9, 15, '(0.5, 0.5)',
+        '0.0',
+        'f8e3b63c418ed291203dca1da4273a6c39945eb5d98f544ca4df125af6c761e0'),
+    ('steps-2d', 2, 'sequool:rescale', 1500): (
+        966, 1932, 262, 966, '(0.5, 0.5)',
+        '0.0',
+        '49ac77f9c62d9b0e1ff0fcebce4c7b9062048c08cf2ce2cbea69532a08aa03f4'),
+    ('steps-2d', 2, 'sequool:cap', 20): (
+        8, 16, 6, 8, '(0.5, 0.5)',
+        '0.0',
+        'c9c282dd924e71b87adac1f1288797e82e037c3d60ca1ab33fbf76a31ed2ced1'),
+    ('steps-2d', 2, 'sequool:cap', 1500): (
+        661, 1322, 191, 661, '(0.5, 0.5)',
+        '0.0',
+        '4483bfd21f18e7bc38722b3360c969ec60aba72310af9987cfd5c96507cc5cc3'),
+    ('steps-2d', 2, 'sequool:rescale+cap', 20): (
+        20, 40, 12, 20, '(0.5, 0.5)',
+        '0.0',
+        'cdb2482a5bb6f9371cb64f7fcb5627f5fb632bb7b51dd2fec441f75a01cef611'),
+    ('steps-2d', 2, 'sequool:rescale+cap', 1500): (
+        1499, 2998, 378, 1499, '(0.5, 0.5)',
+        '0.0',
+        '90874f36e5de830995cf7860ccb5a920693d2905e115780547fb90204cfab4b2'),
+    ('steps-2d', 2, 'soo', 20): (
+        3, 6, 2, 3, '(0.5, 0.5)',
+        '0.0',
+        '81e1fdc6f7fcc47a2ccac804455c8180579706e6fef150b4a6ead86899aac868'),
+    ('steps-2d', 2, 'soo', 1500): (
+        3, 6, 2, 3, '(0.5, 0.5)',
+        '0.0',
+        '81e1fdc6f7fcc47a2ccac804455c8180579706e6fef150b4a6ead86899aac868'),
+    ('steps-2d', 2, 'doo(1,0.6)', 20): (
+        20, 40, 9, 20, '(0.5, 0.5)',
+        '0.0',
+        'b576f69bcb5fcd4a57a31163f918a369a1f473e919b926d618a2b41ee408d7c8'),
+    ('steps-2d', 2, 'doo(1,0.6)', 1500): (
+        1500, 3000, 16, 1500, '(0.5, 0.5)',
+        '0.0',
+        '03416666cdb64c79eaea5a1e3b0790aa6b86353efc299f426e73b4d1c3994d30'),
+    ('steps-2d', 2, 'uniform', 20): (
+        20, 41, 5, 20, '(0.5, 0.5)',
+        '0.0',
+        '26bd4604a159f0b71328da2045edd041b5f9d3ada3b7b1394f10bb713472866d'),
+    ('steps-2d', 2, 'uniform', 1500): (
+        1500, 3001, 11, 1500, '(0.5, 0.5)',
+        '0.0',
+        '05a99483eaea0b68522bad5452aac07eb04436758c613a427adcee69f85e8048'),
+    ('steps-2d', 2, 'uniform:tg=0.5', 20): (
+        20, 41, 5, 20, '(0.25, 0.25)',
+        '-0.014244502768464527',
+        '26bd4604a159f0b71328da2045edd041b5f9d3ada3b7b1394f10bb713472866d'),
+    ('steps-2d', 2, 'uniform:tg=0.5', 1500): (
+        1500, 3001, 11, 1500, '(0.34375, 0.6875)',
+        '0.44832886929171517',
+        '05a99483eaea0b68522bad5452aac07eb04436758c613a427adcee69f85e8048'),
+    ('steps-2d', 2, 'stroquool', 20): (
+        2, 5, 2, 3, '(0.5, 0.5)',
+        '0.0',
+        'd6c3e59915641d922db133ad071954f84b08ce1d0a46f3aa5ac16c40ccfefe9d'),
+    ('steps-2d', 2, 'stroquool', 1500): (
+        17, 90, 10, 47, '(0.5, 0.5)',
+        '0.0',
+        'c0f2cc6f3a4d498e8b92464c915dcb9aaaee7bab23c3234b1387587072b24f5a'),
+    ('steps-2d', 2, 'stroquool:b=0.5', 20): (
+        2, 5, 2, 3, '(0.5, 0.5)',
+        '-0.36116119633559585',
+        'd6c3e59915641d922db133ad071954f84b08ce1d0a46f3aa5ac16c40ccfefe9d'),
+    ('steps-2d', 2, 'stroquool:b=0.5', 1500): (
+        17, 102, 10, 59, '(0.25, 0.5)',
+        '0.16204313772444617',
+        'c98f68b5574a8b79be648283a43a897157dfbcf2cb2cc6644d351e7bc89ad9bb'),
+    ('steps-2d', 2, 'stroquool:tg=0.5', 20): (
+        2, 5, 2, 3, '(0.5, 0.5)',
+        '-0.07055635306402543',
+        'd6c3e59915641d922db133ad071954f84b08ce1d0a46f3aa5ac16c40ccfefe9d'),
+    ('steps-2d', 2, 'stroquool:tg=0.5', 1500): (
+        17, 102, 10, 59, '(0.5, 0.5)',
+        '0.0628891209867519',
+        'b2e0e3850b9822c9e372563f012906bf395e9696be5a60b07fb76edc35f44042'),
+    ('ridge-3d', 4, 'sequool', 20): (
+        10, 40, 6, 10, '(0.78125, 0.21875, 2.0625)',
+        '0.9122225276975189',
+        'ae9e66747540bfaddcd7b7ee62f2791f7b772df36796707aab2198bda60731fc'),
+    ('ridge-3d', 4, 'sequool', 1500): (
+        767, 3068, 191, 767, '(0.7, 0.24999999473220672, 2.09439509967342)',
+        '1.0',
+        'f47d959c7d45fcb8d3846d95498975825ff999e249d4053fb20729d05c4f5c8d'),
+    ('ridge-3d', 4, 'sequool:rescale', 20): (
+        17, 68, 9, 17, '(0.7109375, 0.2421875, 2.08203125)',
+        '0.9882526167427363',
+        '5c16840ac57bfd79ad997cf5e8f10ff80f32b3be5e5f89e951d334bdc4dded36'),
+    ('ridge-3d', 4, 'sequool:rescale', 1500): (
+        1105, 4420, 262, 1105, '(0.7, 0.24999999473220672, 2.09439509967342)',
+        '1.0',
+        'ab386ab0369680942405b8137e0bdd3b864b7d426bdb89d1fa1b4c4bf51500d0'),
+    ('ridge-3d', 4, 'sequool:cap', 20): (
+        10, 40, 6, 10, '(0.78125, 0.21875, 2.0625)',
+        '0.9122225276975189',
+        'ae9e66747540bfaddcd7b7ee62f2791f7b772df36796707aab2198bda60731fc'),
+    ('ridge-3d', 4, 'sequool:cap', 1500): (
+        767, 3068, 191, 767, '(0.7, 0.24999999473220672, 2.09439509967342)',
+        '1.0',
+        'f47d959c7d45fcb8d3846d95498975825ff999e249d4053fb20729d05c4f5c8d'),
+    ('ridge-3d', 4, 'sequool:rescale+cap', 20): (
+        19, 76, 10, 19, '(0.705078125, 0.2421875, 2.08203125)',
+        '0.9941119917427363',
+        'd6017970005b2ad3d67399da01de10064ab377fb4460d3274ec15ba1351faf96'),
+    ('ridge-3d', 4, 'sequool:rescale+cap', 1500): (
+        1492, 5968, 340, 1492, '(0.7, 0.24999999473220672, 2.09439509967342)',
+        '1.0',
+        'eae49900fb31f59939c3469e6c33658fc99251c570903bd3822a0f23a55b6531'),
+    ('ridge-3d', 4, 'soo', 20): (
+        20, 80, 5, 20, '(0.78125, 0.21875, 2.0625)',
+        '0.9122225276975189',
+        'b4050feccd6816e16d74225be5be35e282a1d6d7a5baaf4eb0488d7d0ce8e96d'),
+    ('ridge-3d', 4, 'soo', 1500): (
+        1500, 6000, 39, 1500,
+        '(0.7000000104308128, 0.2499999925494194, 2.0943950973451138)',
+        '0.9999999895691869',
+        '63730b94b694146fa252f813b1ae29fc9adda9aa559329ab2925e11c4dd15308'),
+    ('ridge-3d', 4, 'doo(1,0.6)', 20): (
+        20, 80, 13, 20, '(0.70068359375, 0.248046875, 2.0966796875)',
+        '0.9992852899664122',
+        'f0717c4228b942db632f723f08e38de657f04bf874921bd2affff6fb2fb2b4b6'),
+    ('ridge-3d', 4, 'doo(1,0.6)', 1500): (
+        1500, 6000, 88, 1500, '(0.7, 0.24999999627470973, 2.09439509967342)',
+        '1.0',
+        '91c04d828201a1df85e01d751f42906842a30fd7de454fca0680263d087f287e'),
+    ('ridge-3d', 4, 'uniform', 20): (
+        20, 81, 3, 20, '(0.875, 0.125, 2.0625)',
+        '0.7891756526975189',
+        '758e586eae16de03986e949f3deae05ca4cb33fb2e33866dab38bacda0d69d37'),
+    ('ridge-3d', 4, 'uniform', 1500): (
+        1500, 6001, 7, 1500, '(0.78125, 0.21875, 2.0625)',
+        '0.9122225276975189',
+        '17788d810fb1016b6ee40f16a0d9f43b880bf2a1eb03838211d5a47e155c0be2'),
+    ('ridge-3d', 4, 'uniform:tg=0.5', 20): (
+        20, 81, 3, 20, '(0.875, 0.125, 2.0625)',
+        '0.8224071768008469',
+        '758e586eae16de03986e949f3deae05ca4cb33fb2e33866dab38bacda0d69d37'),
+    ('ridge-3d', 4, 'uniform:tg=0.5', 1500): (
+        1500, 6001, 7, 1500, '(0.59375, 0.15625, 2.140625)',
+        '1.2924145391877901',
+        '17788d810fb1016b6ee40f16a0d9f43b880bf2a1eb03838211d5a47e155c0be2'),
+    ('ridge-3d', 4, 'stroquool', 20): (
+        2, 9, 2, 3, '(0.875, 0.125, 1.75)',
+        '0.3058354772418407',
+        '6b6e7f574bac7415d13fd67f5b6bb823f43eb2a71c5fd89f3ccb3dcdd7c4cacb'),
+    ('ridge-3d', 4, 'stroquool', 1500): (
+        19, 208, 10, 64, '(0.705078125, 0.2421875, 2.08203125)',
+        '0.9941119917427363',
+        'c630ad2df0140088bac05d3a700dd8ce6de1cf94c17629b0934a27225d43ee56'),
+    ('ridge-3d', 4, 'stroquool:b=0.5', 20): (
+        2, 9, 2, 3, '(0.875, 0.5, 1.75)',
+        '-0.033447858820252474',
+        'd326de9b5fc9f52789965507be1c8e465739487a5f5cfaacf5b2a608d5c1cef2'),
+    ('ridge-3d', 4, 'stroquool:b=0.5', 1500): (
+        19, 208, 10, 64, '(0.6640625, 0.3671875, 2.04296875)',
+        '1.2558537238152532',
+        'a271597275888f6fc8dbeaeed2f020d182457445161c4fe8d6c97fa461c19a34'),
+    ('ridge-3d', 4, 'stroquool:tg=0.5', 20): (
+        2, 9, 2, 3, '(0.875, 0.125, 1.75)',
+        '0.2958453619228366',
+        '6b6e7f574bac7415d13fd67f5b6bb823f43eb2a71c5fd89f3ccb3dcdd7c4cacb'),
+    ('ridge-3d', 4, 'stroquool:tg=0.5', 1500): (
+        19, 204, 10, 60, '(0.78125, 0.34375, 2.0625)',
+        '1.0156461515966602',
+        '677f5069466efd818f11e42c418cdc6f47b4c9a631c36035d5bae0d2c93fff44'),
+}
+
+
+@pytest.mark.parametrize("objective,K,algo,n", list(FROZEN_EXTRA))
+def test_frozen_result_extra(objective, K, algo, n):
+    fields, runner = EXTRA_RUNNERS[algo]
+    obj = CUSTOM[objective]() if objective in CUSTOM else get_objective(objective)
+    cfg = RunConfig(budget_n=n, branching=K, record_trace=True, **fields)
+    assert digest(runner(obj, cfg)) == FROZEN_EXTRA[(objective, K, algo, n)]
