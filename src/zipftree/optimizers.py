@@ -13,9 +13,11 @@ x(n) they recommend:
   uniform_run   -- breadth-first openings in cell-id order
 
 Each *_run is only a schedule -- which cell to open next, and with how many
-evaluations per child -- over one shared driver, _Run, which owns the tree,
-the evaluation stream, the optional event trace, the running best, the
-deepest depth and the assembly of the RunResult.
+evaluations per child -- over one shared driver, _Run, which opens plain
+(lower, upper, centre) cell tuples with partition.split_cell and keeps the
+evaluation stream, the optional event trace, the running best, the counts
+of openings, budget units and depth, and the RunResult.  SequOOL, StroquOOL
+and uniform open a whole depth at a time from lists kept in index order.
 
 Budgets are counted in openings; StroquOOL charges an opening performed with
 m evaluations per child as m budget units (see RunResult.budget_units_used).
@@ -27,11 +29,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .objectives import EvaluationStream, NoiseModel, Objective
-from .partition import CellId, PartitionTree, make_tree
+from .partition import make_tree, split_cell
 from .theory import harmonic, stroquool_h_max
 
 __all__ = [
@@ -80,47 +81,76 @@ class RunResult:
 class _Run:
     """Bookkeeping shared by every optimizer run.
 
-    Owns the tree, the evaluation stream and the optional trace; tracks the
-    budget units spent, the deepest depth evaluated and the running best
-    child value (ties go to the lowest CellId).
+    Only the root comes from make_tree, which validates the domain and the
+    branching.  Schedules name a child by its depth and a key that orders
+    the cells of one depth as their CellId indices do (the index itself, or
+    a position in a list kept in index order); the running best keeps the
+    highest value, ties going to the lowest (depth, key).
     """
 
     def __init__(self, obj: Objective, noise: NoiseModel | None, cfg: RunConfig):
-        self.tree = make_tree(obj.domain, cfg.branching)
+        tree = make_tree(obj.domain, cfg.branching)
+        self.root = (tree.root.lower, tree.root.upper, tree.root.representative)
+        self.K = tree.branching
+        self.axis_rule = tree.split_axis_rule
         self.stream = EvaluationStream(obj, noise)
+        self.observe = self.stream.observe_sum
         self.trace = [] if cfg.record_trace else None
-        self.units = 0
-        self.deepest = 0
+        self.openings = self.units = self.deepest = 0
         self.best_value = -math.inf
-        self.best_cid = None
+        self.best_key = self.best_point = None
 
     def log(self, *event):
         if self.trace is not None:
             self.trace.append(event)
 
-    def open(self, cid, evals=1):
-        """Open `cid` with `evals` evaluations per child; returns the tree's
-        [(child id, mean)]."""
-        self.log("open", cid.depth, cid.index, evals)
-        out = self.tree.open_cell(cid, evals, self.stream)
+    def open(self, cell, depth, base, evals=1):
+        """Open `cell` at `depth` with `evals` evaluations per child; returns
+        [(sum of evaluations, child)], child j keyed (depth + 1, base + j)."""
+        self.openings += 1
         self.units += evals
-        if cid.depth >= self.deepest:
-            self.deepest = cid.depth + 1
-        for ccid, mean in out:
-            if mean >= self.best_value and (mean > self.best_value or (
-                    self.best_cid is None or ccid < self.best_cid)):
-                self.best_value = mean
-                self.best_cid = ccid
+        if depth >= self.deepest:
+            self.deepest = depth + 1
+        observe = self.observe
+        out = []
+        best = self.best_value
+        key = base
+        for child in split_cell(cell, depth, self.K, self.axis_rule):
+            total = observe(child[2], evals)
+            out.append((total, child))
+            mean = total / evals
+            if mean >= best and (mean > best or self.best_key is None
+                                 or (depth + 1, key) < self.best_key):
+                best = self.best_value = mean
+                self.best_key = (depth + 1, key)
+                self.best_point = child[2]
+            key += 1
         return out
 
-    def result(self, cid=None, value=None):
-        """The RunResult recommending `cid` (default: the running best)."""
-        if cid is None:
-            cid, value = self.best_cid, self.best_value
-        point = None if cid is None else self.tree.cells[cid].representative
-        return RunResult(point, value, self.tree.opening_ledger,
-                         self.stream.n_evals, self.deepest, self.units,
-                         self.trace)
+    def open_level(self, cells, index, depth, chosen):
+        """Open, in the order of `chosen` (position -> evaluations per child),
+        cells of one depth, given as (sum, cell) pairs in index order with
+        their CellId indices (`index`, None without a trace).  Returns the
+        next depth's pairs, evaluation counts and indices in index order."""
+        K = self.K
+        in_order = sorted(chosen)
+        slot = {i: t * K for t, i in enumerate(in_order)}
+        nxt = [None] * (K * len(chosen))
+        for i, evals in chosen.items():
+            if index is not None:
+                self.log("open", depth, index[i], evals)
+            nxt[slot[i]:slot[i] + K] = self.open(cells[i][1], depth, slot[i], evals)
+        counts = [chosen[i] for i in in_order for _ in range(K)]
+        if index is not None:
+            index = [index[i] * K + j for i in in_order for j in range(K)]
+        return nxt, counts, index
+
+    def result(self, point=None, value=None):
+        """The RunResult recommending `point` (default: the running best)."""
+        if point is None:
+            point, value = self.best_point, self.best_value
+        return RunResult(point, value, self.openings, self.stream.n_evals,
+                         self.deepest, self.units, self.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -178,23 +208,25 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
         H = _rescaled_depth_budget(n, h_max, K, cfg.cap_quota_by_cells)
     h_limit = int(H)
 
-    # depth -> [(cid, mean)] as run.open returns them; each child holds one
-    # evaluation, so its mean is the cell's mean
-    by_depth = {1: run.open(run.tree.root.id)}
+    # the depth-h cells in index order as (value, cell) pairs -- each child
+    # holds one evaluation, so its sum is its value -- and, with a trace,
+    # their CellId indices
+    run.log("open", 0, 0, 1)
+    level = run.open(run.root, 0, 0)
+    index = list(range(K)) if run.trace is not None else None
 
     for h in range(1, h_limit + 1):
-        cand = by_depth.pop(h, None)
-        if not cand:
-            break  # nothing materialized here, so nothing deeper either
         q = int(H // h)
         if cfg.cap_quota_by_cells:
             q = min(q, K ** h)
-        cand.sort(key=lambda pair: (-pair[1], pair[0]))
-        nxt = by_depth.setdefault(h + 1, [])
-        for cid, _ in cand[:q]:
-            nxt.extend(run.open(cid))
+        # the q best cells open in order of value, ties to the lowest
+        # position (the sort is stable) and NaN last
+        values = [v if v == v else -math.inf for v, _ in level]
+        best = sorted(range(len(level)), key=values.__getitem__, reverse=True)
+        level, _, index = run.open_level(level, index, h,
+                                         dict.fromkeys(best[:q], 1))
 
-    if run.tree.opening_ledger > n + 1:
+    if run.openings > n + 1:
         raise RuntimeError("harmonic budget identity violated")
     return run.result()
 
@@ -223,58 +255,72 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
     h_max = stroquool_h_max(n)
     p_max = h_max.bit_length() - 1  # floor(log2 h_max)
     run = _Run(obj, noise, cfg)
-    tree = run.tree
+    tracing = run.trace is not None
 
-    by_depth = {1: [tree.cells[cid] for cid, _ in run.open(tree.root.id, h_max)]}
+    # levels[h - 1]: depth-h (sum, cell) pairs, counts and indices (see open_level)
+    run.log("open", 0, 0, h_max)
+    levels = [(run.open(run.root, 0, 0, h_max), [h_max] * run.K,
+               list(range(run.K)) if tracing else None)]
 
-    # exploration: each depth's statistics are final before its loop starts
-    # (cells are created and evaluated by the openings one level up), so one
-    # sort per depth suffices
+    # exploration: a depth's statistics are final before its loop starts, so
+    # all its openings are chosen from one ranking by mean (ties to the lowest
+    # position, NaN last) before any of them runs
     for h in range(1, h_max + 1):
-        cells = by_depth.pop(h, None)
-        if not cells:
-            break
-        cells.sort(key=lambda c: (-c.mean, c.id))
-        nxt = by_depth.setdefault(h + 1, [])
+        cells, counts, index = levels[-1]
+        means = [s / count if s == s else -math.inf
+                 for (s, _), count in zip(cells, counts)]
+        ranked = [(i, counts[i]) for i in sorted(
+            range(len(cells)), key=means.__getitem__, reverse=True)]
+        chosen = {}  # position -> evaluations per child, in opening order
         for m in range(1, h_max // h + 1):
+            if len(chosen) == len(cells):
+                break  # every cell is open
             q = h_max // (h * m)  # >= 1 since m <= h_max // h
-            for cell in cells:
-                if not cell.opened and cell.eval_count >= q:
-                    nxt.extend(tree.cells[cid] for cid, _ in run.open(cell.id, q))
+            for i, count in ranked:
+                if count >= q and i not in chosen:
+                    chosen[i] = q
                     break
+        if not chosen:
+            break
+        levels.append(run.open_level(cells, index, h, chosen))
 
-    # cross-validation: nominate per doubling threshold, then re-evaluate
-    # rank the evaluated cells once; each threshold takes the first cell
-    # in that order with enough evaluations (keys are unique)
-    ranked = sorted((c for c in tree.cells.values() if c.eval_count > 0),
-                    key=lambda c: (-c.mean, c.id))
-    candidates = []
-    seen = set()
+    # cross-validation: nominate per doubling threshold, then re-evaluate.
+    # Cells rank by mean (NaN last, ties to the lowest (depth, position));
+    # each threshold takes the best cell with enough evaluations, found
+    # among the best cells of each evaluation count
+    top = {}  # evaluation count -> rank key of its best cell
+    for h, (cells, counts, _) in enumerate(levels, 1):
+        for i, ((s, _), count) in enumerate(zip(cells, counts)):
+            key = (-s / count if s == s else math.inf, h, i)
+            top[count] = min(top.get(count, key), key)
+    candidates = {}  # (depth, position), in nomination order
     for p in range(p_max + 1):
-        thr = 1 << p
-        c = next((c for c in ranked if c.eval_count >= thr), None)
-        if c is None:
+        keys = [key for count, key in top.items() if count >= 1 << p]
+        if not keys:
             break  # thresholds only grow, so no later one finds a cell
-        run.log("candidate", p, c.id.depth, c.id.index)
-        if c.id not in seen:
-            seen.add(c.id)
-            candidates.append(c)
+        _, h, i = min(keys)
+        if tracing:
+            run.log("candidate", p, h, levels[h - 1][2][i])
+        candidates[h, i] = True
 
     v_evals = max(1, h_max // 2)
-    fresh = {}
-    for cell in sorted(candidates, key=lambda c: c.id):
-        before = cell.reward_sum
-        tree.add_evaluations(cell.id, v_evals, run.stream)
-        fresh[cell.id] = (cell.reward_sum - before) / v_evals
+    fresh = []
+    for h, i in sorted(candidates):
+        before, cell = levels[h - 1][0][i]
+        after = before + run.observe(cell[2], v_evals)
+        mean = (after - before) / v_evals
+        fresh.append((-mean if mean == mean else math.inf, h, i, mean, cell[2]))
         run.units += v_evals
-        run.log("validate", cell.id.depth, cell.id.index, v_evals)
+        if tracing:
+            run.log("validate", h, levels[h - 1][2][i], v_evals)
 
-    out = min(fresh, key=lambda cid: (-fresh[cid], cid))
-    run.log("recommend", out.depth, out.index)
+    _, h, i, value, point = min(fresh)
+    if tracing:
+        run.log("recommend", h, levels[h - 1][2][i])
 
     if run.units > n:
         raise RuntimeError("evaluation budget exceeded")
-    return run.result(out, fresh[out])
+    return run.result(point, value)
 
 
 # ---------------------------------------------------------------------------
@@ -294,24 +340,28 @@ def soo_run(obj: Objective, cfg: RunConfig, depth_limit_fn=None) -> RunResult:
     limit = depth_limit_fn or math.sqrt
     run = _Run(obj, None, cfg)
 
-    # depth -> [(-value, cid)] of unopened leaves; the root has no value, so
-    # its key lets it pass the sweep test and leaves vmax at -inf
-    heaps = {0: [(math.inf, run.tree.root.id)]}
+    # depth -> heap of (-value, index, cell) of unopened leaves; the root has
+    # no value, so its key lets it pass the sweep test and leaves vmax at -inf
+    heaps = {0: [(math.inf, 0, run.root)]}
 
     progressed = True
     while run.units < n and progressed:
         progressed = False
         vmax = -math.inf
         h = 0
-        while run.units < n and h <= min(run.deepest, int(limit(run.units))):
+        top = min(run.deepest, int(limit(run.units)))  # moves only on openings
+        while run.units < n and h <= top:
             heap = heaps.get(h)
             if heap and -heap[0][0] >= vmax:
-                negv, cid = heapq.heappop(heap)
+                negv, index, cell = heapq.heappop(heap)
                 vmax = -negv
+                run.log("open", h, index, 1)
+                base = index * run.K
                 nxt = heaps.setdefault(h + 1, [])
-                for ccid, mean in run.open(cid):
-                    heapq.heappush(nxt, (-mean, ccid))
+                for j, (value, child) in enumerate(run.open(cell, h, base)):
+                    heapq.heappush(nxt, (-value, base + j, child))
                 progressed = True
+                top = min(run.deepest, int(limit(run.units)))
             h += 1
 
     return run.result()
@@ -333,11 +383,14 @@ def doo_run(obj: Objective, cfg: RunConfig, nu: float, rho: float) -> RunResult:
     n = cfg.budget_n
     run = _Run(obj, None, cfg)
 
-    heap = [(0.0, run.tree.root.id)]  # (-(value + nu rho^depth), cid)
+    heap = [(0.0, 0, 0, run.root)]  # (-(value + nu rho^depth), depth, index, cell)
     while heap and run.units < n:
-        _key, cid = heapq.heappop(heap)
-        for ccid, mean in run.open(cid):
-            heapq.heappush(heap, (-(mean + nu * rho ** ccid.depth), ccid))
+        _key, depth, index, cell = heapq.heappop(heap)
+        run.log("open", depth, index, 1)
+        base = index * run.K
+        bonus = nu * rho ** (depth + 1)
+        for j, (value, child) in enumerate(run.open(cell, depth, base)):
+            heapq.heappush(heap, (-(value + bonus), depth + 1, base + j, child))
 
     return run.result()
 
@@ -352,14 +405,18 @@ def uniform_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> Run
     participates (n openings cost K*n + 1 raw evaluations)."""
     n = cfg.budget_n
     run = _Run(obj, noise, cfg)
-    root = run.tree.root.id
 
-    # the root's one observation is the first candidate for the running best
-    run.best_value = run.tree.add_evaluations(root, 1, run.stream)
-    run.best_cid = root
+    # the root's one observation is the first candidate for the running
+    # best; like every added evaluation it is summed onto 0.0 (-0.0 reads 0.0)
+    run.best_value = 0.0 + run.observe(run.root[2], 1)
+    run.best_key, run.best_point = (0, 0), run.root[2]
     run.log("evaluate", 0, 0, 1)
-    queue = deque([root])
-    while queue and run.units < n:
-        queue.extend(cid for cid, _ in run.open(queue.popleft()))
+    level, index = [(None, run.root)], [0] if run.trace is not None else None
+    h = 0
+    while run.units < n:
+        # every cell of a level, the last level cut to the budget left
+        opening = dict.fromkeys(range(min(len(level), n - run.units)), 1)
+        level, _, index = run.open_level(level, index, h, opening)
+        h += 1
 
     return run.result()

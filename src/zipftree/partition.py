@@ -7,7 +7,8 @@ representative point a requested number of times.  Budgets are counted in
 openings; the tree keeps a ledger of how many cells have been opened.
 
 A cell stores its bounds and its representative (the centre of its box) as
-plain tuples; `Cell.box` builds a `Box` from the bounds on demand.
+plain tuples; `Cell.box` builds a `Box` from the bounds on demand.  The split
+formula, `split_cell`, works on bare (lower, upper, centre) tuples.
 """
 
 from __future__ import annotations
@@ -120,6 +121,41 @@ class Cell:
                 f"opened={self.opened})")
 
 
+def split_cell(cell, depth, K, split_axis_rule):
+    """The K children of `cell`, a (lower, upper, centre) tuple of float
+    tuples at `depth`, in index order, cut along split_axis_rule(depth, dim).
+
+    Edge j is lo + j*w/K, as in cell_containing (a -0.0 bound gives a +0.0
+    first edge); the last edge snaps to hi.  A child's centre is the parent's
+    with the split coordinate set to 0.5*(a+b), which equals Box.center.
+    """
+    lower, upper, centre = cell
+    dim = len(lower)
+    axis = split_axis_rule(depth, dim) if dim > 1 else 0
+    lo = lower[axis]
+    hi = upper[axis]
+    w = hi - lo
+    children = []
+    a = lo + 0 * w / K
+    if dim == 1:
+        for j in range(1, K):
+            b = lo + j * w / K
+            children.append(((a,), (b,), (0.5 * (a + b),)))
+            a = b
+        children.append(((a,), (hi,), (0.5 * (a + hi),)))
+        return children
+    # the children differ from the parent only on `axis`
+    lo_head, lo_tail = lower[:axis], lower[axis + 1:]
+    up_head, up_tail = upper[:axis], upper[axis + 1:]
+    c_head, c_tail = centre[:axis], centre[axis + 1:]
+    for j in range(1, K + 1):
+        b = lo + j * w / K if j < K else hi
+        children.append((lo_head + (a,) + lo_tail, up_head + (b,) + up_tail,
+                         c_head + (0.5 * (a + b),) + c_tail))
+        a = b
+    return children
+
+
 def _observe_sum(evaluator, point, count):
     """Sum of `count` calls of the plain callable `evaluator` at `point`."""
     return math.fsum(evaluator(point) for _ in range(count))
@@ -168,35 +204,12 @@ class PartitionTree:
             raise KeyError(f"unknown cell {cid!r}") from None
 
     def _split(self, parent: Cell):
-        K = self.branching
         depth, index = parent.id
-        lower, upper, rep = parent.lower, parent.upper, parent.representative
-        axis = self.split_axis_rule(depth, len(lower))
-        lo = lower[axis]
-        hi = upper[axis]
-        w = hi - lo
-        # the children differ from the parent only on `axis`, so the parent's
-        # bounds and centre are sliced once; a child's centre off `axis` is
-        # the parent's, which makes each representative equal Box.center
-        lo_head, lo_tail = lower[:axis], lower[axis + 1:]
-        up_head, up_tail = upper[:axis], upper[axis + 1:]
-        rep_head, rep_tail = rep[:axis], rep[axis + 1:]
-        # edge j is lo + j*w/K, as in cell_containing (so a -0.0 bound gives
-        # a +0.0 first edge), computed once and shared by the two children
-        # it separates; the last edge snaps exactly to hi
-        edges = [lo + j * w / K for j in range(K)]
-        edges.append(hi)
-        depth += 1
-        index *= K
-        children = []
-        for j in range(K):
-            a = edges[j]
-            b = edges[j + 1]
-            children.append(Cell(CellId(depth, index + j),
-                                 lo_head + (a,) + lo_tail,
-                                 up_head + (b,) + up_tail,
-                                 rep_head + (0.5 * (a + b),) + rep_tail))
-        return children
+        base = index * self.branching
+        cells = split_cell((parent.lower, parent.upper, parent.representative),
+                           depth, self.branching, self.split_axis_rule)
+        return [Cell(CellId(depth + 1, base + j), *cell)
+                for j, cell in enumerate(cells)]
 
     def children_of(self, cid):
         """The K children of `cid` (fresh objects unless the parent is opened)."""

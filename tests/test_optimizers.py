@@ -348,3 +348,49 @@ def test_uniform_noise_reproducible():
     c = uniform_run(GARLAND, NoiseModel(0.2, seed=9), RunConfig(budget_n=50))
     assert c.recommendation != a.recommendation or \
         c.recommendation_value_estimate != a.recommendation_value_estimate
+
+
+# ---------------------------------------------------------------------------
+# objectives that return NaN on part of the domain
+# ---------------------------------------------------------------------------
+
+def _nan_objectives():
+    # NaN on a band that holds cells of every depth, but not the root's
+    # centre (uniform observes the root first); a NaN never compares greater
+    # than, or equal to, a value, so it must never become the running best
+    def band(p):
+        return math.nan if 0.2 <= p[0] < 0.45 else GARLAND.fn(p)
+
+    def quadrant(p):
+        x, y = p
+        if x < 0.5 and y > 0.25:
+            return math.nan
+        return -abs(x - 0.55) - abs(y - 0.2)
+
+    return [Objective("nan-band", Box([0.0], [1.0]), band),
+            Objective("nan-quadrant", Box([0.0, 0.0], [1.0, 1.0]), quadrant)]
+
+
+_NAN_RUNS = {
+    "sequool": lambda obj, cfg: sequool_run(obj, cfg),
+    "soo": lambda obj, cfg: soo_run(obj, cfg),
+    "doo": lambda obj, cfg: doo_run(obj, cfg, 1.0, 0.6),
+    "uniform": lambda obj, cfg: uniform_run(obj, None, cfg),
+    "uniform:b=0.3": lambda obj, cfg: uniform_run(
+        obj, NoiseModel(0.3, seed=5), cfg),
+    "stroquool": lambda obj, cfg: stroquool_run(obj, None, cfg),
+    "stroquool:b=0.3": lambda obj, cfg: stroquool_run(
+        obj, NoiseModel(0.3, seed=5), cfg),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(_NAN_RUNS))
+def test_nan_values_never_become_the_recommendation(algo):
+    for obj in _nan_objectives():
+        for n in (8, 30, 200, 2000):
+            for K in (2, 3):
+                res = _NAN_RUNS[algo](obj, RunConfig(budget_n=n, branching=K))
+                assert not math.isnan(res.recommendation_value_estimate), (
+                    obj.name, n, K)
+                assert not math.isnan(obj.fn(res.recommendation)), (
+                    obj.name, n, K)
