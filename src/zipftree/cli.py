@@ -7,8 +7,8 @@ import argparse
 import json
 import sys
 
-from .harness import (ExperimentSpec, format_summary, record_writer,
-                      run_experiment, spec_comments, summarize)
+from .harness import (ExperimentSpec, TaskError, format_summary,
+                      record_writer, run_experiment, spec_comments, summarize)
 
 
 def build_parser():
@@ -92,7 +92,7 @@ def main(argv=None) -> int:
                 write(rec)
         if args.summary:
             print(format_summary(summarize(records)))
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, TaskError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

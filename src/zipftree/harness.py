@@ -28,7 +28,7 @@ from .optimizers import (RunConfig, doo_run, sequool_run, soo_run,
 from .theory import BoundInputs, SmoothnessParams, sequool_bound, stroquool_bounds
 
 __all__ = [
-    "AlgoSpec", "ExperimentSpec", "RegretRecord", "derive_seed",
+    "AlgoSpec", "ExperimentSpec", "RegretRecord", "TaskError", "derive_seed",
     "run_experiment", "summarize", "emit_bound_overlay",
     "write_records", "read_records",
 ]
@@ -153,6 +153,11 @@ class RegretRecord:
     wall_ms: float
 
 
+class TaskError(RuntimeError):
+    """A grid task's run raised; the message names the task and the
+    original exception is the cause."""
+
+
 def derive_seed(master_seed, algo_label, n, b, rep):
     """Per-run seed: SHA-256 of the identifying tuple, top 8 bytes."""
     msg = f"{master_seed}|{algo_label}|{n}|{b!r}|{rep}".encode()
@@ -171,7 +176,11 @@ def _run_one(task):
                          f"run it with b=0 (got b={b})")
     noise = NoiseModel(b, seed=seed)
     t0 = time.perf_counter()
-    res = runner(algo, obj, noise, cfg)
+    try:
+        res = runner(algo, obj, noise, cfg)
+    except Exception as exc:
+        raise TaskError(f"task (algo={algo.label}, objective={objective_name}, "
+                        f"n={n}, b={b!r}, rep={rep}) failed: {exc!r}") from exc
     wall_ms = (time.perf_counter() - t0) * 1e3
     # regret is always scored on the true objective value at x(n)
     regret = obj.optimum_value - obj.eval(res.recommendation)

@@ -77,6 +77,15 @@ def test_cli_error_paths(capsys):
     assert "deterministic-feedback" in capsys.readouterr().err
 
 
+def test_cli_names_a_failing_task(capsys):
+    assert main(["--algo", "stroquool", "--objective", "garland",
+                 "--budget", "5,20", "--seeds", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: task (algo=stroquool, objective=garland, "
+                          "n=5, b=0.0, rep=0) failed: ")
+    assert "StroquOOL needs n >= 8" in err
+
+
 def test_cli_failure_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
     tmp = tmp_path / "tmp"
     tmp.mkdir()

@@ -5,9 +5,9 @@ import math
 import pytest
 
 from zipftree.harness import (AlgoSpec, ExperimentSpec, RegretRecord,
-                              derive_seed, emit_bound_overlay, parse_algo,
-                              read_records, run_experiment, summarize,
-                              write_records)
+                              TaskError, derive_seed, emit_bound_overlay,
+                              parse_algo, read_records, run_experiment,
+                              summarize, write_records)
 from zipftree.theory import SmoothnessParams
 
 
@@ -135,6 +135,28 @@ def test_deterministic_algorithms_reject_noise():
     spec = small_spec(algorithms=["doo:1.0:0.5"], noise_b=[0.1], budgets=[20])
     with pytest.raises(ValueError, match="deterministic-feedback"):
         run_experiment(spec)
+
+
+def test_failing_task_is_named_with_its_cause(tmp_path):
+    # StroquOOL rejects n < 8, so exactly one task of this grid fails: the
+    # error names it and chains the runner's own exception
+    out = tmp_path / "grid.csv"
+    spec = small_spec(algorithms=["uniform", "stroquool"], budgets=[5, 50],
+                      seeds=1, out=str(out))
+    with pytest.raises(TaskError) as info:
+        run_experiment(spec)
+    assert str(info.value).startswith(
+        "task (algo=stroquool, objective=garland, n=5, b=0.0, rep=0) failed: ")
+    assert isinstance(info.value.__cause__, ValueError)
+    assert "StroquOOL needs n >= 8" in str(info.value.__cause__)
+    # the rows of the tasks before it stay written
+    assert [(r.algo, r.n) for r in read_records(str(out))] == [
+        ("uniform", 5), ("uniform", 50)]
+    # a pool worker's failure names the same task
+    with pytest.raises(TaskError, match=r"task \(algo=stroquool, objective="
+                       r"garland, n=5, b=0\.0, rep=0\) failed"):
+        run_experiment(small_spec(algorithms=["uniform", "stroquool"],
+                                  budgets=[5, 50], seeds=1), jobs=2)
 
 
 def test_run_experiment_regret_scored_on_true_objective():
