@@ -130,20 +130,12 @@ def split_cell(cell, depth, K, split_axis_rule):
     with the split coordinate set to 0.5*(a+b), which equals Box.center.
     """
     lower, upper, centre = cell
-    dim = len(lower)
-    axis = split_axis_rule(depth, dim) if dim > 1 else 0
+    axis = split_axis_rule(depth, len(lower))
     lo = lower[axis]
     hi = upper[axis]
     w = hi - lo
     children = []
     a = lo + 0 * w / K
-    if dim == 1:
-        for j in range(1, K):
-            b = lo + j * w / K
-            children.append(((a,), (b,), (0.5 * (a + b),)))
-            a = b
-        children.append(((a,), (hi,), (0.5 * (a + hi),)))
-        return children
     # the children differ from the parent only on `axis`
     lo_head, lo_tail = lower[:axis], lower[axis + 1:]
     up_head, up_tail = upper[:axis], upper[axis + 1:]
