@@ -104,9 +104,11 @@ class _Run:
         if self.trace is not None:
             self.trace.append(event)
 
-    def open(self, cell, depth, base, evals=1):
-        """Open `cell` at `depth` with `evals` evaluations per child; returns
-        [(sum of evaluations, child)], child j keyed (depth + 1, base + j)."""
+    def open(self, cell, depth, base, evals=1, index=None):
+        """Open `cell` at `depth` with `evals` evaluations per child and log
+        the opening under its CellId index `index`; returns [(sum of
+        evaluations, child)], child j keyed (depth + 1, base + j)."""
+        self.log("open", depth, index, evals)
         self.openings += 1
         self.units += evals
         if depth >= self.deepest:
@@ -137,9 +139,9 @@ class _Run:
         slot = {i: t * K for t, i in enumerate(in_order)}
         nxt = [None] * (K * len(chosen))
         for i, evals in chosen.items():
-            if index is not None:
-                self.log("open", depth, index[i], evals)
-            nxt[slot[i]:slot[i] + K] = self.open(cells[i][1], depth, slot[i], evals)
+            nxt[slot[i]:slot[i] + K] = self.open(
+                cells[i][1], depth, slot[i], evals,
+                None if index is None else index[i])
         counts = [chosen[i] for i in in_order for _ in range(K)]
         if index is not None:
             index = [index[i] * K + j for i in in_order for j in range(K)]
@@ -211,8 +213,7 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
     # the depth-h cells in index order as (value, cell) pairs -- each child
     # holds one evaluation, so its sum is its value -- and, with a trace,
     # their CellId indices
-    run.log("open", 0, 0, 1)
-    level = run.open(run.root, 0, 0)
+    level = run.open(run.root, 0, 0, index=0)
     index = list(range(K)) if run.trace is not None else None
 
     for h in range(1, h_limit + 1):
@@ -258,8 +259,7 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
     tracing = run.trace is not None
 
     # levels[h - 1]: depth-h (sum, cell) pairs, counts and indices (see open_level)
-    run.log("open", 0, 0, h_max)
-    levels = [(run.open(run.root, 0, 0, h_max), [h_max] * run.K,
+    levels = [(run.open(run.root, 0, 0, h_max, 0), [h_max] * run.K,
                list(range(run.K)) if tracing else None)]
 
     # exploration: a depth's statistics are final before its loop starts, so
@@ -349,19 +349,17 @@ def soo_run(obj: Objective, cfg: RunConfig, depth_limit_fn=None) -> RunResult:
         progressed = False
         vmax = -math.inf
         h = 0
-        top = min(run.deepest, int(limit(run.units)))  # moves only on openings
-        while run.units < n and h <= top:
+        while run.units < n and h <= min(run.deepest, int(limit(run.units))):
             heap = heaps.get(h)
             if heap and -heap[0][0] >= vmax:
                 negv, index, cell = heapq.heappop(heap)
                 vmax = -negv
-                run.log("open", h, index, 1)
                 base = index * run.K
                 nxt = heaps.setdefault(h + 1, [])
-                for j, (value, child) in enumerate(run.open(cell, h, base)):
+                children = run.open(cell, h, base, 1, index)
+                for j, (value, child) in enumerate(children):
                     heapq.heappush(nxt, (-value, base + j, child))
                 progressed = True
-                top = min(run.deepest, int(limit(run.units)))
             h += 1
 
     return run.result()
@@ -386,10 +384,10 @@ def doo_run(obj: Objective, cfg: RunConfig, nu: float, rho: float) -> RunResult:
     heap = [(0.0, 0, 0, run.root)]  # (-(value + nu rho^depth), depth, index, cell)
     while heap and run.units < n:
         _key, depth, index, cell = heapq.heappop(heap)
-        run.log("open", depth, index, 1)
         base = index * run.K
         bonus = nu * rho ** (depth + 1)
-        for j, (value, child) in enumerate(run.open(cell, depth, base)):
+        children = run.open(cell, depth, base, 1, index)
+        for j, (value, child) in enumerate(children):
             heapq.heappush(heap, (-(value + bonus), depth + 1, base + j, child))
 
     return run.result()
@@ -407,8 +405,10 @@ def uniform_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> Run
     run = _Run(obj, noise, cfg)
 
     # the root's one observation is the first candidate for the running
-    # best; like every added evaluation it is summed onto 0.0 (-0.0 reads 0.0)
-    run.best_value = 0.0 + run.observe(run.root[2], 1)
+    # best; like every added evaluation it is summed onto 0.0 (-0.0 reads
+    # 0.0), and a NaN reads -inf, so it loses to every later value
+    value = 0.0 + run.observe(run.root[2], 1)
+    run.best_value = value if value == value else -math.inf
     run.best_key, run.best_point = (0, 0), run.root[2]
     run.log("evaluate", 0, 0, 1)
     level, index = [(None, run.root)], [0] if run.trace is not None else None

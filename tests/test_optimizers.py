@@ -355,11 +355,15 @@ def test_uniform_noise_reproducible():
 # ---------------------------------------------------------------------------
 
 def _nan_objectives():
-    # NaN on a band that holds cells of every depth, but not the root's
-    # centre (uniform observes the root first); a NaN never compares greater
-    # than, or equal to, a value, so it must never become the running best
+    # NaN on a band that holds cells of every depth, with or without the
+    # root's centre (uniform observes the root first); a NaN never compares
+    # greater than, or equal to, a value, so it must never become the
+    # running best
     def band(p):
         return math.nan if 0.2 <= p[0] < 0.45 else GARLAND.fn(p)
+
+    def centre_band(p):
+        return math.nan if 0.4 <= p[0] < 0.6 else GARLAND.fn(p)
 
     def quadrant(p):
         x, y = p
@@ -368,6 +372,7 @@ def _nan_objectives():
         return -abs(x - 0.55) - abs(y - 0.2)
 
     return [Objective("nan-band", Box([0.0], [1.0]), band),
+            Objective("nan-centre", Box([0.0], [1.0]), centre_band),
             Objective("nan-quadrant", Box([0.0, 0.0], [1.0, 1.0]), quadrant)]
 
 
