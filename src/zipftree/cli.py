@@ -93,6 +93,8 @@ def main(argv=None) -> int:
         if args.summary:
             print(format_summary(summarize(records)))
     except (ValueError, OSError, json.JSONDecodeError, TaskError) as exc:
+        if isinstance(exc, TaskError) and not isinstance(exc.cause, ValueError):
+            raise  # not a rejected input but a fault: keep the traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

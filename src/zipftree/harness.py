@@ -154,8 +154,16 @@ class RegretRecord:
 
 
 class TaskError(RuntimeError):
-    """A grid task's run raised; the message names the task and the
-    original exception is the cause."""
+    """A grid task's run raised; the message names the task and `cause`,
+    also the __cause__, is the original exception.  `cause` survives the
+    pickling of a pool worker's error, which replaces __cause__."""
+
+    def __init__(self, message, cause):
+        super().__init__(message, cause)
+        self.cause = cause
+
+    def __str__(self):
+        return self.args[0]
 
 
 def derive_seed(master_seed, algo_label, n, b, rep):
@@ -180,7 +188,8 @@ def _run_one(task):
         res = runner(algo, obj, noise, cfg)
     except Exception as exc:
         raise TaskError(f"task (algo={algo.label}, objective={objective_name}, "
-                        f"n={n}, b={b!r}, rep={rep}) failed: {exc!r}") from exc
+                        f"n={n}, b={b!r}, rep={rep}) failed: {exc!r}",
+                        exc) from exc
     wall_ms = (time.perf_counter() - t0) * 1e3
     # regret is always scored on the true objective value at x(n)
     regret = obj.optimum_value - obj.eval(res.recommendation)

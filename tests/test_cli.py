@@ -1,8 +1,11 @@
 import json
 import tempfile
 
+import pytest
+
+from zipftree import harness
 from zipftree.cli import main
-from zipftree.harness import read_records
+from zipftree.harness import TaskError, read_records
 
 HEADER = "algo,objective,n,b,seed,regret,openings,evaluations,wall_ms"
 
@@ -84,6 +87,22 @@ def test_cli_names_a_failing_task(capsys):
     assert err.startswith("error: task (algo=stroquool, objective=garland, "
                           "n=5, b=0.0, rep=0) failed: ")
     assert "StroquOOL needs n >= 8" in err
+    # the same from a pool worker
+    assert main(["--algo", "stroquool", "--objective", "garland",
+                 "--budget", "5,20", "--seeds", "1", "--jobs", "2"]) == 1
+    assert "StroquOOL needs n >= 8" in capsys.readouterr().err
+
+
+def test_cli_raises_a_runner_fault(monkeypatch):
+    # an exception that is no rejected input keeps its traceback
+    def faulty(algo, obj, noise, cfg):
+        raise TypeError("a fault")
+
+    monkeypatch.setitem(harness._ALGOS, "uniform", (False, faulty))
+    with pytest.raises(TaskError) as info:
+        main(["--algo", "uniform", "--objective", "garland",
+              "--budget", "10", "--seeds", "1"])
+    assert isinstance(info.value.__cause__, TypeError)
 
 
 def test_cli_failure_leaves_no_temp_file(tmp_path, monkeypatch, capsys):

@@ -152,11 +152,12 @@ def test_failing_task_is_named_with_its_cause(tmp_path):
     # the rows of the tasks before it stay written
     assert [(r.algo, r.n) for r in read_records(str(out))] == [
         ("uniform", 5), ("uniform", 50)]
-    # a pool worker's failure names the same task
+    # a pool worker's failure names the same task and keeps its cause
     with pytest.raises(TaskError, match=r"task \(algo=stroquool, objective="
-                       r"garland, n=5, b=0\.0, rep=0\) failed"):
+                       r"garland, n=5, b=0\.0, rep=0\) failed") as info:
         run_experiment(small_spec(algorithms=["uniform", "stroquool"],
                                   budgets=[5, 50], seeds=1), jobs=2)
+    assert isinstance(info.value.cause, ValueError)
 
 
 def test_run_experiment_regret_scored_on_true_objective():
