@@ -158,12 +158,9 @@ class TaskError(RuntimeError):
     also the __cause__, is the original exception.  `cause` survives the
     pickling of a pool worker's error, which replaces __cause__."""
 
-    def __init__(self, message, cause):
-        super().__init__(message, cause)
+    def __init__(self, message, cause=None):
+        super().__init__(message)
         self.cause = cause
-
-    def __str__(self):
-        return self.args[0]
 
 
 def derive_seed(master_seed, algo_label, n, b, rep):
