@@ -91,6 +91,11 @@ class _Run:
     def __init__(self, obj: Objective, noise: NoiseModel | None, cfg: RunConfig):
         tree = make_tree(obj.domain, cfg.branching)
         self.root = (tree.root.lower, tree.root.upper, tree.root.representative)
+        # split_cell keeps every child's centre inside its parent, so this
+        # one check puts every point the run evaluates inside the domain
+        if not tree.domain.contains(self.root[2]):
+            raise ValueError(f"point {self.root[2]!r} outside domain of "
+                             f"{obj.name}")
         self.K = tree.branching
         self.axis_rule = tree.split_axis_rule
         self.stream = EvaluationStream(obj, noise)
@@ -159,19 +164,23 @@ class _Run:
 # SequOOL
 # ---------------------------------------------------------------------------
 
-def _depth_budget_cost(H, K, cap):
-    """1 (root) + sum over depths of the quota floor(H / h), while nonzero."""
-    total = 1
-    h = 1
-    while True:
+def _depth_quotas(H, K, cap):
+    """The quotas floor(H / h) of depths h = 1 .. floor(H), each capped at
+    the K ** h cells of its depth when `cap` is set."""
+    # cells is K ** h while the cap binds; quotas only fall, so once one
+    # fits under it no later one reaches K ** h and it stops growing
+    cells = K
+    for h in range(1, int(H) + 1):
         q = int(H // h)
-        if q < 1:
-            break
-        if cap:
-            q = min(q, K ** h)
-        total += q
-        h += 1
-    return total
+        if cap and cells < q:
+            q = cells
+            cells *= K
+        yield q
+
+
+def _depth_budget_cost(H, K, cap):
+    """1 (root) + the sum of the depth quotas."""
+    return 1 + sum(_depth_quotas(H, K, cap))
 
 
 def _rescaled_depth_budget(n, h_max, K, cap):
@@ -208,7 +217,6 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
     H = float(h_max)
     if cfg.rescale_depth_budget:
         H = _rescaled_depth_budget(n, h_max, K, cfg.cap_quota_by_cells)
-    h_limit = int(H)
 
     # the depth-h cells in index order as (value, cell) pairs -- each child
     # holds one evaluation, so its sum is its value -- and, with a trace,
@@ -216,10 +224,7 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
     level = run.open(run.root, 0, 0, index=0)
     index = list(range(K)) if run.trace is not None else None
 
-    for h in range(1, h_limit + 1):
-        q = int(H // h)
-        if cfg.cap_quota_by_cells:
-            q = min(q, K ** h)
+    for h, q in enumerate(_depth_quotas(H, K, cfg.cap_quota_by_cells), 1):
         # the q best cells open in order of value, ties to the lowest
         # position (the sort is stable) and NaN last
         values = [v if v == v else -math.inf for v, _ in level]

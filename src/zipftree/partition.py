@@ -9,6 +9,11 @@ openings; the tree keeps a ledger of how many cells have been opened.
 A cell stores its bounds and its representative (the centre of its box) as
 plain tuples; `Cell.box` builds a `Box` from the bounds on demand.  The split
 formula, `split_cell`, works on bare (lower, upper, centre) tuples.
+
+Points are checked against the domain once, not per evaluation: split_cell
+raises unless its children's centres lie inside the parent, so when the
+root's centre lies in the domain every point of the partition does, and
+objectives.EvaluationStream.observe_sum evaluates them unchecked.
 """
 
 from __future__ import annotations
@@ -128,6 +133,11 @@ def split_cell(cell, depth, K, split_axis_rule):
     Edge j is lo + j*w/K, as in cell_containing (a -0.0 bound gives a +0.0
     first edge); the last edge snaps to hi.  A child's centre is the parent's
     with the split coordinate set to 0.5*(a+b), which equals Box.center.
+
+    Raises ValueError unless the first and the last child's centre lie in
+    the parent's [lo, hi] on the split axis (a NaN fails).  The centres are
+    monotone in the child index, so then every child's centre lies in the
+    parent, and the children of a cell inside the domain stay inside it.
     """
     lower, upper, centre = cell
     axis = split_axis_rule(depth, len(lower))
@@ -145,6 +155,9 @@ def split_cell(cell, depth, K, split_axis_rule):
         children.append((lo_head + (a,) + lo_tail, up_head + (b,) + up_tail,
                          c_head + (0.5 * (a + b),) + c_tail))
         a = b
+    if not (lo <= children[0][2][axis] and children[-1][2][axis] <= hi):
+        raise ValueError(f"split of [{lo!r}, {hi!r}] on axis {axis} puts a "
+                         f"child's centre outside the cell")
     return children
 
 
