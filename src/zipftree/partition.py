@@ -13,7 +13,8 @@ formula, `split_cell`, works on bare (lower, upper, centre) tuples.
 Points are checked against the domain once, not per evaluation: split_cell
 raises unless its children's centres lie inside the parent, so when the
 root's centre lies in the domain every point of the partition does, and
-objectives.EvaluationStream.observe_sum evaluates them unchecked.
+objectives.EvaluationStream.observe_sum evaluates them unchecked
+(Objective.eval stays checked).
 """
 
 from __future__ import annotations
@@ -137,7 +138,9 @@ def split_cell(cell, depth, K, split_axis_rule):
     Raises ValueError unless the first and the last child's centre lie in
     the parent's [lo, hi] on the split axis (a NaN fails).  The centres are
     monotone in the child index, so then every child's centre lies in the
-    parent, and the children of a cell inside the domain stay inside it.
+    parent, and the children of a cell inside the domain stay inside it:
+    EvaluationStream.observe_sum evaluates them unchecked, while
+    Objective.eval stays checked.
     """
     lower, upper, centre = cell
     axis = split_axis_rule(depth, len(lower))

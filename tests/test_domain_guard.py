@@ -98,10 +98,10 @@ def test_split_rejects_centres_outside_the_parent():
     huge = (-1e308,), (1e308,), (0.0,)
     with pytest.raises(ValueError, match="outside the cell"):
         split_cell(huge, 0, 3, lambda depth, dim: 0)
-    # a + b overflows in the last child's centre
-    high = (1e308,), (1.7e308,), (1.35e308,)
+    # a + b overflows in the last child's centre but not in the first
+    high = (0.5e308,), (1.7e308,), (1.1e308,)
     with pytest.raises(ValueError, match="outside the cell"):
-        split_cell(high, 0, 2, lambda depth, dim: 0)
+        split_cell(high, 0, 7, lambda depth, dim: 0)
     # the tree's split goes through the same check
     with pytest.raises(ValueError, match="outside the cell"):
         make_tree(Box([0.0], [math.inf])).children_of((0, 0))
