@@ -80,12 +80,3 @@ def test_split_centres_stay_in_the_domain(dims, K, path):
         assert inside, (depth, cell)
         cell = children[j % K]
 
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(lo=moderate, K=st.integers(min_value=2, max_value=7),
-       depth=st.integers(min_value=0, max_value=5))
-def test_ulp_wide_cells_split_inside(lo, K, depth):
-    hi = math.nextafter(lo, math.inf)
-    cell = ((lo,), (hi,), (0.5 * (lo + hi),))
-    for _, _, (c,) in split_cell(cell, depth, K, axis_rule):
-        assert lo <= c <= hi
