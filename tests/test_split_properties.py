@@ -79,4 +79,3 @@ def test_split_centres_stay_in_the_domain(dims, K, path):
         assert children == expected
         assert inside, (depth, cell)
         cell = children[j % K]
-
