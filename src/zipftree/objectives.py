@@ -212,18 +212,28 @@ class NoiseModel:
         return out
 
 
+_NO_POINT = object()  # matches no point: an EvaluationStream's empty memo
+
+
 class EvaluationStream:
-    """Binds an objective to a noise stream and counts raw evaluations.
+    """Binds an objective to a noise stream and counts charged observations.
 
     observe_sum(point, count) returns the sum of `count` observations at
-    `point`.  With b = 0 (or no noise model) the RNG is not consumed and the
-    sum is computed as count * f(point) in a single multiply -- the noiseless
-    fast path that makes full budget sweeps cheap.
+    `point`, each counted in n_evals.  With b = 0 (or no noise model) the
+    RNG is not consumed and the sum is computed as count * f(point) in a
+    single multiply -- the noiseless fast path that makes full budget sweeps
+    cheap.  Noise is drawn on every call.
 
     observe_sum calls the objective's fn unchecked: it is meant for the
     partition's points, which lie in the domain by construction (see
     partition.split_cell).  A point that is not a tuple is still converted
     to a tuple of floats.  Objective.eval stays checked for other callers.
+
+    fn is taken to be pure, so observe_sum keeps the last point object it
+    evaluated with its value and reuses the value when the same object comes
+    again -- as it does for a cell split with no width left, whose children
+    are the parent itself.  The match is on identity, not equality, so
+    (0.0,) and (-0.0,) never share a value and a NaN point needs no care.
     """
 
     def __init__(self, objective: Objective, noise: NoiseModel | None = None):
@@ -231,11 +241,16 @@ class EvaluationStream:
         self.noise = noise
         self.n_evals = 0
         self._fn = objective.fn
+        self._last_point, self._last_value = _NO_POINT, None
 
     def observe_sum(self, point, count):
-        if type(point) is not tuple:
-            point = _as_point(point)
-        v = float(self._fn(point))
+        if point is self._last_point:
+            v = self._last_value
+        else:
+            if type(point) is not tuple:
+                point = _as_point(point)
+            v = float(self._fn(point))
+            self._last_point, self._last_value = point, v
         self.n_evals += count
         if self.noise is None or self.noise.range_b == 0.0:
             return count * v

@@ -72,7 +72,7 @@ class RunResult:
     recommendation: tuple
     recommendation_value_estimate: float
     openings_used: int
-    evaluations_used: int       # raw objective calls
+    evaluations_used: int       # charged observations, not objective calls
     deepest_depth: int          # deepest depth at which a cell was evaluated
     budget_units_used: int      # openings weighted by evaluations per child
     trace: list | None = None
@@ -405,7 +405,7 @@ def doo_run(obj: Objective, cfg: RunConfig, nu: float, rho: float) -> RunResult:
 def uniform_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> RunResult:
     """Breadth-first openings in CellId order; recommends the best observed
     mean.  The root's representative is observed once up front so depth 0
-    participates (n openings cost K*n + 1 raw evaluations)."""
+    participates (n openings cost K*n + 1 observations)."""
     n = cfg.budget_n
     run = _Run(obj, noise, cfg)
 

@@ -15,6 +15,13 @@ raises unless its children's centres lie inside the parent, so when the
 root's centre lies in the domain every point of the partition does, and
 objectives.EvaluationStream.observe_sum evaluates them unchecked
 (Objective.eval stays checked).
+
+Cells stop shrinking once float64 runs out of width (K = 3 on [0, 1] does
+at depth 34).  When the split axis has no width left -- hi - lo == 0.0,
+lo != 0.0 and centre[axis] == lo == 0.5*(lo + hi) -- the formula would give
+K copies of the parent, bit for bit, so split_cell returns the parent
+object itself K times, and EvaluationStream.observe_sum, which remembers
+the last point object it evaluated, calls the objective once for them.
 """
 
 from __future__ import annotations
@@ -141,12 +148,23 @@ def split_cell(cell, depth, K, split_axis_rule):
     parent, and the children of a cell inside the domain stay inside it:
     EvaluationStream.observe_sum evaluates them unchecked, while
     Objective.eval stays checked.
+
+    A split axis with no width left, where hi - lo == 0.0 (so lo == hi and
+    both are finite), lo != 0.0 and centre[axis] == lo == 0.5*(lo + hi),
+    returns `[cell] * K`: there every edge and centre the formula computes
+    is lo, so its children equal the parent bit for bit and the guard
+    passes.  Every other cell takes the formula and its guard: a signed
+    zero (lo + 0*w/K turns -0.0 into +0.0), |lo| > DBL_MAX/2 (the centre
+    overflows, so the guard raises), an infinite bound (the width is NaN)
+    and a centre off its bounds.
     """
     lower, upper, centre = cell
     axis = split_axis_rule(depth, len(lower))
     lo = lower[axis]
     hi = upper[axis]
     w = hi - lo
+    if w == 0.0 and lo != 0.0 and centre[axis] == lo == 0.5 * (lo + hi):
+        return [cell] * K
     children = []
     a = lo + 0 * w / K
     # the children differ from the parent only on `axis`

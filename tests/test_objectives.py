@@ -347,6 +347,68 @@ def test_observe_reproducible():
     assert EvaluationStream(obj, NoiseModel(0.0)).observe_sum(0.3, 1) == garland(0.3)
 
 
+def counting_objective(fn):
+    """An objective on [-1, 1] whose fn records every call."""
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return fn(p)
+
+    return Objective("counted", Box([-1.0], [1.0]), counted), calls
+
+
+def test_observe_sum_reuses_the_value_of_the_same_point_object():
+    obj, calls = counting_objective(lambda p: garland(abs(p[0])))
+    stream = EvaluationStream(obj)
+    p = (0.3,)
+    assert stream.observe_sum(p, 1) == garland(0.3)
+    assert stream.observe_sum(p, 5) == 5 * garland(0.3)
+    assert stream.observe_sum(p, 2) == 2 * garland(0.3)
+    assert len(calls) == 1
+    assert stream.n_evals == 8
+
+
+def test_observe_sum_matches_points_by_identity():
+    obj, calls = counting_objective(lambda p: math.copysign(1.0, p[0]))
+    stream = EvaluationStream(obj)
+    p = (0.3,)
+    stream.observe_sum(p, 1)
+    stream.observe_sum(tuple([0.3]), 1)  # equal, but another object
+    assert len(calls) == 2
+    # (0.0,) == (-0.0,), yet the two must not share a value
+    assert stream.observe_sum((-0.0,), 1) == -1.0
+    assert stream.observe_sum((0.0,), 1) == 1.0
+    assert len(calls) == 4
+    # a point that is not a tuple is converted afresh on every call
+    x = [0.3]
+    stream.observe_sum(x, 1)
+    stream.observe_sum(x, 1)
+    assert len(calls) == 6
+    assert stream.n_evals == 6
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "truncated-gaussian"])
+def test_observe_sum_with_reused_values_equals_per_call_sum(distribution):
+    obj, calls = counting_objective(lambda p: garland(abs(p[0])))
+    nm = NoiseModel(0.1, distribution, seed=29)
+    stream = EvaluationStream(obj, nm)
+    ref = _PerCallNoise(0.1, distribution, 29)
+    points = [(0.3,), (GARLAND_ARGMAX,), (-0.0,), (0.0,)]
+    # runs of the same object, as the children of a cell with no width left
+    order = [0, 0, 0, 1, 1, 2, 3, 3, 0, 2, 2]
+    for step, k in enumerate(_COUNT_SEQUENCE):
+        p = points[order[step % len(order)]]
+        got = stream.observe_sum(p, k)
+        want = k * obj.eval(p) + float(ref.offsets(k).sum())
+        assert got.hex() == want.hex(), (step, k)
+    assert stream.n_evals == sum(_COUNT_SEQUENCE)
+    repeats = sum(order[i % len(order)] == order[(i - 1) % len(order)]
+                  for i in range(1, len(_COUNT_SEQUENCE)))
+    # obj.eval adds one call per step; the stream skips every repeat
+    assert len(calls) == 2 * len(_COUNT_SEQUENCE) - repeats
+
+
 def test_evaluation_stream_counts_and_batches():
     obj = garland_objective()
     stream = EvaluationStream(obj)  # noiseless

@@ -307,6 +307,24 @@ def test_doo_with_tight_smoothness_stalls_at_second_peak():
         assert regret(GARLAND, res) == pytest.approx(SECOND_PEAK_GAP, rel=1e-9)
 
 
+def test_doo_calls_the_objective_once_per_zero_width_run():
+    # past depth 34 DOO keeps opening one cell with no float64 width left:
+    # split_cell returns it as its own children and the stream reuses the
+    # value of the point object it just evaluated, while every observation
+    # is still charged (the result itself is pinned by the frozen baselines)
+    calls = []
+
+    def fn(p):
+        calls.append(p)
+        return GARLAND.fn(p)
+
+    obj = Objective("garland", GARLAND.domain, fn,
+                    optimum_value=GARLAND.optimum_value)
+    res = doo_run(obj, RunConfig(budget_n=20000), nu=1.0, rho=0.6)
+    assert res.evaluations_used == 60000
+    assert len(calls) < 1000
+
+
 def test_doo_huge_nu_degenerates_to_breadth_first():
     flat = Objective("flat", Box([0.0], [1.0]), lambda p: 1.0, optimum_value=1.0)
     res = doo_run(flat, RunConfig(budget_n=13, branching=3, record_trace=True),
