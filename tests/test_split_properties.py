@@ -148,7 +148,7 @@ def test_zero_width_split_is_the_formula_bit_for_bit(drawn):
         return
     assert passes, cell
     assert bits(children) == bits(expected)
-    if (lo != 0.0 and abs(lo) <= HALF_MAX and cell[2][axis] == lo):
+    if lo != 0.0 and abs(lo) <= HALF_MAX and cell[2][axis] == lo:
         assert all(child is cell for child in children)
     else:  # a signed zero, or an inconsistent centre that the guard lets by
         assert not any(child is cell for child in children)
