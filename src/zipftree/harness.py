@@ -207,14 +207,17 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1):
     """Execute the full grid; returns the records in grid order.
 
     Records are written incrementally to spec.out (CSV) as runs finish;
-    jobs > 1 fans the runs over a process pool (results are merged back in
-    grid order, so parallel output equals serial output).
+    jobs > 1 fans the runs over min(jobs, tasks) worker processes (results
+    are merged back in grid order, so parallel output equals serial output).
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     obj = get_objective(spec.objective)
     if obj.optimum_value is None:
         raise ValueError(f"objective {spec.objective!r} has no optimum_value; "
                          "cannot score regret")
     tasks = _tasks(spec)
+    jobs = min(jobs, len(tasks))  # the pool forks every worker up front
     records = []
     with (open(spec.out, "w", newline="") if spec.out else nullcontext()) as fh:
         if fh:
@@ -389,7 +392,7 @@ def emit_bound_overlay(spec: ExperimentSpec, params: SmoothnessParams, out=None)
             try:
                 value = stroquool_bounds(BoundInputs(n, b, spec.delta), params)["bound"]
             except ValueError:
-                value = None  # budget too small for the noisy-regime display
+                value = None  # n too small for the high-noise bound (its only error)
             row[f"stroquool_b={b:g}"] = value
         rows.append(row)
     if out:

@@ -6,12 +6,15 @@ Conventions shared by the bound calculators: nu, rho describe how fast the
 objective can drop inside cells containing an optimum (f >= f* - nu*rho^h at
 depth h); C > 1 and d >= 0 bound the number of near-optimal depth-h cells by
 C*rho^(-d*h); b is the noise half-width and delta the failure probability.
+Every Lambert W that depends on b takes the log of its argument, so no b > 0
+makes it underflow or overflow.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 
@@ -22,6 +25,8 @@ __all__ = [
     "lambert_w", "sequool_bound", "stroquool_bounds", "h_tilde_asymptotic",
     "confidence_radius", "count_near_optimal",
 ]
+
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -65,35 +70,32 @@ def stroquool_h_max(n):
 # Lambert W (standard branch, x >= 0)
 # ---------------------------------------------------------------------------
 
+def _w_exp(y):
+    """W(e^y) for any real y: Newton steps in u = log W on u + e^u = y.
+
+    u + e^u is increasing and convex, so Newton converges from any seed;
+    log(y - log y) (W(x) >= log(x / log x) for x >= e) and y (W(x) <= x)
+    start it close.  The result inherits the rounding of y, about 6e-14
+    relative at y ~ -690, and nothing underflows or overflows.
+    """
+    u = math.log(y - math.log(y)) if y > 1.0 else y
+    for _ in range(50):
+        eu = math.exp(u)
+        step = (u + eu - y) / (1.0 + eu)
+        u -= step
+        if abs(step) <= 1e-15 * max(1.0, abs(u)):
+            break
+    return math.exp(u)
+
+
 def lambert_w(x):
     """Standard-branch Lambert W: the w >= 0 with w * exp(w) = x, for x >= 0.
 
-    Halley iteration seeded with log(x) - log(log(x)) for x >= e (a lower
-    bound on W there, so the iteration climbs to the root) and with
-    log1p(x) below.  Converges to ~1 ulp in a handful of steps; the round
-    trip |W(x) e^{W(x)} - x| stays within 1e-10 * max(1, x).
+    The round trip |W(x) e^{W(x)} - x| stays within 1e-10 * max(1, x).
     """
     if x < 0:
         raise ValueError("x must be >= 0")
-    if x == 0.0:
-        return 0.0
-    if x >= math.e:
-        w = math.log(x)
-        w -= math.log(w)
-    else:
-        w = math.log1p(x)
-    for _ in range(80):
-        ew = math.exp(w)
-        f = w * ew - x
-        if f == 0.0:
-            break
-        wp1 = w + 1.0
-        # Halley step: f / (f'(w) - f(w) f''(w) / (2 f'(w)))
-        step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(w)):
-            break
-    return w
+    return 0.0 if x == 0.0 else _w_exp(math.log(x))
 
 
 # ---------------------------------------------------------------------------
@@ -169,31 +171,23 @@ def sequool_bound(n, params: SmoothnessParams):
 # StroquOOL bounds (noisy feedback, two regimes)
 # ---------------------------------------------------------------------------
 
+def _log_n_bar(h, nu, rho, C, d, b, L):
+    """log of n_bar = h (d+2) log(1/rho) nu^2 / (4 C b^2 L), formed from
+    logs: b^2 underflows below b ~ 1e-162, and n_bar overflows before that."""
+    return (math.log(h * (d + 2.0) * math.log(1.0 / rho) / (4.0 * C * L))
+            + 2.0 * (math.log(nu) - math.log(b)))
+
+
 def _h_tilde_exact(h_max_alg, nu, rho, C, d, b, L):
     """Root of (h_max nu^2 rho^(2h)) / (4 h b^2 L) = C rho^(-d h).
 
     In logs this is A - log h - a h = 0 with a = (d+2) log(1/rho) and
     A = log(h_max nu^2 / (4 C b^2 L)); the left side is strictly decreasing,
-    so the root is unique.  Solved by bracketing + brentq; the closed form
-    is h = W(a e^A) / a, which the tests cross-check.  scipy is imported
-    here, on first use, so importing zipftree does not load it.
+    so the root is unique.  It is h = W(a e^A) / a, and a e^A is n_bar at
+    h = h_max, so W is taken at log n_bar.
     """
-    from scipy.optimize import brentq
-
-    a = (d + 2.0) * math.log(1.0 / rho)
-    A = math.log(h_max_alg * nu * nu / (4.0 * C * b * b * L))
-
-    def f(h):
-        return A - math.log(h) - a * h
-
-    lo = 1.0
-    while f(lo) <= 0.0 and lo > 1e-280:
-        lo *= 0.125
-    hi = max(2.0 * lo, 1.0)
-    while f(hi) >= 0.0 and hi < 1e12:
-        hi *= 2.0
-    return float(brentq(f, lo, hi, xtol=1e-15, rtol=8.881784197001252e-16,
-                        maxiter=200))
+    return (_w_exp(_log_n_bar(h_max_alg, nu, rho, C, d, b, L))
+            / ((d + 2.0) * math.log(1.0 / rho)))
 
 
 def stroquool_bounds(inputs: BoundInputs, params: SmoothnessParams):
@@ -214,7 +208,8 @@ def stroquool_bounds(inputs: BoundInputs, params: SmoothnessParams):
 
     Returns {"regime", "bound", "h_tilde", "corollary", "n_readable",
     "M", "L"}; "corollary" is the readable form (None when its n~ <= e or,
-    in the low regime, when d = 0).
+    in the low regime, when d = 0); a high-regime "n_readable" past the
+    float64 range is inf.
     """
     n, b, delta = inputs.n, inputs.b, inputs.delta
     nu, rho, C, d = params.nu, params.rho, params.C, params.d
@@ -225,20 +220,23 @@ def stroquool_bounds(inputs: BoundInputs, params: SmoothnessParams):
         regime, h_tilde = "low", math.inf
     else:
         h_tilde = _h_tilde_exact(stroquool_h_max(n), nu, rho, C, d, b, L)
-        regime = "high" if b >= nu * rho ** h_tilde / math.sqrt(L) else "low"
+        # b >= nu rho^h_tilde / sqrt(L) in logs, as rho^h_tilde can underflow
+        log_threshold = math.log(nu) + h_tilde * math.log(rho) - 0.5 * math.log(L)
+        regime = "high" if math.log(b) >= log_threshold else "low"
 
     if regime == "high":
         if M < 1:
             raise ValueError(
                 f"n={n} too small for the high-noise bound: "
                 f"floor(n / (2 (log2 n + 1)^2)) = 0")
-        n_bar = M * (d + 2.0) * math.log(1.0 / rho) * nu * nu / (4.0 * C * b * b * L)
-        bound = (nu * rho ** (lambert_w(n_bar) / ((d + 2.0) * math.log(1.0 / rho)))
+        log_n_bar = _log_n_bar(M, nu, rho, C, d, b, L)
+        bound = (nu * math.exp(-_w_exp(log_n_bar) / (d + 2.0))
                  + 2.0 * b * math.sqrt(L / M))
         corollary = None
-        if n_bar > math.e:
-            corollary = (nu * (math.log(n_bar) / n_bar) ** (1.0 / (d + 2.0))
+        if log_n_bar > 1.0:
+            corollary = (nu * math.exp((math.log(log_n_bar) - log_n_bar) / (d + 2.0))
                          + 2.0 * b * math.sqrt(18.0 * L / (2.0 * M)))
+        n_bar = math.exp(log_n_bar) if log_n_bar <= _LOG_DBL_MAX else math.inf
         return {"regime": regime, "bound": bound, "h_tilde": h_tilde,
                 "corollary": corollary, "n_readable": n_bar, "M": M, "L": L}
 
@@ -266,11 +264,10 @@ def h_tilde_asymptotic(inputs: BoundInputs, params: SmoothnessParams):
         return math.inf
     nu, rho, C, d = params.nu, params.rho, params.C, params.d
     L = math.log(2.0 * n * n / delta)
-    n_bar = (nu * nu * stroquool_h_max(n) * (d + 2.0) * math.log(1.0 / rho)
-             / (4.0 * C * b * b * L))
-    if n_bar <= math.e:
+    log_n_bar = _log_n_bar(stroquool_h_max(n), nu, rho, C, d, b, L)
+    if log_n_bar <= 1.0:
         return None
-    return math.log(n_bar / math.log(n_bar)) / ((d + 2.0) * math.log(1.0 / rho))
+    return (log_n_bar - math.log(log_n_bar)) / ((d + 2.0) * math.log(1.0 / rho))
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,15 @@ def test_cli_names_a_failing_task(capsys):
     assert "StroquOOL needs n >= 8" in capsys.readouterr().err
 
 
+def test_cli_rejects_jobs_below_one(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert main(["--algo", "uniform", "--objective", "garland",
+                 "--budget", "10", "--seeds", "1", "--jobs", "0",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+    assert not out.exists()
+
+
 def test_cli_raises_a_runner_fault(monkeypatch):
     # an exception that is no rejected input keeps its traceback
     def faulty(algo, obj, noise, cfg):

@@ -4,11 +4,12 @@ import math
 
 import pytest
 
+from zipftree import harness
 from zipftree.harness import (AlgoSpec, ExperimentSpec, RegretRecord,
                               TaskError, derive_seed, emit_bound_overlay,
                               parse_algo, read_records, run_experiment,
                               summarize, write_records)
-from zipftree.theory import SmoothnessParams
+from zipftree.theory import BoundInputs, SmoothnessParams, stroquool_bounds
 
 
 def small_spec(**overrides):
@@ -118,6 +119,36 @@ def test_run_experiment_parallel_matches_serial():
     parallel = run_experiment(small_spec(algorithms=["stroquool", "uniform"],
                                          noise_b=[0.0, 0.4]), jobs=3)
     assert [record_key(r) for r in parallel] == [record_key(r) for r in serial]
+
+
+def test_run_experiment_caps_the_pool_at_the_task_count(monkeypatch):
+    # a process pool forks every worker it is given on the first submit;
+    # the stand-in records the size asked for and maps in-process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    serial = [record_key(r) for r in run_experiment(small_spec())]
+    assert [record_key(r) for r in run_experiment(small_spec(), jobs=64)] == serial
+    assert sizes == [len(serial)]
+    run_experiment(small_spec(algorithms=["sequool"], budgets=[50], seeds=1),
+                   jobs=4)
+    assert sizes == [len(serial)]  # one task runs in-process, with no pool
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_experiment(small_spec(), jobs=jobs)
 
 
 def test_run_experiment_subgrid_consistency():
@@ -282,3 +313,18 @@ def test_emit_bound_overlay(tmp_path):
     assert table[0] == ["n", "sequool", "stroquool_b=0", "stroquool_b=1"]
     assert table[1][3] == ""
     assert float(table[2][3]) == rows[1]["stroquool_b=1"]
+
+
+def test_emit_bound_overlay_fills_tiny_noise_cells():
+    # a cell stays blank only where n is too small for the high-noise bound;
+    # b = 1e-160 is a valid noise level at every budget
+    spec = small_spec(budgets=[100, 10**5], noise_b=[1e-160, 1.0])
+    params = SmoothnessParams(nu=1.0, rho=0.5, C=2.0)
+    rows = emit_bound_overlay(spec, params)
+    for row in rows:
+        assert row["stroquool_b=1e-160"] == stroquool_bounds(
+            BoundInputs(row["n"], 1e-160, spec.delta), params)["bound"] > 0.0
+    assert rows[0]["stroquool_b=1"] is None
+    with pytest.raises(ValueError, match="n=100 too small for the high-noise"):
+        stroquool_bounds(BoundInputs(100, 1.0, spec.delta), params)
+    assert rows[1]["stroquool_b=1"] > 0.0

@@ -7,7 +7,8 @@ import sys
 from pathlib import Path
 
 import zipftree
-from zipftree.theory import BoundInputs, SmoothnessParams, stroquool_bounds
+from zipftree.theory import (BoundInputs, SmoothnessParams, h_tilde_asymptotic,
+                             stroquool_bounds)
 
 PACKAGE = Path(zipftree.__file__).resolve().parent
 
@@ -25,25 +26,55 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-_IMPORT_SCRIPT = """
+def test_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency; scipy is a test dependency only
+    modules = sorted(PACKAGE.rglob("*.py"))
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] != "numpy"
+                      and name.split(".")[0] not in sys.stdlib_module_names]
+    assert found == []
+
+
+_SCIPY_BLOCKED_SCRIPT = """
 import sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
 import zipftree, zipftree.cli
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-from zipftree.theory import BoundInputs, SmoothnessParams, stroquool_bounds
-print(repr(stroquool_bounds(BoundInputs(1000, 0.1), SmoothnessParams(1, 0.5, 1))["h_tilde"]))
+from zipftree.harness import ExperimentSpec, emit_bound_overlay
+from zipftree.theory import (BoundInputs, SmoothnessParams, h_tilde_asymptotic,
+                             stroquool_bounds)
+params = SmoothnessParams(1.0, 0.5, 2.0)
+out = stroquool_bounds(BoundInputs(10**4, 0.1), params)
+print(out["regime"], repr(out["h_tilde"]), repr(out["bound"]))
+print(repr(h_tilde_asymptotic(BoundInputs(10**4, 0.1), params)))
+spec = ExperimentSpec(algorithms=["stroquool"], objective="garland",
+                      budgets=[10**4], noise_b=[0.1])
+print(repr(emit_bound_overlay(spec, params)[0]["stroquool_b=0.1"]))
 """
 
 
 def test_import_does_not_load_scipy():
-    # scipy costs about 0.6 s of start-up and is used only by the b > 0
-    # branch of stroquool_bounds, which imports it on first use
+    # the package and the b > 0 bounds run with every scipy import blocked
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT],
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED_SCRIPT],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    h_tilde = stroquool_bounds(BoundInputs(1000, 0.1),
-                               SmoothnessParams(1, 0.5, 1))["h_tilde"]
-    assert 0.0 < h_tilde < float("inf")
-    assert proc.stdout.splitlines() == ["[]", repr(h_tilde)]
+    params = SmoothnessParams(1.0, 0.5, 2.0)
+    out = stroquool_bounds(BoundInputs(10**4, 0.1), params)
+    assert out["regime"] == "high"
+    assert 0.0 < out["h_tilde"] < float("inf")
+    approx = h_tilde_asymptotic(BoundInputs(10**4, 0.1), params)
+    assert proc.stdout.splitlines() == [
+        f"high {out['h_tilde']!r} {out['bound']!r}", repr(approx),
+        repr(out["bound"])]
