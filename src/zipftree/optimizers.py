@@ -4,11 +4,13 @@ All five optimizers consume a budget of n openings and return the point
 x(n) they recommend:
 
   sequool_run   -- deterministic feedback; harmonic depth budgets
-                   (depth h gets floor(h_max / h) openings, h_max = floor(n / H(n)))
+                   (depth h = 1 .. h_max gets floor(h_max / h) openings,
+                   h_max = floor(n / H(n)))
   stroquool_run -- noisy feedback; doubling evaluation counts within the
                    harmonic schedule and a cross-validation phase
-  soo_run       -- sweep baseline: best cell per depth whose value matches
-                   the best opened so far in the sweep
+  soo_run       -- sweep baseline: best cell per depth, down to depth
+                   sqrt(t) after t openings, whose value matches the best
+                   opened so far in the sweep
   doo_run       -- optimistic baseline that knows the smoothness (nu, rho)
   uniform_run   -- breadth-first openings in cell-id order
 
@@ -18,6 +20,9 @@ evaluations per child -- over one shared driver, _Run, which opens plain
 evaluation stream, the optional event trace, the running best, the counts
 of openings, budget units and depth, and the RunResult.  SequOOL, StroquOOL
 and uniform open a whole depth at a time from lists kept in index order.
+No schedule has a tuning option: a run reads the budget n, the branching
+K and the trace switch from RunConfig, and DOO also takes the smoothness
+(nu, rho) it assumes.
 
 Budgets are counted in openings; StroquOOL charges an opening performed with
 m evaluations per child as m budget units (see RunResult.budget_units_used).
@@ -43,23 +48,18 @@ __all__ = [
 
 @dataclass
 class RunConfig:
-    """Shared optimizer knobs.
+    """What every optimizer run takes.
 
-    budget_n            -- opening budget n (>= 1)
-    seed                -- informational; the harness derives noise seeds from it
-    branching           -- K children per opening
-    rescale_depth_budget -- stretch SequOOL's depth budget to the largest real
-                           H >= h_max whose quota sum still fits the budget
-    cap_quota_by_cells  -- cap depth-h quotas at K^h (there are only K^h cells);
-                           with the rescale option the freed budget deepens H
-    record_trace        -- keep an event log on the RunResult
+    budget_n     -- opening budget n (>= 1)
+    seed         -- the run's seed, recorded by callers; the optimizers do
+                    not read it (noise draws are seeded by NoiseModel)
+    branching    -- K children per opening
+    record_trace -- keep an event log on the RunResult
     """
 
     budget_n: int
     seed: int = 0
     branching: int = 3
-    rescale_depth_budget: bool = False
-    cap_quota_by_cells: bool = False
     record_trace: bool = False
 
     def __post_init__(self):
@@ -97,7 +97,6 @@ class _Run:
             raise ValueError(f"point {self.root[2]!r} outside domain of "
                              f"{obj.name}")
         self.K = tree.branching
-        self.axis_rule = tree.split_axis_rule
         self.stream = EvaluationStream(obj, noise)
         self.observe = self.stream.observe_sum
         self.trace = [] if cfg.record_trace else None
@@ -122,7 +121,7 @@ class _Run:
         out = []
         best = self.best_value
         key = base
-        for child in split_cell(cell, depth, self.K, self.axis_rule):
+        for child in split_cell(cell, depth, self.K):
             total = observe(child[2], evals)
             out.append((total, child))
             mean = total / evals
@@ -164,73 +163,31 @@ class _Run:
 # SequOOL
 # ---------------------------------------------------------------------------
 
-def _depth_quotas(H, K, cap):
-    """The quotas floor(H / h) of depths h = 1 .. floor(H), each capped at
-    the K ** h cells of its depth when `cap` is set."""
-    # cells is K ** h while the cap binds; quotas only fall, so once one
-    # fits under it no later one reaches K ** h and it stops growing
-    cells = K
-    for h in range(1, int(H) + 1):
-        q = int(H // h)
-        if cap and cells < q:
-            q = cells
-            cells *= K
-        yield q
-
-
-def _depth_budget_cost(H, K, cap):
-    """1 (root) + the sum of the depth quotas."""
-    return 1 + sum(_depth_quotas(H, K, cap))
-
-
-def _rescaled_depth_budget(n, h_max, K, cap):
-    """Largest real H >= h_max with 1 + sum_h quota(H, h) <= n + 1.
-
-    The cost is a nondecreasing step function of H, so 100 bisection steps
-    on [h_max, n + 1] pin the maximal feasible value.
-    """
-    lo, hi = float(h_max), float(n + 1)
-    if _depth_budget_cost(hi, K, cap) <= n + 1:
-        return hi
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if _depth_budget_cost(mid, K, cap) <= n + 1:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
     """Harmonic depth-budget search under deterministic feedback.
 
-    Opens the root, then for h = 1, 2, ... opens the floor(H / h) best
-    depth-h cells by value (all of them if fewer exist), where H = h_max =
-    floor(n / H(n)) by default.  The recommendation is the best evaluated
+    Opens the root, then for h = 1 .. h_max opens the floor(h_max / h) best
+    depth-h cells by value (all of them if fewer exist), where h_max =
+    floor(n / H(n)).  The recommendation is the best evaluated
     representative.  Total openings obey 1 + sum_h floor(h_max/h) <= n + 1.
     """
     n = cfg.budget_n
-    K = cfg.branching
     run = _Run(obj, None, cfg)
-
     h_max = int(n // harmonic(n))
-    H = float(h_max)
-    if cfg.rescale_depth_budget:
-        H = _rescaled_depth_budget(n, h_max, K, cfg.cap_quota_by_cells)
 
     # the depth-h cells in index order as (value, cell) pairs -- each child
     # holds one evaluation, so its sum is its value -- and, with a trace,
     # their CellId indices
     level = run.open(run.root, 0, 0, index=0)
-    index = list(range(K)) if run.trace is not None else None
+    index = list(range(run.K)) if run.trace is not None else None
 
-    for h, q in enumerate(_depth_quotas(H, K, cfg.cap_quota_by_cells), 1):
-        # the q best cells open in order of value, ties to the lowest
-        # position (the sort is stable) and NaN last
+    for h in range(1, h_max + 1):
+        # the h_max // h best cells open in order of value, ties to the
+        # lowest position (the sort is stable) and NaN last
         values = [v if v == v else -math.inf for v, _ in level]
         best = sorted(range(len(level)), key=values.__getitem__, reverse=True)
         level, _, index = run.open_level(level, index, h,
-                                         dict.fromkeys(best[:q], 1))
+                                         dict.fromkeys(best[:h_max // h], 1))
 
     if run.openings > n + 1:
         raise RuntimeError("harmonic budget identity violated")
@@ -332,17 +289,16 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
 # SOO baseline
 # ---------------------------------------------------------------------------
 
-def soo_run(obj: Objective, cfg: RunConfig, depth_limit_fn=None) -> RunResult:
+def soo_run(obj: Objective, cfg: RunConfig) -> RunResult:
     """Depth-sweep baseline under deterministic feedback.
 
-    Repeatedly sweeps depths 0 .. min(deepest materialized, limit(t)); at
-    each depth it opens the best unopened cell if its value is >= every
-    value opened earlier in the sweep.  limit defaults to sqrt(t) with t the
-    openings so far.  The budget can go unspent if the depth limit pins the
-    frontier (the sweep then opens nothing and the run stops).
+    Repeatedly sweeps depths 0 .. min(deepest materialized, floor(sqrt(t)))
+    with t the openings so far; at each depth it opens the best unopened
+    cell if its value is >= every value opened earlier in the sweep.  The
+    budget can go unspent if the depth limit pins the frontier (the sweep
+    then opens nothing and the run stops).
     """
     n = cfg.budget_n
-    limit = depth_limit_fn or math.sqrt
     run = _Run(obj, None, cfg)
 
     # depth -> heap of (-value, index, cell) of unopened leaves; the root has
@@ -354,7 +310,7 @@ def soo_run(obj: Objective, cfg: RunConfig, depth_limit_fn=None) -> RunResult:
         progressed = False
         vmax = -math.inf
         h = 0
-        while run.units < n and h <= min(run.deepest, int(limit(run.units))):
+        while run.units < n and h <= min(run.deepest, int(math.sqrt(run.units))):
             heap = heaps.get(h)
             if heap and -heap[0][0] >= vmax:
                 negv, index, cell = heapq.heappop(heap)

@@ -2,7 +2,7 @@
 bookkeeping shared by every optimizer.
 
 A cell is "opened" by splitting it into K equal-width children along one axis
-(the axis cycles with depth by default) and evaluating each child's
+(axis depth % dim, so the axis cycles with depth) and evaluating each child's
 representative point a requested number of times.  Budgets are counted in
 openings; the tree keeps a ledger of how many cells have been opened.
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 
 class CellId(NamedTuple):
@@ -134,13 +134,13 @@ class Cell:
                 f"opened={self.opened})")
 
 
-def split_cell(cell, depth, K, split_axis_rule):
+def split_cell(cell, depth, K):
     """The K children of `cell`, a (lower, upper, centre) tuple of float
-    tuples at `depth`, in index order, cut along split_axis_rule(depth, dim).
+    tuples at `depth`, in index order, cut along axis depth % dim.
 
-    Edge j is lo + j*w/K, as in cell_containing (a -0.0 bound gives a +0.0
-    first edge); the last edge snaps to hi.  A child's centre is the parent's
-    with the split coordinate set to 0.5*(a+b), which equals Box.center.
+    Edge j is lo + j*w/K (a -0.0 bound gives a +0.0 first edge); the last
+    edge snaps to hi.  A child's centre is the parent's with the split
+    coordinate set to 0.5*(a+b), which equals Box.center.
 
     Raises ValueError unless the first and the last child's centre lie in
     the parent's [lo, hi] on the split axis (a NaN fails).  The centres are
@@ -159,7 +159,7 @@ def split_cell(cell, depth, K, split_axis_rule):
     and a centre off its bounds.
     """
     lower, upper, centre = cell
-    axis = split_axis_rule(depth, len(lower))
+    axis = depth % len(lower)
     lo = lower[axis]
     hi = upper[axis]
     w = hi - lo
@@ -204,18 +204,16 @@ class PartitionTree:
 
     `cells` holds the root plus every child of an opened cell.  All mutation
     goes through open_cell / add_evaluations, so a tree's state is a
-    deterministic function of (domain, K, split rule, evaluator stream,
-    call sequence).  Single-writer; run one optimizer per tree.
+    deterministic function of (domain, K, evaluator stream, call sequence).
+    A depth-h cell splits along axis h % dim.  Single-writer; run one
+    optimizer per tree.
     """
 
-    def __init__(self, domain: Box, branching: int = 3,
-                 split_axis_rule: Callable[[int, int], int] | None = None):
+    def __init__(self, domain: Box, branching: int = 3):
         if branching < 2:
             raise ValueError("branching must be at least 2")
         self.domain = domain
         self.branching = int(branching)
-        # default: cycle the split axis with depth
-        self.split_axis_rule = split_axis_rule or (lambda depth, dim: depth % dim)
         root = Cell(CellId(0, 0), domain.lower, domain.upper, domain.center)
         self.root = root
         self.cells = {root.id: root}
@@ -233,7 +231,7 @@ class PartitionTree:
         depth, index = parent.id
         base = index * self.branching
         cells = split_cell((parent.lower, parent.upper, parent.representative),
-                           depth, self.branching, self.split_axis_rule)
+                           depth, self.branching)
         return [Cell(CellId(depth + 1, base + j), *cell)
                 for j, cell in enumerate(cells)]
 
@@ -283,37 +281,31 @@ class PartitionTree:
 
         Slabs are closed-left/open-right (the last slab is closed) so
         membership is a total function on the domain; works for any depth,
-        materialized or not.
+        materialized or not.  The descent splits with split_cell, so it
+        raises where opening would.
         """
         if not self.domain.contains(point):
             raise ValueError(f"point {point!r} outside the domain")
         K = self.branching
-        lower = list(self.domain.lower)
-        upper = list(self.domain.upper)
+        root = self.root
+        cell = (root.lower, root.upper, root.representative)
         index = 0
         for h in range(depth):
-            axis = self.split_axis_rule(h, len(lower))
-            lo, hi, x = lower[axis], upper[axis], point[axis]
-            w = hi - lo
-            if w > 0.0:
-                j = min(K - 1, int((x - lo) / w * K))
-            else:
-                j = 0
-            # settle boundary cases against the exact child-edge formula
-            while j > 0 and x < lo + j * w / K:
+            axis = h % len(point)
+            children = split_cell(cell, h, K)
+            # the last child whose lower edge is at or below the point
+            j = K - 1
+            while j > 0 and point[axis] < children[j][0][axis]:
                 j -= 1
-            while j < K - 1 and x >= lo + (j + 1) * w / K:
-                j += 1
-            lower[axis] = lo + j * w / K
-            upper[axis] = hi if j == K - 1 else lo + (j + 1) * w / K
+            cell = children[j]
             index = index * K + j
         return CellId(depth, index)
 
 
-def make_tree(domain: Box, branching: int = 3, split_axis_rule=None) -> PartitionTree:
+def make_tree(domain: Box, branching: int = 3) -> PartitionTree:
     """Fresh tree over `domain`: a single unopened root whose representative
     is the domain center."""
     if not isinstance(domain, Box):
         domain = Box(*domain)
-    return PartitionTree(domain, branching, split_axis_rule)
+    return PartitionTree(domain, branching)
 

@@ -300,8 +300,8 @@ def count_near_optimal(obj, branching, h, epsilon, points_per_axis=100):
     The sup over each cell is estimated on an inclusive grid with
     `points_per_axis` points per axis (>= 100 by default), so it is a lower
     bound on the true sup and the count can only undercount -- a diagnostic
-    profile, not a certificate.  Cells follow the default axis-cycling
-    split rule; requires branching^h <= 1e6 and a known optimum_value.
+    profile, not a certificate.  Cells follow the axis-cycling split
+    rule; requires branching^h <= 1e6 and a known optimum_value.
     """
     if branching < 2:
         raise ValueError("branching must be at least 2")

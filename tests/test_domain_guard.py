@@ -97,14 +97,18 @@ def test_split_rejects_centres_outside_the_parent():
     # the width overflows to inf, so the first edge is 0 * inf = NaN
     huge = (-1e308,), (1e308,), (0.0,)
     with pytest.raises(ValueError, match="outside the cell"):
-        split_cell(huge, 0, 3, lambda depth, dim: 0)
+        split_cell(huge, 0, 3)
     # a + b overflows in the last child's centre but not in the first
     high = (0.5e308,), (1.7e308,), (1.1e308,)
     with pytest.raises(ValueError, match="outside the cell"):
-        split_cell(high, 0, 7, lambda depth, dim: 0)
-    # the tree's split goes through the same check
-    with pytest.raises(ValueError, match="outside the cell"):
-        make_tree(Box([0.0], [math.inf])).children_of((0, 0))
+        split_cell(high, 0, 7)
+    # the tree's split and its point lookup go through the same check
+    for lower, upper, point in [(0.0, math.inf, 1.0), (-1e308, 1e308, 0.0)]:
+        tree = make_tree(Box([lower], [upper]))
+        with pytest.raises(ValueError, match="outside the cell"):
+            tree.children_of((0, 0))
+        with pytest.raises(ValueError, match="outside the cell"):
+            tree.cell_containing((point,), 1)
 
 
 def test_package_does_not_import_hypothesis():

@@ -10,8 +10,7 @@ Any change to a schedule, a tie-break or the bookkeeping shows up here.
 
 A second grid (FROZEN_EXTRA) covers what the first does not: 2-D and 3-D
 objectives without a vector_fn (one of them piecewise constant, so ties
-decide most openings), branchings K = 2 and K = 4, SequOOL's
-rescale_depth_budget and cap_quota_by_cells options, and truncated-gaussian
+decide most openings), branchings K = 2 and K = 4, and truncated-gaussian
 noise for StroquOOL and uniform.
 """
 
@@ -445,22 +444,17 @@ def _truncated_gaussian(b):
     return NoiseModel(b, "truncated-gaussian", seed=NOISE_SEED)
 
 
-# name -> (extra RunConfig fields, runner)
 EXTRA_RUNNERS = {
-    "sequool": ({}, RUNNERS["sequool"]),
-    "sequool:rescale": ({"rescale_depth_budget": True}, RUNNERS["sequool"]),
-    "sequool:cap": ({"cap_quota_by_cells": True}, RUNNERS["sequool"]),
-    "sequool:rescale+cap": ({"rescale_depth_budget": True,
-                             "cap_quota_by_cells": True}, RUNNERS["sequool"]),
-    "soo": ({}, RUNNERS["soo"]),
-    "doo(1,0.6)": ({}, RUNNERS["doo(1,0.6)"]),
-    "uniform": ({}, RUNNERS["uniform"]),
-    "uniform:tg=0.5": ({}, lambda obj, cfg: uniform_run(
-        obj, _truncated_gaussian(0.5), cfg)),
-    "stroquool": ({}, RUNNERS["stroquool"]),
-    "stroquool:b=0.5": ({}, RUNNERS["stroquool:b=0.5"]),
-    "stroquool:tg=0.5": ({}, lambda obj, cfg: stroquool_run(
-        obj, _truncated_gaussian(0.5), cfg)),
+    "sequool": RUNNERS["sequool"],
+    "soo": RUNNERS["soo"],
+    "doo(1,0.6)": RUNNERS["doo(1,0.6)"],
+    "uniform": RUNNERS["uniform"],
+    "uniform:tg=0.5": lambda obj, cfg: uniform_run(
+        obj, _truncated_gaussian(0.5), cfg),
+    "stroquool": RUNNERS["stroquool"],
+    "stroquool:b=0.5": RUNNERS["stroquool:b=0.5"],
+    "stroquool:tg=0.5": lambda obj, cfg: stroquool_run(
+        obj, _truncated_gaussian(0.5), cfg),
 }
 
 # (objective, K, algorithm, n) -> digest, over the objective/K settings
@@ -475,30 +469,6 @@ FROZEN_EXTRA = {
         661, 1322, 191, 661, '(0.5235987755982989,)',
         '0.9977723791254037',
         '9c9668722c244e4d757e4eaf0f1a6e53017419ac91d8d943160e9e5446158fe6'),
-    ('garland', 2, 'sequool:rescale', 20): (
-        15, 30, 9, 15, '(0.576171875,)',
-        '0.9491711464790208',
-        '6aa2ca309ad0118059393f94d06afca7d3ae5a899d7f323b2b5ee2780e472b01'),
-    ('garland', 2, 'sequool:rescale', 1500): (
-        966, 1932, 262, 966, '(0.5235987755982989,)',
-        '0.9977723791254037',
-        '30d8d79e0aafb9b113683f9fe9ef7a3bafcb5562829677ba9c44643788175272'),
-    ('garland', 2, 'sequool:cap', 20): (
-        8, 16, 6, 8, '(0.3671875,)',
-        '0.8829185463454374',
-        'dd2e454ec4746b0daac5aaddf7a6088e9e6cdc1ddac9b0ba9be19790f9d68c9a'),
-    ('garland', 2, 'sequool:cap', 1500): (
-        661, 1322, 191, 661, '(0.5235987755982989,)',
-        '0.9977723791254037',
-        '9c9668722c244e4d757e4eaf0f1a6e53017419ac91d8d943160e9e5446158fe6'),
-    ('garland', 2, 'sequool:rescale+cap', 20): (
-        20, 40, 12, 20, '(0.5235595703125,)',
-        '0.9856815395768833',
-        'a092919c63977899791c6ea60a37248cd0f475054b510f8a189ab32ba43af1ef'),
-    ('garland', 2, 'sequool:rescale+cap', 1500): (
-        1499, 2998, 378, 1499, '(0.5235987755982989,)',
-        '0.9977723791254037',
-        '0cc24606fb5dec667ecc3ed8203e9a6076c5fb510cab2c2744a610972eefc1ba'),
     ('garland', 2, 'soo', 20): (
         3, 6, 2, 3, '(0.625,)',
         '0.8332627102343574',
@@ -563,30 +533,6 @@ FROZEN_EXTRA = {
         767, 3068, 191, 767, '(0.5235987755982989,)',
         '0.9977723791254037',
         'f97720ecee990f03fa0450736e1212f05e109c1beafcee7302c855f437beac7f'),
-    ('garland', 4, 'sequool:rescale', 20): (
-        17, 68, 9, 17, '(0.4712390899658203,)',
-        '0.9958456796707651',
-        '680d30627dc8ee2df679334c7668de8369b9b2a5e570a4fba814f598e87fe5e0'),
-    ('garland', 4, 'sequool:rescale', 1500): (
-        1105, 4420, 262, 1105, '(0.5235987755982989,)',
-        '0.9977723791254037',
-        'f1cc4c4febc5292ce132adc445d9061a73a99f95bd1cfec2983c50d2ad9dd8e2'),
-    ('garland', 4, 'sequool:cap', 20): (
-        10, 40, 6, 10, '(0.5235595703125,)',
-        '0.9856815395768833',
-        'd850312c5237274084f012802430fc12513f5fac6a36ecc0a57c16aadc515fb4'),
-    ('garland', 4, 'sequool:cap', 1500): (
-        767, 3068, 191, 767, '(0.5235987755982989,)',
-        '0.9977723791254037',
-        'f97720ecee990f03fa0450736e1212f05e109c1beafcee7302c855f437beac7f'),
-    ('garland', 4, 'sequool:rescale+cap', 20): (
-        19, 76, 10, 19, '(0.4712390899658203,)',
-        '0.9958456796707651',
-        '9679ebda4c5eca9f716fb2eb5ba7524433b3db5ae491d7be5803b2dbe755a11c'),
-    ('garland', 4, 'sequool:rescale+cap', 1500): (
-        1492, 5968, 340, 1492, '(0.5235987755982989,)',
-        '0.9977723791254037',
-        '5806925ad8bc85513278df6652f78053a0ec4151ea7beb52fb21a3504812904d'),
     ('garland', 4, 'soo', 20): (
         20, 80, 5, 20, '(0.47119140625,)',
         '0.9833793771386087',
@@ -651,30 +597,6 @@ FROZEN_EXTRA = {
         723, 2169, 191, 723, '(0.145223209486304, 0.6076702970232111)',
         '0.02041501152570942',
         '7db5ee5c4857628b276f4e604bf6bca39dddda2e0d50f92b3daf2146fd551061'),
-    ('bowl-2d', 3, 'sequool:rescale', 20): (
-        16, 48, 9, 16, '(0.14609053497942387, 0.6111111111111112)',
-        '0.020364699154409454',
-        '941e8535b5957a2483c2910555a81125d04f5a730384d2873c5871e5c16a627e'),
-    ('bowl-2d', 3, 'sequool:rescale', 1500): (
-        1060, 3180, 262, 1060, '(0.145223209486304, 0.6076702970232111)',
-        '0.02041501152570942',
-        '596025e42e80af10cd2e6f5cf14be24ff41c62e829608880e6ee050c3304ec12'),
-    ('bowl-2d', 3, 'sequool:cap', 20): (
-        9, 27, 6, 9, '(0.12962962962962962, 0.6111111111111112)',
-        '0.019167391590462025',
-        '8d9dbad888b8d9d8c6057223cdc69067c4c111588cfe8d91e165661d31411a68'),
-    ('bowl-2d', 3, 'sequool:cap', 1500): (
-        723, 2169, 191, 723, '(0.145223209486304, 0.6076702970232111)',
-        '0.02041501152570942',
-        '7db5ee5c4857628b276f4e604bf6bca39dddda2e0d50f92b3daf2146fd551061'),
-    ('bowl-2d', 3, 'sequool:rescale+cap', 20): (
-        21, 63, 11, 21, '(0.144718792866941, 0.6069958847736625)',
-        '0.02041127999578106',
-        '7bf3b2cb95cb90969e435dc315e8e8c853cf881c5bdd47f7d5188520601782f2'),
-    ('bowl-2d', 3, 'sequool:rescale+cap', 1500): (
-        1501, 4503, 351, 1501, '(0.145223209486304, 0.6076702970232111)',
-        '0.02041501152570942',
-        '118d234957dd6107b61657f6063dceb42dcfdb6ebdd693c599829db47f97d79b'),
     ('bowl-2d', 3, 'soo', 20): (
         20, 60, 5, 20, '(0.12962962962962962, 0.6111111111111112)',
         '0.019167391590462025',
@@ -739,30 +661,6 @@ FROZEN_EXTRA = {
         661, 1322, 191, 661, '(0.5, 0.5)',
         '0.0',
         '4483bfd21f18e7bc38722b3360c969ec60aba72310af9987cfd5c96507cc5cc3'),
-    ('steps-2d', 2, 'sequool:rescale', 20): (
-        15, 30, 9, 15, '(0.5, 0.5)',
-        '0.0',
-        'f8e3b63c418ed291203dca1da4273a6c39945eb5d98f544ca4df125af6c761e0'),
-    ('steps-2d', 2, 'sequool:rescale', 1500): (
-        966, 1932, 262, 966, '(0.5, 0.5)',
-        '0.0',
-        '49ac77f9c62d9b0e1ff0fcebce4c7b9062048c08cf2ce2cbea69532a08aa03f4'),
-    ('steps-2d', 2, 'sequool:cap', 20): (
-        8, 16, 6, 8, '(0.5, 0.5)',
-        '0.0',
-        'c9c282dd924e71b87adac1f1288797e82e037c3d60ca1ab33fbf76a31ed2ced1'),
-    ('steps-2d', 2, 'sequool:cap', 1500): (
-        661, 1322, 191, 661, '(0.5, 0.5)',
-        '0.0',
-        '4483bfd21f18e7bc38722b3360c969ec60aba72310af9987cfd5c96507cc5cc3'),
-    ('steps-2d', 2, 'sequool:rescale+cap', 20): (
-        20, 40, 12, 20, '(0.5, 0.5)',
-        '0.0',
-        'cdb2482a5bb6f9371cb64f7fcb5627f5fb632bb7b51dd2fec441f75a01cef611'),
-    ('steps-2d', 2, 'sequool:rescale+cap', 1500): (
-        1499, 2998, 378, 1499, '(0.5, 0.5)',
-        '0.0',
-        '90874f36e5de830995cf7860ccb5a920693d2905e115780547fb90204cfab4b2'),
     ('steps-2d', 2, 'soo', 20): (
         3, 6, 2, 3, '(0.5, 0.5)',
         '0.0',
@@ -827,30 +725,6 @@ FROZEN_EXTRA = {
         767, 3068, 191, 767, '(0.7, 0.24999999473220672, 2.09439509967342)',
         '1.0',
         'f47d959c7d45fcb8d3846d95498975825ff999e249d4053fb20729d05c4f5c8d'),
-    ('ridge-3d', 4, 'sequool:rescale', 20): (
-        17, 68, 9, 17, '(0.7109375, 0.2421875, 2.08203125)',
-        '0.9882526167427363',
-        '5c16840ac57bfd79ad997cf5e8f10ff80f32b3be5e5f89e951d334bdc4dded36'),
-    ('ridge-3d', 4, 'sequool:rescale', 1500): (
-        1105, 4420, 262, 1105, '(0.7, 0.24999999473220672, 2.09439509967342)',
-        '1.0',
-        'ab386ab0369680942405b8137e0bdd3b864b7d426bdb89d1fa1b4c4bf51500d0'),
-    ('ridge-3d', 4, 'sequool:cap', 20): (
-        10, 40, 6, 10, '(0.78125, 0.21875, 2.0625)',
-        '0.9122225276975189',
-        'ae9e66747540bfaddcd7b7ee62f2791f7b772df36796707aab2198bda60731fc'),
-    ('ridge-3d', 4, 'sequool:cap', 1500): (
-        767, 3068, 191, 767, '(0.7, 0.24999999473220672, 2.09439509967342)',
-        '1.0',
-        'f47d959c7d45fcb8d3846d95498975825ff999e249d4053fb20729d05c4f5c8d'),
-    ('ridge-3d', 4, 'sequool:rescale+cap', 20): (
-        19, 76, 10, 19, '(0.705078125, 0.2421875, 2.08203125)',
-        '0.9941119917427363',
-        'd6017970005b2ad3d67399da01de10064ab377fb4460d3274ec15ba1351faf96'),
-    ('ridge-3d', 4, 'sequool:rescale+cap', 1500): (
-        1492, 5968, 340, 1492, '(0.7, 0.24999999473220672, 2.09439509967342)',
-        '1.0',
-        'eae49900fb31f59939c3469e6c33658fc99251c570903bd3822a0f23a55b6531'),
     ('ridge-3d', 4, 'soo', 20): (
         20, 80, 5, 20, '(0.78125, 0.21875, 2.0625)',
         '0.9122225276975189',
@@ -913,7 +787,7 @@ FROZEN_EXTRA = {
 
 @pytest.mark.parametrize("objective,K,algo,n", list(FROZEN_EXTRA))
 def test_frozen_result_extra(objective, K, algo, n):
-    fields, runner = EXTRA_RUNNERS[algo]
+    runner = EXTRA_RUNNERS[algo]
     obj = CUSTOM[objective]() if objective in CUSTOM else get_objective(objective)
-    cfg = RunConfig(budget_n=n, branching=K, record_trace=True, **fields)
+    cfg = RunConfig(budget_n=n, branching=K, record_trace=True)
     assert digest(runner(obj, cfg)) == FROZEN_EXTRA[(objective, K, algo, n)]

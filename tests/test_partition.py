@@ -171,14 +171,6 @@ def test_axis_cycling_in_two_dims():
     assert bottom.id == CellId(2, 0)
 
 
-def test_split_axis_rule_override():
-    tree = make_tree(Box([0.0, 0.0], [1.0, 1.0]), branching=2,
-                     split_axis_rule=lambda depth, dim: 1)
-    out = tree.open_cell(CellId(0, 0), 1, lambda p: 0.0)
-    kid = tree.cell(out[0][0])
-    assert kid.box.widths == (1.0, 0.5)  # always axis 1
-
-
 def test_child_index_arithmetic_deep():
     tree = make_tree(Box([0.0], [1.0]), branching=4)
     cell = tree.root
@@ -234,7 +226,7 @@ def _check_geometry(tree, opened):
         depth, index = parent.id
         kids = [tree.cell(CellId(depth + 1, index * K + j)) for j in range(K)]
         assert kids == tree.children_of(parent.id)
-        axis = tree.split_axis_rule(depth, parent.box.dim)
+        axis = depth % parent.box.dim
         assert kids[0].lower[axis] == parent.lower[axis]
         assert kids[-1].upper[axis] == parent.upper[axis]
         for left, right in zip(kids, kids[1:]):
@@ -251,14 +243,14 @@ def _check_geometry(tree, opened):
                     assert fresh.representative == fresh.box.center
 
 
-@pytest.mark.parametrize("domain, K, rule, levels", [
-    (Box([0.0], [1.0]), 3, None, 5),
-    (Box([0.0, -1.0], [1.0, 2.0]), 2, None, 7),
-    (Box([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]), 3, lambda depth, dim: (depth * 2) % dim, 4),
-    (Box([-1.0], [2.0]), 3, None, 5),
-], ids=["1d-K3", "2d-cycling", "3d-custom-rule", "minus1-to-2"])
-def test_split_geometry(domain, K, rule, levels):
-    tree = make_tree(domain, branching=K, split_axis_rule=rule)
+@pytest.mark.parametrize("domain, K, levels", [
+    (Box([0.0], [1.0]), 3, 5),
+    (Box([0.0, -1.0], [1.0, 2.0]), 2, 7),
+    (Box([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]), 3, 4),
+    (Box([-1.0], [2.0]), 3, 5),
+], ids=["1d-K3", "2d-cycling", "3d", "minus1-to-2"])
+def test_split_geometry(domain, K, levels):
+    tree = make_tree(domain, branching=K)
     opened = _materialise(tree, levels, lambda p: -sum(abs(v - 0.3) for v in p))
     assert len(tree.cells) == sum(K ** h for h in range(levels + 1))
     _check_geometry(tree, opened)

@@ -83,7 +83,7 @@ def test_split_centres_stay_in_the_domain(dims, K, path):
         expected = unguarded_children(cell, depth, K)
         inside = all(domain.contains(c) for _, _, c in expected)
         try:
-            children = split_cell(cell, depth, K, axis_rule)
+            children = split_cell(cell, depth, K)
         except ValueError:
             assert not inside, (depth, cell)
             return
@@ -142,7 +142,7 @@ def test_zero_width_split_is_the_formula_bit_for_bit(drawn):
     expected = unguarded_children(cell, depth, K)
     passes = lo <= expected[0][2][axis] and expected[-1][2][axis] <= hi
     try:
-        children = split_cell(cell, depth, K, axis_rule)
+        children = split_cell(cell, depth, K)
     except ValueError:
         assert not passes, cell
         return
