@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -91,9 +90,9 @@ def parse_algo(token) -> AlgoSpec:
 class ExperimentSpec:
     """One experimental grid.
 
-    seeds is either an integer repeat count (repeat indices 0..count-1) or an
-    explicit list of repeat indices (so a later spec can extend an earlier
-    run without recomputing it).
+    seeds is a repeat count >= 1 (repeat indices 0..count-1) or a nonempty
+    list of repeat indices (so a later spec can extend an earlier run
+    without recomputing it).  noise_b None means [0.0].
     """
 
     algorithms: list
@@ -115,7 +114,8 @@ class ExperimentSpec:
             raise ValueError("budgets must be nonempty")
         if any(b >= a for a, b in zip(self.budgets[1:], self.budgets)):
             raise ValueError("budgets must be strictly increasing")
-        self.noise_b = [float(b) for b in (self.noise_b or [0.0])]
+        self.noise_b = ([0.0] if self.noise_b is None
+                        else [float(b) for b in self.noise_b])
         if not self.noise_b:
             raise ValueError("noise_b must be nonempty")
         if any(b < 0 for b in self.noise_b):
@@ -124,20 +124,14 @@ class ExperimentSpec:
             raise ValueError("delta must be in (0, 1)")
         if self.branching < 2:
             raise ValueError("branching must be at least 2")
+        if not self.repeat_indices:
+            raise ValueError("seeds must be a count >= 1 or a nonempty list")
 
     @property
     def repeat_indices(self):
         if isinstance(self.seeds, int):
             return list(range(self.seeds))
         return [int(s) for s in self.seeds]
-
-    @classmethod
-    def from_json(cls, source):
-        """Build from a dict or a path to a JSON document."""
-        if isinstance(source, (str, bytes)):
-            with open(source) as fh:
-                source = json.load(fh)
-        return cls(**source)
 
 
 @dataclass
@@ -303,22 +297,20 @@ def read_records(path):
 # summaries
 # ---------------------------------------------------------------------------
 
-def summarize(records, fit_x="n"):
+def summarize(records):
     """Group records by (algo, n, b) and fit log-regret trends.
 
     Returns {"groups": {(algo, n, b): {median, q10, q90, count}},
              "fits":   {(algo, b): {slope, slope_log2, r2, flat, points,
                                     dropped_nonpositive}}}.
 
-    Fits regress log(median regret) on n (or sqrt(n) with fit_x="sqrt_n")
-    per (algo, b).  Constant groups report flat=True with r2=None (the fit
-    is degenerate: zero variance).  Nonpositive medians cannot be logged and
-    are dropped (counted in dropped_nonpositive).
+    Fits regress log(median regret) on n per (algo, b).  Constant groups
+    report flat=True with r2=None (the fit is degenerate: zero variance).
+    Nonpositive medians cannot be logged and are dropped (counted in
+    dropped_nonpositive).
     """
     if not records:
         raise ValueError("no records")
-    if fit_x not in ("n", "sqrt_n"):
-        raise ValueError("fit_x must be 'n' or 'sqrt_n'")
     groups = {}
     for rec in records:
         groups.setdefault((rec.algo, rec.n, rec.b), []).append(rec.regret)
@@ -339,8 +331,6 @@ def summarize(records, fit_x="n"):
         xs = [n for n, r in pts if r > 0]
         ys = [math.log(r) for n, r in pts if r > 0]
         dropped = len(pts) - len(xs)
-        if fit_x == "sqrt_n":
-            xs = [math.sqrt(x) for x in xs]
         if len(xs) < 2:
             fits[key] = {"slope": None, "slope_log2": None, "r2": None,
                          "flat": None, "points": len(xs),

@@ -128,21 +128,22 @@ class Objective:
         return f"Objective({self.name!r})"
 
 
-_NOISE_BLOCK = 4096  # unit draws taken from the generator at a time
+_NOISE_BLOCK = 4096  # draws taken from the generator at a time
 
 
 class NoiseModel:
     """Bounded zero-mean observation noise: y = f(x) + eps with |eps| <= b.
 
     distribution is "uniform" (uniform on [-b, b]) or "truncated-gaussian"
-    (N(0, (b/2)^2) with draws outside [-b, b] rejected and redrawn).  Each
-    instance owns a private seeded stream; use one instance per run.
-    range_b may change between calls; distribution is fixed at construction.
+    (N(0, (b/2)^2) with draws outside [-b, b] rejected and redrawn), b being
+    range_b; both are fixed at construction.  Each instance owns a private
+    seeded stream; use one instance per run.
 
-    Draws are read from a block of unit samples drawn ahead (rng.random or
-    rng.standard_normal, 4096 at a time) and scaled with the operations
-    numpy's uniform(-b, b) and normal(0, b/2) apply, so every offsets() call
-    returns the same values, bit for bit, as drawing it on its own would.
+    Draws are read from a block drawn ahead (rng.random or
+    rng.standard_normal, 4096 at a time) and scaled as each block is drawn,
+    with the operations numpy's uniform(-b, b) and normal(0, b/2) apply, so
+    every offsets() call returns the same values, bit for bit, as drawing it
+    on its own would.  With b = 0 the generator is never read.
     """
 
     def __init__(self, range_b, distribution="uniform", seed=0):
@@ -150,64 +151,51 @@ class NoiseModel:
             raise ValueError("range_b must be >= 0")
         if distribution not in ("uniform", "truncated-gaussian"):
             raise ValueError(f"unknown noise distribution {distribution!r}")
-        self.range_b = float(range_b)
+        self._range_b = float(range_b)
         self._distribution = distribution
         self.seed = int(seed)
-        self.reset()
-
-    def reset(self, seed=None):
-        """Rewind (or reseed) the stream, dropping the drawn-ahead block."""
-        if seed is not None:
-            self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
-        self._units = np.empty(0)  # unit draws; those before _pos are spent
+        self._block = np.empty(0)  # scaled draws; those before _pos are spent
         self._pos = 0
-        self._scaled = self._units  # _units scaled for half-width _scaled_b
-        self._scaled_b = None
+
+    @property
+    def range_b(self):
+        return self._range_b
 
     @property
     def distribution(self):
-        # read-only: the drawn-ahead block holds unit draws of this kind
         return self._distribution
 
-    def _draws(self, count, b):
-        """The next `count` draws, scaled for half-width b."""
+    def _draws(self, count):
+        """The next `count` draws."""
         pos = self._pos
-        if pos + count > len(self._units):
+        if pos + count > len(self._block):
             # keep the unread tail and draw whole blocks after it
-            need = count - (len(self._units) - pos)
+            need = count - (len(self._block) - pos)
             size = -(-need // _NOISE_BLOCK) * _NOISE_BLOCK
+            b = self._range_b
             if self._distribution == "uniform":
-                fresh = self._rng.random(size)
+                fresh = -b + (b - -b) * self._rng.random(size)
             else:
-                fresh = self._rng.standard_normal(size)
-            self._units = np.concatenate((self._units[pos:], fresh))
-            self._scaled_b = None
+                fresh = 0.0 + (0.5 * b) * self._rng.standard_normal(size)
+            self._block = np.concatenate((self._block[pos:], fresh))
             pos = 0
-        if self._scaled_b != b:
-            if self._distribution == "uniform":
-                self._scaled = -b + (b - -b) * self._units
-            else:
-                self._scaled = 0.0 + (0.5 * b) * self._units
-            self._scaled_b = b
         self._pos = pos + count
-        return self._scaled[pos:pos + count]
+        return self._block[pos:pos + count]
 
     def offsets(self, count):
         """Array of `count` noise draws."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        b = self.range_b
+        b = self._range_b
         if b == 0.0:
             return np.zeros(count)
-        if b < 0.0:
-            raise ValueError("range_b must be >= 0")
-        out = self._draws(count, b)
+        out = self._draws(count)
         if self._distribution == "uniform":
             return out
         bad = np.abs(out) > b
         while bad.any():
-            out[bad] = self._draws(int(bad.sum()), b)
+            out[bad] = self._draws(int(bad.sum()))
             bad = np.abs(out) > b
         return out
 
@@ -219,10 +207,11 @@ class EvaluationStream:
     """Binds an objective to a noise stream and counts charged observations.
 
     observe_sum(point, count) returns the sum of `count` observations at
-    `point`, each counted in n_evals.  With b = 0 (or no noise model) the
-    RNG is not consumed and the sum is computed as count * f(point) in a
-    single multiply -- the noiseless fast path that makes full budget sweeps
-    cheap.  Noise is drawn on every call.
+    `point`, each counted in n_evals.  Whether it adds noise is settled
+    once, at construction: with no noise model or b = 0 the RNG is never
+    consumed and the sum is computed as count * f(point) in a single
+    multiply -- the noiseless fast path that makes full budget sweeps cheap.
+    Otherwise noise is drawn on every call.
 
     observe_sum calls the objective's fn unchecked: it is meant for the
     partition's points, which lie in the domain by construction (see
@@ -239,6 +228,7 @@ class EvaluationStream:
     def __init__(self, objective: Objective, noise: NoiseModel | None = None):
         self.objective = objective
         self.noise = noise
+        self._noise = None if noise is None or noise.range_b == 0.0 else noise
         self.n_evals = 0
         self._fn = objective.fn
         self._last_point, self._last_value = _NO_POINT, None
@@ -252,9 +242,9 @@ class EvaluationStream:
             v = float(self._fn(point))
             self._last_point, self._last_value = point, v
         self.n_evals += count
-        if self.noise is None or self.noise.range_b == 0.0:
+        if self._noise is None:
             return count * v
-        eps = self.noise.offsets(count)
+        eps = self._noise.offsets(count)
         if count == 1:
             return v + float(eps[0])
         return count * v + float(eps.sum())

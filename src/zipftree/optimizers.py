@@ -9,8 +9,9 @@ x(n) they recommend:
   stroquool_run -- noisy feedback; doubling evaluation counts within the
                    harmonic schedule and a cross-validation phase
   soo_run       -- sweep baseline: best cell per depth, down to depth
-                   sqrt(t) after t openings, whose value matches the best
-                   opened so far in the sweep
+                   sqrt(t) after t openings (or the shallowest depth with
+                   an unopened cell, if deeper), whose value matches the
+                   best opened so far in the sweep
   doo_run       -- optimistic baseline that knows the smoothness (nu, rho)
   uniform_run   -- breadth-first openings in cell-id order
 
@@ -86,6 +87,13 @@ class _Run:
     the cells of one depth as their CellId indices do (the index itself, or
     a position in a list kept in index order); the running best keeps the
     highest value, ties going to the lowest (depth, key).
+
+    SequOOL, StroquOOL and uniform key ties on list positions and build
+    CellId indices only for a trace, on purpose: a depth-h index is an
+    integer below K^h, and SequOOL at n = 1e5 on garland reaches depth
+    8,272, where a K = 3 index has 13,111 bits.  Carrying the indices on
+    every run cost about 12% more wall time on perfbench's `deterministic`
+    workload and 2 MB more peak memory.
     """
 
     def __init__(self, obj: Objective, noise: NoiseModel | None, cfg: RunConfig):
@@ -292,11 +300,15 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
 def soo_run(obj: Objective, cfg: RunConfig) -> RunResult:
     """Depth-sweep baseline under deterministic feedback.
 
-    Repeatedly sweeps depths 0 .. min(deepest materialized, floor(sqrt(t)))
-    with t the openings so far; at each depth it opens the best unopened
-    cell if its value is >= every value opened earlier in the sweep.  The
-    budget can go unspent if the depth limit pins the frontier (the sweep
-    then opens nothing and the run stops).
+    Repeatedly sweeps depths 0 .. min(deepest materialized, max(floor(sqrt(t)),
+    shallowest)) with t the openings so far and shallowest the shallowest
+    depth holding an unopened cell; at each depth it opens the best unopened
+    cell if its value is >= every value opened earlier in the sweep.  Every
+    sweep thus reaches an unopened cell, so the whole budget is spent --
+    Munos (2011) takes the limit sqrt(t) alone, which with K = 2 leaves the
+    sweep short of every unopened cell after 3 openings.  A sweep that still
+    opens nothing (an unopened cell whose value is NaN never passes the
+    test) ends the run.
     """
     n = cfg.budget_n
     run = _Run(obj, None, cfg)
@@ -304,13 +316,15 @@ def soo_run(obj: Objective, cfg: RunConfig) -> RunResult:
     # depth -> heap of (-value, index, cell) of unopened leaves; the root has
     # no value, so its key lets it pass the sweep test and leaves vmax at -inf
     heaps = {0: [(math.inf, 0, run.root)]}
+    shallowest = 0  # the shallowest depth whose heap holds a leaf
 
     progressed = True
     while run.units < n and progressed:
         progressed = False
         vmax = -math.inf
         h = 0
-        while run.units < n and h <= min(run.deepest, int(math.sqrt(run.units))):
+        while run.units < n and h <= min(
+                run.deepest, max(int(math.sqrt(run.units)), shallowest)):
             heap = heaps.get(h)
             if heap and -heap[0][0] >= vmax:
                 negv, index, cell = heapq.heappop(heap)
@@ -320,6 +334,8 @@ def soo_run(obj: Objective, cfg: RunConfig) -> RunResult:
                 children = run.open(cell, h, base, 1, index)
                 for j, (value, child) in enumerate(children):
                     heapq.heappush(nxt, (-value, base + j, child))
+                while not heaps[shallowest]:
+                    shallowest += 1  # stops at h + 1, which just got children
                 progressed = True
             h += 1
 

@@ -102,6 +102,15 @@ def test_cli_rejects_jobs_below_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_rejects_seeds_below_one(capsys):
+    for argv in (["--seeds", "-2"], ["--seeds", "0", "--summary"]):
+        assert main(["--algo", "uniform", "--objective", "garland",
+                     "--budget", "10", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: seeds must be a count >= 1 or a nonempty list\n"
+
+
 def test_cli_raises_a_runner_fault(monkeypatch):
     # an exception that is no rejected input keeps its traceback
     def faulty(algo, obj, noise, cfg):

@@ -470,13 +470,13 @@ FROZEN_EXTRA = {
         '0.9977723791254037',
         '9c9668722c244e4d757e4eaf0f1a6e53017419ac91d8d943160e9e5446158fe6'),
     ('garland', 2, 'soo', 20): (
-        3, 6, 2, 3, '(0.625,)',
-        '0.8332627102343574',
-        'bf98f62529ac1cfdc5205f32f5fd34121d4947402d2e1ffe2571333646b3f059'),
+        20, 40, 5, 20, '(0.46875,)',
+        '0.900040577189295',
+        '6262136da1344c54a3f414c3c638893b496fd195debc21affb026ee0e1ca6455'),
     ('garland', 2, 'soo', 1500): (
-        3, 6, 2, 3, '(0.625,)',
-        '0.8332627102343574',
-        'bf98f62529ac1cfdc5205f32f5fd34121d4947402d2e1ffe2571333646b3f059'),
+        1500, 3000, 39, 1500, '(0.5235987755986571,)',
+        '0.9977712347374728',
+        '37c19c7cb354ac419aa3010debb12cf0554d8f179a487fae2a359bb915e90c4b'),
     ('garland', 2, 'doo(1,0.6)', 20): (
         20, 40, 14, 20, '(0.523590087890625,)',
         '0.9920789432636357',
@@ -662,13 +662,13 @@ FROZEN_EXTRA = {
         '0.0',
         '4483bfd21f18e7bc38722b3360c969ec60aba72310af9987cfd5c96507cc5cc3'),
     ('steps-2d', 2, 'soo', 20): (
-        3, 6, 2, 3, '(0.5, 0.5)',
+        20, 40, 5, 20, '(0.5, 0.5)',
         '0.0',
-        '81e1fdc6f7fcc47a2ccac804455c8180579706e6fef150b4a6ead86899aac868'),
+        '8fb355a47eadd1d30af8beba3200fe25371098760d516c60b44f6053cb981f6b'),
     ('steps-2d', 2, 'soo', 1500): (
-        3, 6, 2, 3, '(0.5, 0.5)',
+        1500, 3000, 39, 1500, '(0.5, 0.5)',
         '0.0',
-        '81e1fdc6f7fcc47a2ccac804455c8180579706e6fef150b4a6ead86899aac868'),
+        'd81e1098fa1783c26acff13d9355158457fa6953978a5fec806059485dec2a41'),
     ('steps-2d', 2, 'doo(1,0.6)', 20): (
         20, 40, 9, 20, '(0.5, 0.5)',
         '0.0',

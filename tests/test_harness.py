@@ -1,5 +1,4 @@
 import csv
-import json
 import math
 
 import pytest
@@ -58,15 +57,13 @@ def test_spec_validation():
     assert small_spec(seeds=3).repeat_indices == [0, 1, 2]
 
 
-def test_spec_from_json(tmp_path):
-    doc = {"algorithms": ["uniform"], "objective": "wrapped-sine",
-           "budgets": [10, 20], "noise_b": [0.5], "seeds": 1}
-    assert ExperimentSpec.from_json(doc).objective == "wrapped-sine"
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(doc))
-    spec = ExperimentSpec.from_json(str(path))
-    assert spec.budgets == [10, 20]
-    assert spec.algorithms == [AlgoSpec("uniform")]
+def test_spec_rejects_empty_grid_axes():
+    assert small_spec(noise_b=None).noise_b == [0.0]
+    with pytest.raises(ValueError, match="noise_b must be nonempty"):
+        small_spec(noise_b=[])
+    for seeds in (0, -2, []):
+        with pytest.raises(ValueError, match="seeds must be a count >= 1"):
+            small_spec(seeds=seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +266,6 @@ def test_summarize_power_law_slope():
     assert fit["slope"] == pytest.approx(-math.log(2.0), abs=1e-12)
     assert fit["slope_log2"] == pytest.approx(-1.0, abs=1e-9)
     assert fit["r2"] == pytest.approx(1.0, abs=1e-12)
-    # sqrt scaling: regret 2^-sqrt(n) fits x = sqrt(n) perfectly
-    records = [synthetic("soo", n, 2.0 ** -math.sqrt(n)) for n in (100, 400, 900)]
-    fit = summarize(records, fit_x="sqrt_n")["fits"][("soo", 0.0)]
-    assert fit["slope_log2"] == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_summarize_flat_and_dropped():
@@ -288,8 +281,6 @@ def test_summarize_flat_and_dropped():
     assert single["slope"] is None and single["flat"] is None
     with pytest.raises(ValueError, match="no records"):
         summarize([])
-    with pytest.raises(ValueError, match="fit_x"):
-        summarize([synthetic("soo", 10, 0.5)], fit_x="n^2")
 
 
 # ---------------------------------------------------------------------------

@@ -188,9 +188,8 @@ def test_noise_zero_b_is_exact_and_skips_rng():
     assert np.all(nm.offsets(10) == 0.0)
     # the zero-noise path must not consume the stream: after asking for
     # offsets, the underlying rng state still matches a fresh one
-    probe = NoiseModel(1.0, seed=5)
-    nm.range_b = 1.0
-    assert np.array_equal(nm.offsets(4), probe.offsets(4))
+    fresh = np.random.default_rng(5)
+    assert nm._rng.bit_generator.state == fresh.bit_generator.state
 
 
 def test_noise_uniform_bounds_and_mean():
@@ -218,12 +217,9 @@ def test_noise_validation_and_reset():
         NoiseModel(-0.1)
     with pytest.raises(ValueError, match="unknown noise distribution"):
         NoiseModel(0.1, distribution="cauchy")
-    nm = NoiseModel(0.3, seed=21)
-    first = nm.offsets(8)
-    nm.reset()
-    assert np.array_equal(nm.offsets(8), first)
-    nm.reset(seed=22)
-    assert not np.array_equal(nm.offsets(8), first)
+    first = NoiseModel(0.3, seed=21).offsets(8)
+    assert np.array_equal(NoiseModel(0.3, seed=21).offsets(8), first)
+    assert not np.array_equal(NoiseModel(0.3, seed=22).offsets(8), first)
 
 
 class _PerCallNoise:
@@ -232,9 +228,6 @@ class _PerCallNoise:
     def __init__(self, range_b, distribution, seed):
         self.range_b = range_b
         self.distribution = distribution
-        self.reset(seed)
-
-    def reset(self, seed):
         self._rng = np.random.default_rng(seed)
 
     def offsets(self, count):
@@ -271,31 +264,6 @@ def test_noise_block_equals_per_call_draws(distribution):
 
 
 @pytest.mark.parametrize("distribution", ["uniform", "truncated-gaussian"])
-def test_noise_block_follows_range_b_changes(distribution):
-    nm = NoiseModel(0.0, distribution, seed=4)
-    ref = _PerCallNoise(0.0, distribution, 4)
-    widths = [0.0, 1.0, 0.1, 0.0, 0.1, 2.5, 1e-300, 0.3]
-    for step, k in enumerate(_COUNT_SEQUENCE):
-        if step % 3 == 0:
-            nm.range_b = ref.range_b = widths[(step // 3) % len(widths)]
-        assert _bitwise_equal(nm.offsets(k), ref.offsets(k)), (step, k)
-
-
-@pytest.mark.parametrize("distribution", ["uniform", "truncated-gaussian"])
-def test_noise_block_reset_mid_block(distribution):
-    nm = NoiseModel(0.25, distribution, seed=8)
-    ref = _PerCallNoise(0.25, distribution, 8)
-    for step, k in enumerate(_COUNT_SEQUENCE):
-        if step % 4 == 1:
-            nm.reset()
-            ref.reset(nm.seed)
-        elif step % 4 == 3:
-            nm.reset(seed=100 + step)
-            ref.reset(100 + step)
-        assert _bitwise_equal(nm.offsets(k), ref.offsets(k)), (step, k)
-
-
-@pytest.mark.parametrize("distribution", ["uniform", "truncated-gaussian"])
 def test_observe_sum_equals_per_call_sum(distribution):
     obj = garland_objective()
     nm = NoiseModel(0.1, distribution, seed=23)
@@ -303,8 +271,6 @@ def test_observe_sum_equals_per_call_sum(distribution):
     ref = _PerCallNoise(0.1, distribution, 23)
     points = [0.0, 0.3, GARLAND_ARGMAX, 1.0]
     for step, k in enumerate(_COUNT_SEQUENCE):
-        if step == 20:
-            nm.range_b = ref.range_b = 1.0
         p = points[step % len(points)]
         got = stream.observe_sum(p, k)
         want = k * obj.eval(p) + float(ref.offsets(k).sum())
@@ -320,10 +286,8 @@ def test_noise_rejects_negative_count_and_width(distribution):
     nm = NoiseModel(0.5, distribution, seed=1)
     with pytest.raises(ValueError, match="count must be >= 0"):
         nm.offsets(-1)
-    nm.range_b = -0.5
     with pytest.raises(ValueError, match="range_b must be >= 0"):
-        nm.offsets(2)
-    nm.range_b = 0.5
+        NoiseModel(-0.5, distribution, seed=1)
     want = _PerCallNoise(0.5, distribution, 1).offsets(3)
     assert _bitwise_equal(nm.offsets(3), want)
 
@@ -333,14 +297,17 @@ def test_noise_distribution_is_fixed():
     assert nm.distribution == "truncated-gaussian"
     with pytest.raises(AttributeError):
         nm.distribution = "uniform"
+    assert nm.range_b == 0.5
+    with pytest.raises(AttributeError):
+        nm.range_b = 1.0
+    assert (nm.distribution, nm.range_b) == ("truncated-gaussian", 0.5)
 
 
 def test_observe_reproducible():
     obj = garland_objective()
-    nm = NoiseModel(0.2, seed=3)
-    stream = EvaluationStream(obj, nm)
+    stream = EvaluationStream(obj, NoiseModel(0.2, seed=3))
     ys = [stream.observe_sum(0.3, 1) for _ in range(5)]
-    nm.reset()
+    stream = EvaluationStream(obj, NoiseModel(0.2, seed=3))
     assert ys == [stream.observe_sum(0.3, 1) for _ in range(5)]
     assert all(abs(y - garland(0.3)) <= 0.2 for y in ys)
     assert EvaluationStream(obj, None).observe_sum(0.3, 1) == garland(0.3)

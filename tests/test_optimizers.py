@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from test_frozen_baselines import CUSTOM
 from zipftree import optimizers
 from zipftree.objectives import (GARLAND_OPTIMUM, NoiseModel, Objective,
                                  garland_objective)
@@ -242,6 +243,17 @@ def test_soo_respects_depth_limit():
 def test_soo_finds_garland_peak():
     res = soo_run(GARLAND, RunConfig(budget_n=2000))
     assert regret(GARLAND, res) < 1e-5
+
+
+@pytest.mark.parametrize("K", range(2, 8))
+@pytest.mark.parametrize("objective", ["garland", "steps-2d"])
+def test_soo_spends_its_whole_budget(objective, K):
+    # with K = 2, floor(sqrt(t)) stays above no unopened cell once the root
+    # and both depth-1 cells are open; the sweep must still reach one
+    obj = CUSTOM[objective]() if objective in CUSTOM else GARLAND
+    for n in (20, 1500):
+        res = soo_run(obj, RunConfig(budget_n=n, branching=K))
+        assert res.openings_used == res.budget_units_used == n, (K, n)
 
 
 # ---------------------------------------------------------------------------
