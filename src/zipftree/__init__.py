@@ -26,7 +26,7 @@ from .theory import (BoundInputs, SmoothnessParams, confidence_radius,
                      stroquool_h_max)
 from .harness import (AlgoSpec, ExperimentSpec, RegretRecord, derive_seed,
                       emit_bound_overlay, read_records, run_experiment,
-                      summarize, write_records)
+                      summarize)
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "sequool_bound", "stroquool_bounds", "h_tilde_asymptotic",
     "confidence_radius", "count_near_optimal",
     "AlgoSpec", "ExperimentSpec", "RegretRecord", "derive_seed",
-    "run_experiment", "summarize", "emit_bound_overlay",
-    "write_records", "read_records",
+    "run_experiment", "summarize", "emit_bound_overlay", "read_records",
     "__version__",
 ]

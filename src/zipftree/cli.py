@@ -4,11 +4,12 @@ config), run the grid, and write/print the regret records."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .harness import (ExperimentSpec, TaskError, format_summary,
-                      record_writer, run_experiment, spec_comments, summarize)
+                      record_writer, run_experiment, summarize)
 
 
 def build_parser():
@@ -59,6 +60,13 @@ def spec_from_args(args) -> ExperimentSpec:
     if args.config:
         with open(args.config) as fh:
             fields = json.load(fh)
+        if not isinstance(fields, dict):
+            raise ValueError(f"--config {args.config}: not a JSON object")
+        unknown = fields.keys() - {f.name for f in
+                                   dataclasses.fields(ExperimentSpec)}
+        if unknown:
+            raise ValueError(f"--config {args.config}: unknown settings: "
+                             + ", ".join(sorted(unknown)))
     if args.algo:
         fields["algorithms"] = _split_multi(args.algo)
     if args.objective:
@@ -87,12 +95,12 @@ def main(argv=None) -> int:
         spec = spec_from_args(args)
         records = run_experiment(spec, jobs=args.jobs)
         if spec.out is None:
-            write = record_writer(sys.stdout, spec_comments(spec))
+            write = record_writer(sys.stdout, spec)
             for rec in records:
                 write(rec)
         if args.summary:
             print(format_summary(summarize(records)))
-    except (ValueError, OSError, json.JSONDecodeError, TaskError) as exc:
+    except (ValueError, OSError, TaskError) as exc:
         if isinstance(exc, TaskError) and not isinstance(exc.cause, ValueError):
             raise  # not a rejected input but a fault: keep the traceback
         print(f"error: {exc}", file=sys.stderr)

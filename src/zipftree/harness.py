@@ -15,9 +15,10 @@ import csv
 import hashlib
 import math
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,12 +29,8 @@ from .theory import BoundInputs, SmoothnessParams, sequool_bound, stroquool_boun
 
 __all__ = [
     "AlgoSpec", "ExperimentSpec", "RegretRecord", "TaskError", "derive_seed",
-    "run_experiment", "summarize", "emit_bound_overlay",
-    "write_records", "read_records",
+    "run_experiment", "summarize", "emit_bound_overlay", "read_records",
 ]
-
-CSV_FIELDS = ("algo", "objective", "n", "b", "seed", "regret",
-              "openings", "evaluations", "wall_ms")
 
 # name -> (deterministic feedback only, runner(a, obj, noise, cfg)) with a the
 # AlgoSpec; runners look the *_run functions up as module globals at call time
@@ -64,8 +61,7 @@ def parse_algo(token) -> AlgoSpec:
     if isinstance(token, AlgoSpec):
         return token
     if isinstance(token, dict):
-        name = token.get("name")
-        spec = AlgoSpec(name, token.get("nu"), token.get("rho"))
+        spec = AlgoSpec(token.get("name"), token.get("nu"), token.get("rho"))
     else:
         name, *rest = str(token).split(":")
         if name == "doo":
@@ -124,6 +120,9 @@ class ExperimentSpec:
             raise ValueError("delta must be in (0, 1)")
         if self.branching < 2:
             raise ValueError("branching must be at least 2")
+        seeds = self.seeds if isinstance(self.seeds, list) else [self.seeds]
+        if not all(type(s) is int for s in seeds):
+            raise ValueError(f"seeds must be an int or a list of ints: {self.seeds!r}")
         if not self.repeat_indices:
             raise ValueError("seeds must be a count >= 1 or a nonempty list")
 
@@ -131,11 +130,13 @@ class ExperimentSpec:
     def repeat_indices(self):
         if isinstance(self.seeds, int):
             return list(range(self.seeds))
-        return [int(s) for s in self.seeds]
+        return list(self.seeds)
 
 
 @dataclass
 class RegretRecord:
+    """One run's row of the records CSV: its fields are the columns."""
+
     algo: str
     objective: str
     n: int
@@ -145,6 +146,9 @@ class RegretRecord:
     openings: int
     evaluations: int
     wall_ms: float
+
+
+CSV_FIELDS = tuple(f.name for f in fields(RegretRecord))
 
 
 class TaskError(RuntimeError):
@@ -164,14 +168,13 @@ def derive_seed(master_seed, algo_label, n, b, rep):
 
 
 def _run_one(task):
-    (name, nu, rho, objective_name, n, b, rep, branching, master_seed) = task
-    algo = AlgoSpec(name, nu, rho)
+    algo, objective_name, n, b, rep, branching, master_seed = task
     obj = get_objective(objective_name)
     seed = derive_seed(master_seed, algo.label, n, b, rep)
     cfg = RunConfig(budget_n=n, seed=seed, branching=branching)
-    deterministic, runner = _ALGOS[name]
+    deterministic, runner = _ALGOS[algo.name]
     if deterministic and b != 0.0:
-        raise ValueError(f"{name} is a deterministic-feedback algorithm; "
+        raise ValueError(f"{algo.name} is a deterministic-feedback algorithm; "
                          f"run it with b=0 (got b={b})")
     noise = NoiseModel(b, seed=seed)
     t0 = time.perf_counter()
@@ -189,8 +192,7 @@ def _run_one(task):
 
 
 def _tasks(spec: ExperimentSpec):
-    return [(a.name, a.nu, a.rho, spec.objective, n, b, rep,
-             spec.branching, spec.master_seed)
+    return [(a, spec.objective, n, b, rep, spec.branching, spec.master_seed)
             for a in spec.algorithms
             for n in spec.budgets
             for b in spec.noise_b
@@ -215,7 +217,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1):
     records = []
     with (open(spec.out, "w", newline="") if spec.out else nullcontext()) as fh:
         if fh:
-            write = record_writer(fh, spec_comments(spec))
+            write = record_writer(fh, spec)
             fh.flush()
         with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
               else nullcontext()) as pool:
@@ -239,57 +241,44 @@ def _fmt(value):
     return str(value)
 
 
-def spec_comments(spec: ExperimentSpec):
-    """Comment lines heading a grid's records: the objective, its optimum
-    and the settings that reproduce the grid."""
+def record_writer(fh, spec: ExperimentSpec):
+    """Write the records header to the text stream `fh`: a title, `# `
+    comment lines naming the objective, its optimum and the settings that
+    reproduce `spec`, and the CSV field row.  Returns write(record), which
+    appends one row."""
     obj = get_objective(spec.objective)
-    lines = [f"objective={obj.name}", f"optimum_value={obj.optimum_value!r}"]
+    comments = ["zipftree regret records", f"objective={obj.name}",
+                f"optimum_value={obj.optimum_value!r}"]
     if obj.optimum_note:
-        lines.append(f"optimum_note={obj.optimum_note}")
-    lines.append(f"master_seed={spec.master_seed} "
-                 f"branching={spec.branching} delta={spec.delta!r}")
-    return lines
-
-
-def record_writer(fh, comments=()):
-    """Write the records header (title, `# comment` lines, CSV field row) to
-    the text stream `fh`; returns write(record), which appends one row."""
-    fh.write("# zipftree regret records\n")
-    for line in comments:
-        fh.write(f"# {line}\n")
+        comments.append(f"optimum_note={obj.optimum_note}")
+    comments.append(f"master_seed={spec.master_seed} "
+                    f"branching={spec.branching} delta={spec.delta!r}")
+    fh.writelines(f"# {line}\n" for line in comments)
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
 
     def write(rec: RegretRecord):
-        writer.writerow([rec.algo, rec.objective, rec.n, _fmt(rec.b),
-                         rec.seed, _fmt(rec.regret), rec.openings,
-                         rec.evaluations, _fmt(rec.wall_ms)])
+        writer.writerow([_fmt(getattr(rec, f)) for f in CSV_FIELDS])
 
     return write
 
 
-def write_records(records, path, meta=None):
-    """Plain CSV dump (same schema as run_experiment's incremental writer)."""
-    with open(path, "w", newline="") as fh:
-        write = record_writer(fh, [f"{k}={v}" for k, v in (meta or {}).items()])
-        for rec in records:
-            write(rec)
-
-
 def read_records(path):
-    """Parse a records CSV back (comment lines ignored)."""
-    records = []
+    """Parse a records CSV back (comment lines ignored).  A header other
+    than CSV_FIELDS, or a row of another width, raises ValueError."""
+    types = typing.get_type_hints(RegretRecord)
     with open(path, newline="") as fh:
-        rows = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(rows, None)
-        if header is None:
-            return records
-        if tuple(header) != CSV_FIELDS:
-            raise ValueError(f"unexpected header {header!r}")
-        for row in rows:
-            records.append(RegretRecord(
-                row[0], row[1], int(row[2]), float(row[3]), int(row[4]),
-                float(row[5]), int(row[6]), int(row[7]), float(row[8])))
+        rows = [(lineno, row) for lineno, line in enumerate(fh, 1)
+                if not line.startswith("#") for row in csv.reader([line])]
+    if rows and rows[0][1] != list(CSV_FIELDS):
+        raise ValueError(f"unexpected header {rows[0][1]!r}")
+    records = []
+    for lineno, row in rows[1:]:
+        if len(row) != len(CSV_FIELDS):
+            raise ValueError(f"{path}, line {lineno}: {len(row)} fields, "
+                             f"expected {len(CSV_FIELDS)}")
+        records.append(RegretRecord(
+            *(types[f](value) for f, value in zip(CSV_FIELDS, row))))
     return records
 
 
@@ -330,29 +319,23 @@ def summarize(records):
         pts.sort()
         xs = [n for n, r in pts if r > 0]
         ys = [math.log(r) for n, r in pts if r > 0]
-        dropped = len(pts) - len(xs)
+        fit = fits[key] = {"slope": None, "slope_log2": None, "r2": None,
+                           "flat": None, "points": len(xs),
+                           "dropped_nonpositive": len(pts) - len(xs)}
         if len(xs) < 2:
-            fits[key] = {"slope": None, "slope_log2": None, "r2": None,
-                         "flat": None, "points": len(xs),
-                         "dropped_nonpositive": dropped}
             continue
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if np.ptp(ys) == 0.0:
             # constant regret: slope 0, R^2 undefined -> flat
-            fits[key] = {"slope": 0.0, "slope_log2": 0.0, "r2": None,
-                         "flat": True, "points": len(xs),
-                         "dropped_nonpositive": dropped}
+            fit.update(slope=0.0, slope_log2=0.0, flat=True)
             continue
         slope, intercept = np.polyfit(xs, ys, 1)
         pred = slope * xs + intercept
         ss_res = float(np.sum((ys - pred) ** 2))
         ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-        fits[key] = {"slope": float(slope),
-                     "slope_log2": float(slope) / math.log(2.0),
-                     "r2": 1.0 - ss_res / ss_tot,
-                     "flat": False, "points": len(xs),
-                     "dropped_nonpositive": dropped}
+        fit.update(slope=float(slope), slope_log2=float(slope) / math.log(2.0),
+                   r2=1.0 - ss_res / ss_tot, flat=False)
     return {"groups": gstats, "fits": fits}
 
 
@@ -386,11 +369,11 @@ def emit_bound_overlay(spec: ExperimentSpec, params: SmoothnessParams, out=None)
             row[f"stroquool_b={b:g}"] = value
         rows.append(row)
     if out:
-        fields = list(rows[0].keys())
+        columns = list(rows[0].keys())
         with open(out, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(fields)
+            writer.writerow(columns)
             for row in rows:
-                writer.writerow(["" if row[f] is None else _fmt(row[f])
-                                 for f in fields])
+                writer.writerow(["" if row[c] is None else _fmt(row[c])
+                                 for c in columns])
     return rows

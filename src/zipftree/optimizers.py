@@ -79,6 +79,11 @@ class RunResult:
     trace: list | None = None
 
 
+def _rank_key(value):
+    """Sort key that puts higher values first and a NaN last, as -inf."""
+    return math.inf if value != value else -value
+
+
 class _Run:
     """Bookkeeping shared by every optimizer run.
 
@@ -192,8 +197,8 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
     for h in range(1, h_max + 1):
         # the h_max // h best cells open in order of value, ties to the
         # lowest position (the sort is stable) and NaN last
-        values = [v if v == v else -math.inf for v, _ in level]
-        best = sorted(range(len(level)), key=values.__getitem__, reverse=True)
+        keys = [_rank_key(v) for v, _ in level]
+        best = sorted(range(len(level)), key=keys.__getitem__)
         level, _, index = run.open_level(level, index, h,
                                          dict.fromkeys(best[:h_max // h], 1))
 
@@ -237,10 +242,9 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
     # position, NaN last) before any of them runs
     for h in range(1, h_max + 1):
         cells, counts, index = levels[-1]
-        means = [s / count if s == s else -math.inf
-                 for (s, _), count in zip(cells, counts)]
-        ranked = [(i, counts[i]) for i in sorted(
-            range(len(cells)), key=means.__getitem__, reverse=True)]
+        keys = [_rank_key(s / count) for (s, _), count in zip(cells, counts)]
+        ranked = [(i, counts[i])
+                  for i in sorted(range(len(cells)), key=keys.__getitem__)]
         chosen = {}  # position -> evaluations per child, in opening order
         for m in range(1, h_max // h + 1):
             if len(chosen) == len(cells):
@@ -261,7 +265,7 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
     top = {}  # evaluation count -> rank key of its best cell
     for h, (cells, counts, _) in enumerate(levels, 1):
         for i, ((s, _), count) in enumerate(zip(cells, counts)):
-            key = (-s / count if s == s else math.inf, h, i)
+            key = (_rank_key(s / count), h, i)
             top[count] = min(top.get(count, key), key)
     candidates = {}  # (depth, position), in nomination order
     for p in range(p_max + 1):
@@ -279,7 +283,7 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
         before, cell = levels[h - 1][0][i]
         after = before + run.observe(cell[2], v_evals)
         mean = (after - before) / v_evals
-        fresh.append((-mean if mean == mean else math.inf, h, i, mean, cell[2]))
+        fresh.append((_rank_key(mean), h, i, mean, cell[2]))
         run.units += v_evals
         if tracing:
             run.log("validate", h, levels[h - 1][2][i], v_evals)
@@ -306,37 +310,35 @@ def soo_run(obj: Objective, cfg: RunConfig) -> RunResult:
     cell if its value is >= every value opened earlier in the sweep.  Every
     sweep thus reaches an unopened cell, so the whole budget is spent --
     Munos (2011) takes the limit sqrt(t) alone, which with K = 2 leaves the
-    sweep short of every unopened cell after 3 openings.  A sweep that still
-    opens nothing (an unopened cell whose value is NaN never passes the
-    test) ends the run.
+    sweep short of every unopened cell after 3 openings.  A NaN value ranks
+    below every other, as -inf does.
     """
     n = cfg.budget_n
     run = _Run(obj, None, cfg)
 
-    # depth -> heap of (-value, index, cell) of unopened leaves; the root has
-    # no value, so its key lets it pass the sweep test and leaves vmax at -inf
+    # depth -> heap of (_rank_key(value), index, cell) of unopened leaves; the
+    # root has no value, so its key lets it pass the sweep test and leaves
+    # vmax at -inf.  The sweep reaches the shallowest leaf with vmax still
+    # -inf, so every sweep opens a cell
     heaps = {0: [(math.inf, 0, run.root)]}
     shallowest = 0  # the shallowest depth whose heap holds a leaf
 
-    progressed = True
-    while run.units < n and progressed:
-        progressed = False
+    while run.units < n:
         vmax = -math.inf
         h = 0
         while run.units < n and h <= min(
                 run.deepest, max(int(math.sqrt(run.units)), shallowest)):
             heap = heaps.get(h)
             if heap and -heap[0][0] >= vmax:
-                negv, index, cell = heapq.heappop(heap)
-                vmax = -negv
+                key, index, cell = heapq.heappop(heap)
+                vmax = -key
                 base = index * run.K
                 nxt = heaps.setdefault(h + 1, [])
                 children = run.open(cell, h, base, 1, index)
                 for j, (value, child) in enumerate(children):
-                    heapq.heappush(nxt, (-value, base + j, child))
+                    heapq.heappush(nxt, (_rank_key(value), base + j, child))
                 while not heaps[shallowest]:
                     shallowest += 1  # stops at h + 1, which just got children
-                progressed = True
             h += 1
 
     return run.result()
@@ -358,14 +360,16 @@ def doo_run(obj: Objective, cfg: RunConfig, nu: float, rho: float) -> RunResult:
     n = cfg.budget_n
     run = _Run(obj, None, cfg)
 
-    heap = [(0.0, 0, 0, run.root)]  # (-(value + nu rho^depth), depth, index, cell)
+    # (_rank_key(value + nu rho^depth), depth, index, cell) of unopened leaves
+    heap = [(0.0, 0, 0, run.root)]
     while heap and run.units < n:
         _key, depth, index, cell = heapq.heappop(heap)
         base = index * run.K
         bonus = nu * rho ** (depth + 1)
         children = run.open(cell, depth, base, 1, index)
         for j, (value, child) in enumerate(children):
-            heapq.heappush(heap, (-(value + bonus), depth + 1, base + j, child))
+            heapq.heappush(heap, (_rank_key(value + bonus), depth + 1,
+                                  base + j, child))
 
     return run.result()
 

@@ -165,3 +165,22 @@ def test_cli_parallel_jobs(tmp_path):
     a = [(r.algo, r.n, r.seed, r.regret) for r in read_records(str(out1))]
     b = [(r.algo, r.n, r.seed, r.regret) for r in read_records(str(out2))]
     assert a == b
+
+
+@pytest.mark.parametrize("document, message", [
+    ('["sequool"]', "not a JSON object"),
+    ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
+     '"seed": 3, "budget": 5}', "unknown settings: budget, seed"),
+    ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
+     '"seeds": 2.5}', "seeds must be an int or a list of ints: 2.5"),
+    ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
+     '"seeds": "12"}', "seeds must be an int or a list of ints: '12'"),
+], ids=["not-an-object", "unknown-settings", "float-seeds", "string-seeds"])
+def test_cli_rejects_a_bad_config_document(tmp_path, capsys, document, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(document)
+    assert main(["--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

@@ -7,7 +7,7 @@ from zipftree import harness
 from zipftree.harness import (AlgoSpec, ExperimentSpec, RegretRecord,
                               TaskError, derive_seed, emit_bound_overlay,
                               parse_algo, read_records, run_experiment,
-                              summarize, write_records)
+                              summarize)
 from zipftree.theory import BoundInputs, SmoothnessParams, stroquool_bounds
 
 
@@ -63,6 +63,14 @@ def test_spec_rejects_empty_grid_axes():
         small_spec(noise_b=[])
     for seeds in (0, -2, []):
         with pytest.raises(ValueError, match="seeds must be a count >= 1"):
+            small_spec(seeds=seeds)
+
+
+def test_spec_rejects_seeds_of_another_type():
+    # "12" is a repeat count in the wrong type, not the repeat list [1, 2]
+    for seeds in ("12", 2.5, [1, 2.0], True, None):
+        with pytest.raises(ValueError, match="seeds must be an int or a list "
+                           "of ints"):
             small_spec(seeds=seeds)
 
 
@@ -227,17 +235,22 @@ def test_read_records_round_trip(tmp_path):
     assert all(a.wall_ms == b.wall_ms for a, b in zip(back, records))
 
 
-def test_write_records_helper(tmp_path):
-    recs = [RegretRecord("soo", "garland", 10, 0.0, 1, 0.125, 10, 31, 0.5)]
-    path = tmp_path / "dump.csv"
-    write_records(recs, str(path), meta={"note": "hand-made"})
-    text = path.read_text()
-    assert "# note=hand-made" in text
-    assert read_records(str(path))[0] == recs[0]
+def test_read_records_rejects_a_bad_header_or_row_width(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="unexpected header"):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("a,b,c\n1,2,3\n")
         read_records(str(bad))
+    out = tmp_path / "records.csv"
+    run_experiment(small_spec(algorithms=["sequool"], budgets=[20], seeds=2,
+                              out=str(out)))
+    lines = out.read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if line.startswith("sequool"))
+    # a row with one field more, or one fewer, names its line (1-based)
+    for row in (lines[first].rstrip("\n") + ",7\n",
+                lines[first].rsplit(",", 1)[0] + "\n"):
+        bad.write_text("".join(lines[:first] + [row] + lines[first + 1:]))
+        with pytest.raises(ValueError, match=f"line {first + 1}: "):
+            read_records(str(bad))
 
 
 # ---------------------------------------------------------------------------

@@ -392,3 +392,20 @@ def test_nan_values_never_become_the_recommendation(algo):
                     obj.name, n, K)
                 assert not math.isnan(obj.fn(res.recommendation)), (
                     obj.name, n, K)
+
+
+@pytest.mark.parametrize("algo", ["soo", "doo"])
+def test_soo_and_doo_rank_a_nan_last(algo):
+    # NaN on 0.16 < x < 0.17, inside the centre third of the depth-1 cell
+    # [0, 1/3] and far from the optimum.  A NaN ranks last in the heaps, so
+    # both runs spend their whole budget and end where they end without it
+    def band(p):
+        return math.nan if 0.16 < p[0] < 0.17 else GARLAND.fn(p)
+
+    obj = Objective("nan-narrow-band", GARLAND.domain, band)
+    for n in (50, 500, 5000):
+        cfg = RunConfig(budget_n=n)
+        res, clean = (_NAN_RUNS[algo](o, cfg) for o in (obj, GARLAND))
+        assert res.openings_used == n
+        assert res.recommendation == clean.recommendation
+        assert regret(GARLAND, res) == regret(GARLAND, clean)
