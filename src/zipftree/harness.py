@@ -14,6 +14,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import numbers
+import operator
+import os
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -25,6 +28,7 @@ import numpy as np
 from .objectives import NoiseModel, get_objective
 from .optimizers import (RunConfig, doo_run, sequool_run, soo_run,
                          stroquool_run, uniform_run)
+from .partition import checked_branching
 from .theory import BoundInputs, SmoothnessParams, sequool_bound, stroquool_bounds
 
 __all__ = [
@@ -56,12 +60,29 @@ class AlgoSpec:
         return self.name
 
 
+def _is_number(value):
+    """True for an int or a real number, a bool excepted."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _number(value, convert):
+    """`value` through `convert` -- operator.index for an int, float for a
+    real -- or TypeError if it is no such number."""
+    if not _is_number(value):
+        raise TypeError(value)
+    return convert(value)
+
+
 def parse_algo(token) -> AlgoSpec:
     """"sequool" | "doo:1.0:0.5" | {"name": "doo", "nu": 1, "rho": 0.5}"""
     if isinstance(token, AlgoSpec):
         return token
     if isinstance(token, dict):
         spec = AlgoSpec(token.get("name"), token.get("nu"), token.get("rho"))
+        if not (isinstance(spec.name, str) and all(
+                v is None or _is_number(v) for v in (spec.nu, spec.rho))):
+            raise ValueError(f"algorithm {token!r} invalid: name must be a "
+                             "string, nu and rho numbers")
     else:
         name, *rest = str(token).split(":")
         if name == "doo":
@@ -102,24 +123,44 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self):
+        # a --config document can hold any JSON type, so every field is
+        # checked for its type before it is used
+        if not isinstance(self.algorithms, (list, tuple)):
+            raise ValueError(f"algorithms must be a list: {self.algorithms!r}")
         if not self.algorithms:
             raise ValueError("algorithms must be nonempty")
         self.algorithms = [parse_algo(a) for a in self.algorithms]
-        self.budgets = [int(n) for n in self.budgets]
+        if not isinstance(self.objective, str):
+            raise ValueError(f"objective must be a name: {self.objective!r}")
+        try:
+            self.budgets = [_number(n, operator.index) for n in self.budgets]
+        except TypeError:
+            raise ValueError(f"budgets must be a list of ints: "
+                             f"{self.budgets!r}") from None
         if not self.budgets:
             raise ValueError("budgets must be nonempty")
         if any(b >= a for a, b in zip(self.budgets[1:], self.budgets)):
             raise ValueError("budgets must be strictly increasing")
-        self.noise_b = ([0.0] if self.noise_b is None
-                        else [float(b) for b in self.noise_b])
+        try:
+            self.noise_b = ([0.0] if self.noise_b is None
+                            else [_number(b, float) for b in self.noise_b])
+        except TypeError:
+            raise ValueError(f"noise_b must be a list of numbers: "
+                             f"{self.noise_b!r}") from None
         if not self.noise_b:
             raise ValueError("noise_b must be nonempty")
         if any(b < 0 for b in self.noise_b):
             raise ValueError("noise levels must be >= 0")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
-        if self.branching < 2:
-            raise ValueError("branching must be at least 2")
+        if not (_is_number(self.delta) and 0.0 < self.delta < 1.0):
+            raise ValueError(f"delta must be in (0, 1): {self.delta!r}")
+        self.branching = checked_branching(self.branching)
+        if not (self.out is None or isinstance(self.out, (str, os.PathLike))):
+            raise ValueError(f"out must be a path: {self.out!r}")
+        try:
+            self.master_seed = _number(self.master_seed, operator.index)
+        except TypeError:
+            raise ValueError(f"master_seed must be an int: "
+                             f"{self.master_seed!r}") from None
         seeds = self.seeds if isinstance(self.seeds, list) else [self.seeds]
         if not all(type(s) is int for s in seeds):
             raise ValueError(f"seeds must be an int or a list of ints: {self.seeds!r}")

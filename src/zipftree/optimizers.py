@@ -20,7 +20,11 @@ evaluations per child -- over one shared driver, _Run, which opens plain
 (lower, upper, centre) cell tuples with partition.split_cell and keeps the
 evaluation stream, the optional event trace, the running best, the counts
 of openings, budget units and depth, and the RunResult.  SequOOL, StroquOOL
-and uniform open a whole depth at a time from lists kept in index order.
+and uniform open a whole depth at a time from lists kept in index order,
+and each keeps only what its next step reads: uniform the cells its next
+depth opens, StroquOOL the depth it explores plus, per evaluation count,
+the best cell made so far, from which cross-validation nominates.  SOO and
+DOO hold their unopened leaves in heaps.
 No schedule has a tuning option: a run reads the budget n, the branching
 K and the trace switch from RunConfig, and DOO also takes the smoothness
 (nu, rho) it assumes.
@@ -38,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 from .objectives import EvaluationStream, NoiseModel, Objective
-from .partition import make_tree, split_cell
+from .partition import checked_branching, make_tree, split_cell
 from .theory import harmonic, stroquool_h_max
 
 __all__ = [
@@ -54,7 +58,7 @@ class RunConfig:
     budget_n     -- opening budget n (>= 1)
     seed         -- the run's seed, recorded by callers; the optimizers do
                     not read it (noise draws are seeded by NoiseModel)
-    branching    -- K children per opening
+    branching    -- K children per opening, an integer >= 2
     record_trace -- keep an event log on the RunResult
     """
 
@@ -66,6 +70,7 @@ class RunConfig:
     def __post_init__(self):
         if self.budget_n < 1:
             raise ValueError("budget_n must be >= 1")
+        self.branching = checked_branching(self.branching)
 
 
 @dataclass
@@ -150,7 +155,8 @@ class _Run:
         """Open, in the order of `chosen` (position -> evaluations per child),
         cells of one depth, given as (sum, cell) pairs in index order with
         their CellId indices (`index`, None without a trace).  Returns the
-        next depth's pairs, evaluation counts and indices in index order."""
+        next depth's pairs and indices in index order; the children of the
+        cell at the t-th lowest chosen position sit at t*K .. t*K + K-1."""
         K = self.K
         in_order = sorted(chosen)
         slot = {i: t * K for t, i in enumerate(in_order)}
@@ -159,10 +165,9 @@ class _Run:
             nxt[slot[i]:slot[i] + K] = self.open(
                 cells[i][1], depth, slot[i], evals,
                 None if index is None else index[i])
-        counts = [chosen[i] for i in in_order for _ in range(K)]
         if index is not None:
             index = [index[i] * K + j for i in in_order for j in range(K)]
-        return nxt, counts, index
+        return nxt, index
 
     def result(self, point=None, value=None):
         """The RunResult recommending `point` (default: the running best)."""
@@ -199,8 +204,8 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
         # lowest position (the sort is stable) and NaN last
         keys = [_rank_key(v) for v, _ in level]
         best = sorted(range(len(level)), key=keys.__getitem__)
-        level, _, index = run.open_level(level, index, h,
-                                         dict.fromkeys(best[:h_max // h], 1))
+        level, index = run.open_level(level, index, h,
+                                      dict.fromkeys(best[:h_max // h], 1))
 
     if run.openings > n + 1:
         raise RuntimeError("harmonic budget identity violated")
@@ -233,18 +238,36 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
     run = _Run(obj, noise, cfg)
     tracing = run.trace is not None
 
-    # levels[h - 1]: depth-h (sum, cell) pairs, counts and indices (see open_level)
-    levels = [(run.open(run.root, 0, 0, h_max, 0), [h_max] * run.K,
-               list(range(run.K)) if tracing else None)]
+    # the depth-h (sum, cell) pairs in index order, the evaluations each of
+    # them got and, with a trace, their CellId indices (see open_level)
+    cells = run.open(run.root, 0, 0, h_max, 0)
+    counts = [h_max] * run.K
+    index = list(range(run.K)) if tracing else None
+
+    # evaluation count -> ((rank key, depth, position), (sum, cell), CellId
+    # index) of the best cell with that many evaluations on the depths made
+    # so far.  Cross-validation reads nothing else, so each depth is folded
+    # in once it is made, and only the depth being explored stays alive
+    top = {}
 
     # exploration: a depth's statistics are final before its loop starts, so
     # all its openings are chosen from one ranking by mean (ties to the lowest
-    # position, NaN last) before any of them runs
-    for h in range(1, h_max + 1):
-        cells, counts, index = levels[-1]
+    # position, NaN last) before any of them runs.  Depth h_max + 1 opens
+    # nothing and is only folded
+    for h in range(1, h_max + 2):
         keys = [_rank_key(s / count) for (s, _), count in zip(cells, counts)]
         ranked = [(i, counts[i])
                   for i in sorted(range(len(cells)), key=keys.__getitem__)]
+        # the first cell of each count in the ranking is the depth's best
+        unseen = set(counts)
+        for i, count in ranked:
+            if count in unseen:
+                unseen.discard(count)
+                key = (keys[i], h, i)
+                if count not in top or key < top[count][0]:
+                    top[count] = key, cells[i], index[i] if tracing else None
+                if not unseen:
+                    break
         chosen = {}  # position -> evaluations per child, in opening order
         for m in range(1, h_max // h + 1):
             if len(chosen) == len(cells):
@@ -256,41 +279,33 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
                     break
         if not chosen:
             break
-        levels.append(run.open_level(cells, index, h, chosen))
+        cells, index = run.open_level(cells, index, h, chosen)
+        counts = [chosen[i] for i in sorted(chosen) for _ in range(run.K)]
 
-    # cross-validation: nominate per doubling threshold, then re-evaluate.
-    # Cells rank by mean (NaN last, ties to the lowest (depth, position));
-    # each threshold takes the best cell with enough evaluations, found
-    # among the best cells of each evaluation count
-    top = {}  # evaluation count -> rank key of its best cell
-    for h, (cells, counts, _) in enumerate(levels, 1):
-        for i, ((s, _), count) in enumerate(zip(cells, counts)):
-            key = (_rank_key(s / count), h, i)
-            top[count] = min(top.get(count, key), key)
-    candidates = {}  # (depth, position), in nomination order
+    # cross-validation: each doubling threshold nominates the best cell with
+    # at least that many evaluations, the best of the counts it admits; the
+    # distinct candidates are re-evaluated in (depth, position) order.  Rank
+    # keys are unique, so no comparison below reaches a cell
+    candidates = {}  # (depth, position) -> ((sum, cell), CellId index)
     for p in range(p_max + 1):
-        keys = [key for count, key in top.items() if count >= 1 << p]
-        if not keys:
+        admitted = [best for count, best in top.items() if count >= 1 << p]
+        if not admitted:
             break  # thresholds only grow, so no later one finds a cell
-        _, h, i = min(keys)
-        if tracing:
-            run.log("candidate", p, h, levels[h - 1][2][i])
-        candidates[h, i] = True
+        (_, h, i), pair, idx = min(admitted)
+        run.log("candidate", p, h, idx)
+        candidates[h, i] = pair, idx
 
     v_evals = max(1, h_max // 2)
     fresh = []
-    for h, i in sorted(candidates):
-        before, cell = levels[h - 1][0][i]
+    for (h, i), ((before, cell), idx) in sorted(candidates.items()):
         after = before + run.observe(cell[2], v_evals)
         mean = (after - before) / v_evals
-        fresh.append((_rank_key(mean), h, i, mean, cell[2]))
+        fresh.append((_rank_key(mean), h, i, idx, mean, cell[2]))
         run.units += v_evals
-        if tracing:
-            run.log("validate", h, levels[h - 1][2][i], v_evals)
+        run.log("validate", h, idx, v_evals)
 
-    _, h, i, value, point = min(fresh)
-    if tracing:
-        run.log("recommend", h, levels[h - 1][2][i])
+    _, h, _, idx, value, point = min(fresh)
+    run.log("recommend", h, idx)
 
     if run.units > n:
         raise RuntimeError("evaluation budget exceeded")
@@ -392,12 +407,19 @@ def uniform_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> Run
     run.best_value = value if value == value else -math.inf
     run.best_key, run.best_point = (0, 0), run.root[2]
     run.log("evaluate", 0, 0, 1)
-    level, index = [(None, run.root)], [0] if run.trace is not None else None
-    h = 0
-    while run.units < n:
-        # every cell of a level, the last level cut to the budget left
-        opening = dict.fromkeys(range(min(len(level), n - run.units)), 1)
-        level, _, index = run.open_level(level, index, h, opening)
-        h += 1
+
+    # the depth-h cells that will be opened, in index order, so a cell's
+    # position is its CellId index.  A depth keeps only as many children as
+    # the budget left after it can open; the rest only compete for the
+    # running best
+    level, h = [run.root], 0
+    while level:
+        need = n - run.units - len(level)
+        nxt = []
+        for t, cell in enumerate(level):
+            children = run.open(cell, h, t * run.K, 1, t)
+            if len(nxt) < need:
+                nxt += [child for _, child in children[:need - len(nxt)]]
+        level, h = nxt, h + 1
 
     return run.result()

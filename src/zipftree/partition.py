@@ -199,6 +199,18 @@ def _observer(evaluator):
     return functools.partial(_observe_sum, evaluator)
 
 
+def checked_branching(branching) -> int:
+    """`branching` as an int K >= 2; anything operator.index takes is an
+    integer, and anything else (2.5, "3") raises ValueError."""
+    try:
+        K = operator.index(branching)
+    except TypeError:
+        raise ValueError(f"branching must be an integer: {branching!r}") from None
+    if K < 2:
+        raise ValueError("branching must be at least 2")
+    return K
+
+
 class PartitionTree:
     """The explored part of the infinite K-ary partition of `domain`.
 
@@ -210,10 +222,8 @@ class PartitionTree:
     """
 
     def __init__(self, domain: Box, branching: int = 3):
-        if branching < 2:
-            raise ValueError("branching must be at least 2")
         self.domain = domain
-        self.branching = int(branching)
+        self.branching = checked_branching(branching)
         root = Cell(CellId(0, 0), domain.lower, domain.upper, domain.center)
         self.root = root
         self.cells = {root.id: root}

@@ -175,7 +175,23 @@ def test_cli_parallel_jobs(tmp_path):
      '"seeds": 2.5}', "seeds must be an int or a list of ints: 2.5"),
     ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
      '"seeds": "12"}', "seeds must be an int or a list of ints: '12'"),
-], ids=["not-an-object", "unknown-settings", "float-seeds", "string-seeds"])
+    ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
+     '"branching": 2.5}', "branching must be an integer: 2.5"),
+    ('{"algorithms": ["sequool"], "objective": "garland", "budgets": 5}',
+     "budgets must be a list of ints: 5"),
+    ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
+     '"noise_b": 0.1}', "noise_b must be a list of numbers: 0.1"),
+    ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
+     '"delta": "x"}', "delta must be in (0, 1): 'x'"),
+    ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
+     '"master_seed": "x"}', "master_seed must be an int: 'x'"),
+    ('{"algorithms": ["sequool"], "objective": ["garland"], "budgets": [10]}',
+     "objective must be a name: ['garland']"),
+    ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
+     '"out": ["a.csv"]}', "out must be a path: ['a.csv']"),
+], ids=["not-an-object", "unknown-settings", "float-seeds", "string-seeds",
+        "float-branching", "int-budgets", "float-noise-b", "string-delta",
+        "string-master-seed", "list-objective", "list-out"])
 def test_cli_rejects_a_bad_config_document(tmp_path, capsys, document, message):
     path = tmp_path / "cfg.json"
     path.write_text(document)

@@ -1,6 +1,7 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
 from zipftree import harness
@@ -37,6 +38,11 @@ def test_parse_algo_forms():
         parse_algo("soo:1.0")
     with pytest.raises(ValueError, match="doo requires nu and rho"):
         parse_algo({"name": "doo"})
+    for token in ({"name": ["doo"]}, {"name": "doo", "nu": "1", "rho": 0.5},
+                  {"name": "doo", "nu": 1, "rho": True}):
+        with pytest.raises(ValueError, match="name must be a string, nu and "
+                           "rho numbers"):
+            parse_algo(token)
 
 
 def test_spec_validation():
@@ -64,6 +70,38 @@ def test_spec_rejects_empty_grid_axes():
     for seeds in (0, -2, []):
         with pytest.raises(ValueError, match="seeds must be a count >= 1"):
             small_spec(seeds=seeds)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("branching", 2.5, "branching must be an integer: 2.5"),
+    ("branching", "3", "branching must be an integer: '3'"),
+    ("budgets", 100, "budgets must be a list of ints: 100"),
+    ("budgets", [50, 150.5], r"budgets must be a list of ints: \[50, 150.5\]"),
+    ("budgets", ["50"], "budgets must be a list of ints"),
+    ("noise_b", 0.1, "noise_b must be a list of numbers: 0.1"),
+    ("noise_b", ["0.1"], "noise_b must be a list of numbers"),
+    ("noise_b", [True], "noise_b must be a list of numbers"),
+    ("delta", "x", r"delta must be in \(0, 1\): 'x'"),
+    ("delta", None, r"delta must be in \(0, 1\): None"),
+    ("master_seed", "x", "master_seed must be an int: 'x'"),
+    ("master_seed", 1.5, "master_seed must be an int: 1.5"),
+    ("objective", ["garland"], "objective must be a name"),
+    ("algorithms", 5, "algorithms must be a list: 5"),
+    ("out", 1, "out must be a path: 1"),
+], ids=["float-branching", "string-branching", "int-budgets", "float-budget",
+        "string-budget", "float-noise-b", "string-noise-b", "bool-noise-b",
+        "string-delta", "none-delta", "string-master-seed",
+        "float-master-seed", "list-objective", "int-algorithms", "int-out"])
+def test_spec_rejects_a_field_of_another_type(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        small_spec(**{field: value})
+
+
+def test_spec_takes_any_integer_type():
+    spec = small_spec(budgets=(np.int64(50), 150), branching=np.int64(2),
+                      master_seed=np.int32(7), noise_b=[0, np.float32(0.5)])
+    assert spec.budgets == [50, 150] and spec.noise_b == [0.0, 0.5]
+    assert (type(spec.branching), type(spec.master_seed)) == (int, int)
 
 
 def test_spec_rejects_seeds_of_another_type():

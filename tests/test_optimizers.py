@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from test_frozen_baselines import CUSTOM
@@ -13,7 +14,7 @@ from zipftree.objectives import (GARLAND_OPTIMUM, NoiseModel, Objective,
                                  garland_objective)
 from zipftree.optimizers import (RunConfig, doo_run, sequool_run, soo_run,
                                  stroquool_run, uniform_run)
-from zipftree.partition import Box, CellId
+from zipftree.partition import Box, CellId, make_tree
 from zipftree.theory import harmonic, stroquool_h_max
 
 GARLAND = garland_objective()
@@ -28,6 +29,22 @@ def regret(obj, result):
 def test_run_config_validation():
     with pytest.raises(ValueError, match="budget_n must be >= 1"):
         RunConfig(budget_n=0)
+
+
+def test_branching_must_be_an_integer():
+    # K = 2.5 used to run as K = 2
+    for K in (2.5, "3", None):
+        with pytest.raises(ValueError, match="branching must be an integer"):
+            RunConfig(budget_n=100, branching=K)
+        with pytest.raises(ValueError, match="branching must be an integer"):
+            make_tree(Box([0.0], [1.0]), branching=K)
+    with pytest.raises(ValueError, match="branching must be at least 2"):
+        RunConfig(budget_n=100, branching=1)
+    # anything operator.index takes is an integer
+    cfg = RunConfig(budget_n=100, branching=np.int64(2))
+    assert type(cfg.branching) is int
+    assert sequool_run(GARLAND, cfg) == sequool_run(
+        GARLAND, RunConfig(budget_n=100, branching=2))
 
 
 # ---------------------------------------------------------------------------
