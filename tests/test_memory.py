@@ -4,7 +4,7 @@ cells, measured with tracemalloc.
 uniform keeps only the cells its next depth opens, and StroquOOL folds each
 depth into its per-count bests as soon as the depth is made, so both hold
 one depth at a time.  Holding every depth's (sum, cell) pairs instead took
-18.3 MB for uniform at n = 2e4 and 6.95 MB for StroquOOL at n = 1e6; the
+about 19 MB for uniform at n = 2e4 and 7 MB for StroquOOL at n = 1e6; the
 bounds below sit between those peaks and today's (about 4.5 and 0.7 MB).
 """
 
