@@ -29,7 +29,8 @@ from .objectives import NoiseModel, get_objective
 from .optimizers import (RunConfig, doo_run, sequool_run, soo_run,
                          stroquool_run, uniform_run)
 from .partition import checked_branching
-from .theory import BoundInputs, SmoothnessParams, sequool_bound, stroquool_bounds
+from .theory import (BoundInputs, SmoothnessParams, check_nu_rho, sequool_bound,
+                     stroquool_bounds)
 
 __all__ = [
     "AlgoSpec", "ExperimentSpec", "RegretRecord", "TaskError", "derive_seed",
@@ -98,8 +99,13 @@ def parse_algo(token) -> AlgoSpec:
     if spec.name not in _ALGOS:
         raise ValueError(f"unknown algorithm {spec.name!r} "
                          f"(known: {', '.join(sorted(_ALGOS))})")
-    if spec.name == "doo" and (spec.nu is None or spec.rho is None):
-        raise ValueError("doo requires nu and rho")
+    if spec.name == "doo":
+        if spec.nu is None or spec.rho is None:
+            raise ValueError("doo requires nu and rho")
+        try:
+            check_nu_rho(spec.nu, spec.rho)
+        except ValueError as exc:
+            raise ValueError(f"algorithm {token!r} invalid: {exc}") from None
     return spec
 
 

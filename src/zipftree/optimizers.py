@@ -39,11 +39,12 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 
 from .objectives import EvaluationStream, NoiseModel, Objective
 from .partition import checked_branching, make_tree, split_cell
-from .theory import harmonic, stroquool_h_max
+from .theory import check_nu_rho, harmonic, stroquool_h_max
 
 __all__ = [
     "RunConfig", "RunResult",
@@ -55,7 +56,7 @@ __all__ = [
 class RunConfig:
     """What every optimizer run takes.
 
-    budget_n     -- opening budget n (>= 1)
+    budget_n     -- opening budget n, an integer >= 1
     seed         -- the run's seed, recorded by callers; the optimizers do
                     not read it (noise draws are seeded by NoiseModel)
     branching    -- K children per opening, an integer >= 2
@@ -68,6 +69,10 @@ class RunConfig:
     record_trace: bool = False
 
     def __post_init__(self):
+        try:
+            self.budget_n = operator.index(self.budget_n)
+        except TypeError:
+            raise ValueError(f"budget_n must be an integer: {self.budget_n!r}") from None
         if self.budget_n < 1:
             raise ValueError("budget_n must be >= 1")
         self.branching = checked_branching(self.branching)
@@ -368,10 +373,7 @@ def doo_run(obj: Objective, cfg: RunConfig, nu: float, rho: float) -> RunResult:
     maximizing value + nu * rho^depth (ties by lowest CellId).  With a huge
     nu the depth term dominates and the order degenerates to breadth-first.
     """
-    if not nu > 0:
-        raise ValueError("nu must be > 0")
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must be in (0, 1)")
+    check_nu_rho(nu, rho)
     n = cfg.budget_n
     run = _Run(obj, None, cfg)
 
