@@ -45,6 +45,17 @@ def test_cli_repeatable_flags_and_doo(tmp_path):
     assert [r.n for r in records] == [10, 30, 10, 30]
 
 
+def test_cli_rejects_a_bad_doo_before_any_task_runs(tmp_path, capsys):
+    # the grid used to run and write every sequool row, then fail on doo
+    out = tmp_path / "r.csv"
+    assert main(["--algo", "sequool", "--algo", "doo:1:2",
+                 "--objective", "garland", "--budget", "10", "--seeds", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: algorithm 'doo:1:2' invalid: rho must be in (0, 1)\n")
+    assert not out.exists()
+
+
 def test_cli_summary_table(capsys):
     rc = main(["--algo", "soo", "--objective", "garland", "--budget", "25",
                "--seeds", "1", "--summary"])

@@ -38,6 +38,13 @@ def test_parse_algo_forms():
         parse_algo("soo:1.0")
     with pytest.raises(ValueError, match="doo requires nu and rho"):
         parse_algo({"name": "doo"})
+    # DOO's own range checks, before any task of a grid runs
+    for token, message in (("doo:-1:0.5", "nu must be > 0"),
+                           ("doo:1:2", r"rho must be in \(0, 1\)"),
+                           ("doo:1:nan", r"rho must be in \(0, 1\)"),
+                           ({"name": "doo", "nu": 0, "rho": 0.5}, "nu must be > 0")):
+        with pytest.raises(ValueError, match=f"algorithm .* invalid: {message}"):
+            parse_algo(token)
     for token in ({"name": ["doo"]}, {"name": "doo", "nu": "1", "rho": 0.5},
                   {"name": "doo", "nu": 1, "rho": True}):
         with pytest.raises(ValueError, match="name must be a string, nu and "

@@ -34,7 +34,7 @@ def test_uniform_holds_one_depth():
 
 def test_stroquool_holds_one_depth():
     n = 1_000_000
-    harmonic(n)  # the cache of H(1..n) is shared by every run, not this one's
+    harmonic(n)  # cached now, so the peak is the run's, not harmonic's blocks
     peak = peak_mb(lambda: stroquool_run(GARLAND, NoiseModel(1.0, seed=0),
                                          RunConfig(budget_n=n)))
     assert peak <= 3.0, f"stroquool b=1 n=1e6 peaked at {peak:.2f} MB"

@@ -29,6 +29,14 @@ def regret(obj, result):
 def test_run_config_validation():
     with pytest.raises(ValueError, match="budget_n must be >= 1"):
         RunConfig(budget_n=0)
+    # budget_n = 100.5 used to run SequOOL as n = 100, and uniform failed
+    # on a slice index
+    for n in (100.5, 10.5, "5", None):
+        with pytest.raises(ValueError, match="budget_n must be an integer"):
+            RunConfig(budget_n=n)
+    cfg = RunConfig(budget_n=np.int64(100))
+    assert type(cfg.budget_n) is int
+    assert sequool_run(GARLAND, cfg) == sequool_run(GARLAND, RunConfig(budget_n=100))
 
 
 def test_branching_must_be_an_integer():
