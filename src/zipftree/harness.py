@@ -155,8 +155,9 @@ class ExperimentSpec:
                              f"{self.noise_b!r}") from None
         if not self.noise_b:
             raise ValueError("noise_b must be nonempty")
-        if any(b < 0 for b in self.noise_b):
-            raise ValueError("noise levels must be >= 0")
+        if not all(math.isfinite(b) and b >= 0 for b in self.noise_b):
+            raise ValueError(f"noise levels must be >= 0 and finite: "
+                             f"{self.noise_b!r}")
         if not (_is_number(self.delta) and 0.0 < self.delta < 1.0):
             raise ValueError(f"delta must be in (0, 1): {self.delta!r}")
         self.branching = checked_branching(self.branching)

@@ -4,6 +4,7 @@ bounded zero-mean noise model used for stochastic feedback."""
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -85,7 +86,8 @@ def _wrapped_sine_vec(x):
 # ---------------------------------------------------------------------------
 
 def _as_point(x):
-    if isinstance(x, (int, float)):
+    # numbers.Real covers numpy's scalars (np.float32, np.int64, ...) too
+    if isinstance(x, numbers.Real):
         return (float(x),)
     return tuple(map(float, x))
 
@@ -147,8 +149,8 @@ class NoiseModel:
     """
 
     def __init__(self, range_b, distribution="uniform", seed=0):
-        if range_b < 0:
-            raise ValueError("range_b must be >= 0")
+        if not (math.isfinite(range_b) and range_b >= 0):
+            raise ValueError(f"range_b must be >= 0 and finite: {range_b!r}")
         if distribution not in ("uniform", "truncated-gaussian"):
             raise ValueError(f"unknown noise distribution {distribution!r}")
         self._range_b = float(range_b)

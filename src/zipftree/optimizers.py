@@ -24,7 +24,9 @@ and uniform open a whole depth at a time from lists kept in index order,
 and each keeps only what its next step reads: uniform the cells its next
 depth opens, StroquOOL the depth it explores plus, per evaluation count,
 the best cell made so far, from which cross-validation nominates.  SOO and
-DOO hold their unopened leaves in heaps.
+DOO hold their unopened leaves in heaps.  An untraced SequOOL run stops
+opening cells once float64 leaves its level no new point, and adds up the
+openings it has left (see sequool_run).
 No schedule has a tuning option: a run reads the budget n, the branching
 K and the trace switch from RunConfig, and DOO also takes the smoothness
 (nu, rho) it assumes.
@@ -43,7 +45,7 @@ import operator
 from dataclasses import dataclass
 
 from .objectives import EvaluationStream, NoiseModel, Objective
-from .partition import checked_branching, make_tree, split_cell
+from .partition import checked_branching, fixed_cell, make_tree, split_cell
 from .theory import check_nu_rho, harmonic, stroquool_h_max
 
 __all__ = [
@@ -193,24 +195,65 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
     depth-h cells by value (all of them if fewer exist), where h_max =
     floor(n / H(n)).  The recommendation is the best evaluated
     representative.  Total openings obey 1 + sum_h floor(h_max/h) <= n + 1.
+
+    Without a trace, the run settles once float64 has no new point left.
+    Call depth h closed when every child its openings make is its parent
+    object or a fixed cell (partition.fixed_cell).  After dim consecutive
+    closed depths, every cell of the level is a fixed cell, or an object
+    that split into itself along each axis in turn.  split_cell depends on
+    the depth only through the axis, so every later split of those cells
+    makes children bit-identical to ones already evaluated, and as fn is
+    pure no later value is new.  A later tie loses on (depth, key), so the
+    running best is final.  How many cells each later depth g opens, m =
+    min(len(level), h_max // g), does not depend on the cells, and the next
+    level holds K*m of them: the openings, budget units, charged
+    evaluations (K per opening) and the deepest depth (h_max + 1) that
+    remain are added up instead of performed.  With a trace every cell is
+    opened, so the log stays complete.
     """
     n = cfg.budget_n
     run = _Run(obj, None, cfg)
     h_max = int(n // harmonic(n))
+    K = run.K
+    dim = len(run.root[0])
+    tracing = run.trace is not None
 
     # the depth-h cells in index order as (value, cell) pairs -- each child
     # holds one evaluation, so its sum is its value -- and, with a trace,
     # their CellId indices
     level = run.open(run.root, 0, 0, index=0)
-    index = list(range(run.K)) if run.trace is not None else None
+    index = list(range(K)) if tracing else None
+    closed = 0  # consecutive closed depths, counted without a trace
 
     for h in range(1, h_max + 1):
         # the h_max // h best cells open in order of value, ties to the
         # lowest position (the sort is stable) and NaN last
         keys = [_rank_key(v) for v, _ in level]
         best = sorted(range(len(level)), key=keys.__getitem__)
-        level, index = run.open_level(level, index, h,
-                                      dict.fromkeys(best[:h_max // h], 1))
+        chosen = dict.fromkeys(best[:h_max // h], 1)
+        if tracing:
+            level, index = run.open_level(level, index, h, chosen)
+            continue
+        # open_level puts the children of the t-th parent in index order
+        # at t*K .. t*K + K-1
+        parents = [level[i][1] for i in sorted(chosen)]
+        level, _ = run.open_level(level, None, h, chosen)
+        if all(child is parents[t // K] or fixed_cell(child)
+               for t, (_, child) in enumerate(level)):
+            closed += 1
+        else:
+            closed = 0
+        if closed == dim:
+            size = len(level)
+            for g in range(h + 1, h_max + 1):
+                m = min(size, h_max // g)
+                run.openings += m
+                run.units += m
+                run.stream.n_evals += K * m
+                size = K * m
+            # depth h_max opens h_max // h_max = 1 cell
+            run.deepest = h_max + 1
+            break
 
     if run.openings > n + 1:
         raise RuntimeError("harmonic budget identity violated")

@@ -1,14 +1,14 @@
-"""Axis-aligned K-ary partitioning of a box domain, with the evaluated-tree
-bookkeeping shared by every optimizer.
+"""Axis-aligned K-ary partitioning of a box domain.
 
 A cell is "opened" by splitting it into K equal-width children along one axis
 (axis depth % dim, so the axis cycles with depth) and evaluating each child's
-representative point a requested number of times.  Budgets are counted in
-openings; the tree keeps a ledger of how many cells have been opened.
-
-A cell stores its bounds and its representative (the centre of its box) as
-plain tuples; `Cell.box` builds a `Box` from the bounds on demand.  The split
-formula, `split_cell`, works on bare (lower, upper, centre) tuples.
+representative point.  The split formula, `split_cell`, works on bare
+(lower, upper, centre) tuples of floats, the centre being the cell's
+representative; the optimizers open such tuples and take only the root,
+with the domain and branching checks, from `make_tree`.  `PartitionTree`
+keeps `Cell` objects with their evaluation statistics and an opening ledger
+for callers that want the explored tree itself (the partition tour demo),
+and `cell_containing` names the cell of a point at any depth.
 
 Points are checked against the domain once, not per evaluation: split_cell
 raises unless its children's centres lie inside the parent, so when the
@@ -17,11 +17,13 @@ objectives.EvaluationStream.observe_sum evaluates them unchecked
 (Objective.eval stays checked).
 
 Cells stop shrinking once float64 runs out of width (K = 3 on [0, 1] does
-at depth 34).  When the split axis has no width left -- hi - lo == 0.0,
-lo != 0.0 and centre[axis] == lo == 0.5*(lo + hi) -- the formula would give
-K copies of the parent, bit for bit, so split_cell returns the parent
-object itself K times, and EvaluationStream.observe_sum, which remembers
-the last point object it evaluated, calls the objective once for them.
+at depth 34).  A child that equals its parent bit for bit -- every child of
+a split axis with no width left, and the child of a one-ulp cell that
+straddles both its bounds -- comes back as the parent object itself, and
+EvaluationStream.observe_sum, which remembers the last point object it
+evaluated, calls the objective once for repeats of it.  `fixed_cell` tells a
+cell with no width left on any axis, which splits into itself K times at
+every depth.
 """
 
 from __future__ import annotations
@@ -149,10 +151,14 @@ def split_cell(cell, depth, K):
     EvaluationStream.observe_sum evaluates them unchecked, while
     Objective.eval stays checked.
 
-    A split axis with no width left, where hi - lo == 0.0 (so lo == hi and
-    both are finite), lo != 0.0 and centre[axis] == lo == 0.5*(lo + hi),
-    returns `[cell] * K`: there every edge and centre the formula computes
-    is lo, so its children equal the parent bit for bit and the guard
+    A child that equals the parent bit for bit is the parent object itself.
+    That is a child with edges (a, b) == (lo, hi) and centre 0.5*(a + b) ==
+    centre[axis], where none of lo, hi and the centre is a signed zero (so
+    equal values are equal bits): the straddling child of a one-ulp cell,
+    and every child of a split axis with no width left.  The latter --
+    hi - lo == 0.0 (so lo == hi and both are finite), lo != 0.0 and
+    centre[axis] == lo == 0.5*(lo + hi) -- returns `[cell] * K` at once:
+    there every edge and centre the formula computes is lo, and the guard
     passes.  Every other cell takes the formula and its guard: a signed
     zero (lo + 0*w/K turns -0.0 into +0.0), |lo| > DBL_MAX/2 (the centre
     overflows, so the guard raises), an infinite bound (the width is NaN)
@@ -162,8 +168,10 @@ def split_cell(cell, depth, K):
     axis = depth % len(lower)
     lo = lower[axis]
     hi = upper[axis]
+    c = centre[axis]
     w = hi - lo
-    if w == 0.0 and lo != 0.0 and centre[axis] == lo == 0.5 * (lo + hi):
+    # the rule fixed_cell applies on every axis
+    if w == 0.0 and lo != 0.0 and c == lo == 0.5 * (lo + hi):
         return [cell] * K
     children = []
     a = lo + 0 * w / K
@@ -173,13 +181,28 @@ def split_cell(cell, depth, K):
     c_head, c_tail = centre[:axis], centre[axis + 1:]
     for j in range(1, K + 1):
         b = lo + j * w / K if j < K else hi
-        children.append((lo_head + (a,) + lo_tail, up_head + (b,) + up_tail,
-                         c_head + (0.5 * (a + b),) + c_tail))
+        mid = 0.5 * (a + b)
+        if (a == lo and b == hi and mid == c != 0.0 and lo != 0.0
+                and hi != 0.0):
+            children.append(cell)
+        else:
+            children.append((lo_head + (a,) + lo_tail,
+                             up_head + (b,) + up_tail,
+                             c_head + (mid,) + c_tail))
         a = b
     if not (lo <= children[0][2][axis] and children[-1][2][axis] <= hi):
         raise ValueError(f"split of [{lo!r}, {hi!r}] on axis {axis} puts a "
                          f"child's centre outside the cell")
     return children
+
+
+def fixed_cell(cell):
+    """True when no axis of `cell`, a (lower, upper, centre) tuple, has
+    width left: split_cell then returns the cell itself K times at every
+    depth, so no split of it makes a new point."""
+    lower, upper, centre = cell
+    return all(hi - lo == 0.0 and lo != 0.0 and c == lo == 0.5 * (lo + hi)
+               for lo, hi, c in zip(lower, upper, centre))
 
 
 def _observe_sum(evaluator, point, count):
