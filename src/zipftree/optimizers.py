@@ -200,16 +200,16 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
     Call depth h closed when every child its openings make is its parent
     object or a fixed cell (partition.fixed_cell).  After dim consecutive
     closed depths, every cell of the level is a fixed cell, or an object
-    that split into itself along each axis in turn.  split_cell depends on
-    the depth only through the axis, so every later split of those cells
-    makes children bit-identical to ones already evaluated, and as fn is
-    pure no later value is new.  A later tie loses on (depth, key), so the
-    running best is final.  How many cells each later depth g opens, m =
-    min(len(level), h_max // g), does not depend on the cells, and the next
-    level holds K*m of them: the openings, budget units, charged
-    evaluations (K per opening) and the deepest depth (h_max + 1) that
-    remain are added up instead of performed.  With a trace every cell is
-    opened, so the log stays complete.
+    that split into itself and fixed cells along each axis in turn.
+    split_cell depends on the depth only through the axis, so every later
+    split of those cells makes children bit-identical to ones already
+    evaluated, and as fn is pure no later value is new.  A later tie loses
+    on (depth, key), so the running best is final.  How many cells each
+    later depth g opens, m = min(len(level), h_max // g), does not depend
+    on the cells, and the next level holds K*m of them: the openings,
+    budget units, charged evaluations (K per opening) and the deepest
+    depth (h_max + 1) that remain are added up instead of performed.  With
+    a trace every cell is opened, so the log stays complete.
     """
     n = cfg.budget_n
     run = _Run(obj, None, cfg)

@@ -153,7 +153,7 @@ def split_cell(cell, depth, K):
 
     A child that equals the parent bit for bit is the parent object itself.
     That is a child with edges (a, b) == (lo, hi) and centre 0.5*(a + b) ==
-    centre[axis], where none of lo, hi and the centre is a signed zero (so
+    centre[axis], where none of lo, hi and the centre is 0.0 or -0.0 (so
     equal values are equal bits): the straddling child of a one-ulp cell,
     and every child of a split axis with no width left.  The latter --
     hi - lo == 0.0 (so lo == hi and both are finite), lo != 0.0 and

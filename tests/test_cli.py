@@ -91,6 +91,19 @@ def test_cli_error_paths(capsys):
     assert "deterministic-feedback" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("b", ["nan", "inf"])
+def test_cli_rejects_a_non_finite_noise_level(tmp_path, capsys, b):
+    out = tmp_path / "r.csv"
+    assert main(["--algo", "uniform", "--objective", "garland",
+                 "--budget", "10", "--noise-b", b, "--seeds", "1",
+                 "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error: noise levels must be >= 0 and finite")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_names_a_failing_task(capsys):
     assert main(["--algo", "stroquool", "--objective", "garland",
                  "--budget", "5,20", "--seeds", "1"]) == 1

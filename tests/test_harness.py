@@ -52,6 +52,13 @@ def test_parse_algo_forms():
             parse_algo(token)
 
 
+@pytest.mark.parametrize("b", [math.nan, math.inf])
+def test_spec_rejects_a_non_finite_noise_level(b):
+    # NaN passed the old b < 0 check, and a NoiseModel of it drew only NaN
+    with pytest.raises(ValueError, match="noise levels must be >= 0 and finite"):
+        small_spec(noise_b=[0.0, b])
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         small_spec(budgets=[100, 100])

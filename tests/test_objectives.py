@@ -170,6 +170,29 @@ def test_objective_eval_converts_points_to_float_tuples():
     assert all(type(v) is float for p in seen for v in p)
 
 
+def test_objective_eval_accepts_numpy_scalars():
+    # numpy registers its scalar types as numbers.Real; np.float64 is also
+    # a float, but np.float32 and the integer types are not
+    garland_obj = garland_objective()
+    assert garland_obj.eval(np.float32(0.25)) == garland(float(np.float32(0.25)))
+    assert garland_obj.eval(np.int64(0)) == 0.0
+    assert garland_obj.eval(np.uint8(1)) == 0.0
+    line, seen = _probe(Box([0.0], [1.0]))
+    for x in (np.float32(0.5), np.float16(0.25), np.int32(1), np.float64(0.75)):
+        line.eval(x)
+    assert seen == [(0.5,), (0.25,), (1.0,), (0.75,)]
+    assert all(type(p) is tuple and type(p[0]) is float for p in seen)
+
+
+def test_observe_sum_accepts_numpy_scalars():
+    obj, calls = counting_objective(lambda p: garland(abs(p[0])))
+    stream = EvaluationStream(obj)
+    assert stream.observe_sum(np.float32(0.5), 2) == 2 * garland(0.5)
+    assert stream.observe_sum(np.int64(1), 1) == garland(1.0)
+    assert calls == [(0.5,), (1.0,)]
+    assert stream.n_evals == 3
+
+
 def test_objective_registry():
     assert get_objective("garland").name == "garland"
     assert get_objective("wrapped-sine").name == "wrapped-sine"
@@ -220,6 +243,14 @@ def test_noise_validation_and_reset():
     first = NoiseModel(0.3, seed=21).offsets(8)
     assert np.array_equal(NoiseModel(0.3, seed=21).offsets(8), first)
     assert not np.array_equal(NoiseModel(0.3, seed=22).offsets(8), first)
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("distribution", ["uniform", "truncated-gaussian"])
+def test_noise_rejects_a_non_finite_width(b, distribution):
+    # NaN passed the old b < 0 check and drew only NaN, as did inf
+    with pytest.raises(ValueError, match="range_b must be >= 0 and finite"):
+        NoiseModel(b, distribution)
 
 
 class _PerCallNoise:

@@ -6,7 +6,9 @@ split raises ValueError -- and it raises only when some centre, computed
 by the same formula without the guard, falls outside the domain.  A split
 axis with no width left returns the parent itself K times; those children
 equal the formula's bit for bit, and the split raises exactly when the
-formula's guard fails."""
+formula's guard fails.  Any other child that equals its parent bit for bit
+-- the straddling child of a one-ulp cell -- is the parent object too, and
+fixed_cell holds exactly when a cell splits into itself on every axis."""
 
 import math
 import struct
@@ -18,7 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from zipftree.partition import Box, split_cell  # noqa: E402
+from zipftree.partition import Box, fixed_cell, split_cell  # noqa: E402
 
 
 def axis_rule(depth, dim):
@@ -152,3 +154,77 @@ def test_zero_width_split_is_the_formula_bit_for_bit(drawn):
         assert all(child is cell for child in children)
     else:  # a signed zero, or an inconsistent centre that the guard lets by
         assert not any(child is cell for child in children)
+
+
+ULP_BOUNDS = [0.5235987755982988, 0.3, 1.0, math.nextafter(2.0, 0.0),
+              1e-300, 1e-323, 123456.789, 1e300]
+
+
+@pytest.mark.parametrize("K", range(2, 8))
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("lo", ULP_BOUNDS)
+def test_one_ulp_straddling_child_is_the_parent(lo, sign, K):
+    lo = sign * lo
+    hi = math.nextafter(lo, math.inf)
+    line = ((lo,), (hi,), (0.5 * (lo + hi),))
+    plane = ((lo, -1.0), (hi, 3.0), (0.5 * (lo + hi), 1.0))
+    for cell, depth in ((line, 0), (line, 7), (plane, 0), (plane, 4)):
+        children = split_cell(cell, depth, K)
+        assert bits(children) == bits(unguarded_children(cell, depth, K))
+        # the children whose edges on the split axis are the parent's bounds
+        straddling = [c for c in children if (c[0][0], c[1][0]) == (lo, hi)]
+        assert len(straddling) == 1 and straddling[0] is cell
+        others = [c for c in children if c is not cell]
+        assert len(others) == K - 1
+        # the rest have no width on the split axis: in 1-D they are fixed
+        assert all(c[0][0] == c[1][0] for c in others)
+        assert all(fixed_cell(c) == (cell is line) for c in others)
+        assert not fixed_cell(cell)
+
+
+@pytest.mark.parametrize("K", range(2, 8))
+@pytest.mark.parametrize("lo, hi", [(-0.0, 5e-324), (0.0, 5e-324),
+                                    (-5e-324, -0.0), (-5e-324, 0.0),
+                                    (-5e-324, 5e-324), (-0.0, 1.0)])
+def test_a_signed_zero_keeps_fresh_children(lo, hi, K):
+    cell = ((lo,), (hi,), (0.5 * (lo + hi),))
+    children = split_cell(cell, 0, K)
+    assert bits(children) == bits(unguarded_children(cell, 0, K))
+    assert not any(child is cell for child in children)
+    # a child that touches zero is never fixed; one off it may be
+    assert not any(fixed_cell(child) for child in children
+                   if 0.0 in (child[0][0], child[1][0]))
+
+
+@st.composite
+def narrow_cells(draw):
+    """(cell, K): a zero_width_cells cell whose other axes all, or each at
+    even odds, take the zero-width split axis of another zero_width_cells
+    draw, so that every axis, or only some, may have no width left."""
+    (lower, upper, centre), depth, K = draw(zero_width_cells())
+    lower, upper, centre = list(lower), list(upper), list(centre)
+    every = draw(st.booleans())
+    for i in range(len(lower)):
+        if i != axis_rule(depth, len(lower)) and (every or draw(st.booleans())):
+            (lo, hi, c), d, _ = draw(zero_width_cells())
+            axis = axis_rule(d, len(lo))
+            lower[i], upper[i], centre[i] = lo[axis], hi[axis], c[axis]
+    return (tuple(lower), tuple(upper), tuple(centre)), K
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(narrow_cells())
+def test_fixed_cell_is_a_split_into_itself_on_every_axis(drawn):
+    cell, K = drawn
+
+    def into_itself(depth):
+        try:
+            children = split_cell(cell, depth, K)
+        except ValueError:
+            return False
+        return len(children) == K and all(child is cell for child in children)
+
+    dim = len(cell[0])
+    assert fixed_cell(cell) == all(into_itself(d) for d in range(dim))
+    # the split depends on the depth only through the axis
+    assert all(into_itself(d) == into_itself(d + dim) for d in range(dim))
