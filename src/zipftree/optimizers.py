@@ -24,7 +24,9 @@ and uniform open a whole depth at a time from lists kept in index order,
 and each keeps only what its next step reads: uniform the cells its next
 depth opens, StroquOOL the depth it explores plus, per evaluation count,
 the best cell made so far, from which cross-validation nominates.  SOO and
-DOO hold their unopened leaves in heaps.  An untraced SequOOL run stops
+DOO hold their unopened leaves in heaps, where one entry can stand for a
+run of consecutive copies of a fixed cell, opened without a split (see
+soo_run and doo_run).  An untraced SequOOL run stops
 opening cells once float64 leaves its level no new point, and adds up the
 openings it has left (see sequool_run).
 No schedule has a tuning option: a run reads the budget n, the branching
@@ -111,6 +113,12 @@ class _Run:
     8,272, where a K = 3 index has 13,111 bits.  Carrying the indices on
     every run cost about 12% more wall time on perfbench's `deterministic`
     workload and 2 MB more peak memory.
+
+    SOO and DOO open a run of copies of a fixed cell (partition.fixed_cell)
+    through open_copies(depth, index, count), which performs no split and no
+    evaluation: it moves the counts as `count` openings would and, with a
+    trace, logs one `open` event per copy, so traced and untraced runs take
+    the same path and the trace is the one opening each copy would log.
     """
 
     def __init__(self, obj: Objective, noise: NoiseModel | None, cfg: RunConfig):
@@ -157,6 +165,22 @@ class _Run:
                 self.best_point = child[2]
             key += 1
         return out
+
+    def open_copies(self, depth, index, count):
+        """Open the `count` copies of a fixed cell at `depth` with CellId
+        indices index .. index + count - 1, one evaluation per child.  Each
+        splits into K copies of itself that hold its value, so nothing is
+        split or evaluated: the counts move as `open` moves them, and with a
+        trace one `open` event is logged per copy.  The running best stays,
+        since a copy's children tie with it one depth deeper and lose."""
+        if self.trace is not None:
+            self.trace += [("open", depth, i, 1)
+                           for i in range(index, index + count)]
+        self.openings += count
+        self.units += count
+        self.stream.n_evals += self.K * count
+        if depth >= self.deepest:
+            self.deepest = depth + 1
 
     def open_level(self, cells, index, depth, chosen):
         """Open, in the order of `chosen` (position -> evaluations per child),
@@ -375,15 +399,29 @@ def soo_run(obj: Objective, cfg: RunConfig) -> RunResult:
     Munos (2011) takes the limit sqrt(t) alone, which with K = 2 leaves the
     sweep short of every unopened cell after 3 openings.  A NaN value ranks
     below every other, as -inf does.
+
+    A heap entry (key, index, cell, count) stands for `count` copies of a
+    fixed cell at indices index .. index + count - 1, and this is exact.  A
+    fixed cell splits into K copies of itself with its own value, and the
+    children of c copies with consecutive indices are K*c consecutive
+    indices one depth down.  No other leaf of the depth can sort between a
+    run's copies: an index belongs to one subtree only, so the run's keys
+    tie and its indices are its own.  A sweep opens at most one cell per
+    depth, so a run gives up one copy per visit (open_copies) and pushes
+    one entry of K copies one depth down; the copies' children have the
+    copies' value one depth deeper, so they never beat the running best.
     """
     n = cfg.budget_n
     run = _Run(obj, None, cfg)
+    K = run.K
 
-    # depth -> heap of (_rank_key(value), index, cell) of unopened leaves; the
-    # root has no value, so its key lets it pass the sweep test and leaves
-    # vmax at -inf.  The sweep reaches the shallowest leaf with vmax still
-    # -inf, so every sweep opens a cell
-    heaps = {0: [(math.inf, 0, run.root)]}
+    # depth -> heap of (_rank_key(value), index, cell, count) of unopened
+    # leaves, an entry standing for the `count` copies of a fixed cell at
+    # indices index .. index + count - 1; the root has no value, so its key
+    # lets it pass the sweep test and leaves vmax at -inf.  The sweep
+    # reaches the shallowest leaf with vmax still -inf, so every sweep opens
+    # a cell
+    heaps = {0: [(math.inf, 0, run.root, 1)]}
     shallowest = 0  # the shallowest depth whose heap holds a leaf
 
     while run.units < n:
@@ -393,13 +431,23 @@ def soo_run(obj: Objective, cfg: RunConfig) -> RunResult:
                 run.deepest, max(int(math.sqrt(run.units)), shallowest)):
             heap = heaps.get(h)
             if heap and -heap[0][0] >= vmax:
-                key, index, cell = heapq.heappop(heap)
+                key, index, cell, count = heap[0]
+                if count > 1:
+                    # the sweep opens one copy; the rest stay one entry
+                    heapq.heapreplace(heap, (key, index + 1, cell, count - 1))
+                else:
+                    heapq.heappop(heap)
                 vmax = -key
-                base = index * run.K
+                base = index * K
                 nxt = heaps.setdefault(h + 1, [])
-                children = run.open(cell, h, base, 1, index)
-                for j, (value, child) in enumerate(children):
-                    heapq.heappush(nxt, (_rank_key(value), base + j, child))
+                if count > 1 or fixed_cell(cell):
+                    run.open_copies(h, index, 1)
+                    heapq.heappush(nxt, (key, base, cell, K))
+                else:
+                    children = run.open(cell, h, base, 1, index)
+                    for j, (value, child) in enumerate(children):
+                        heapq.heappush(nxt, (_rank_key(value), base + j,
+                                             child, 1))
                 while not heaps[shallowest]:
                     shallowest += 1  # stops at h + 1, which just got children
             h += 1
@@ -415,21 +463,42 @@ def doo_run(obj: Objective, cfg: RunConfig, nu: float, rho: float) -> RunResult:
     """Optimistic baseline that knows the smoothness: always opens the leaf
     maximizing value + nu * rho^depth (ties by lowest CellId).  With a huge
     nu the depth term dominates and the order degenerates to breadth-first.
+
+    A heap entry (key, depth, index, value, cell, count) stands for `count`
+    copies of a fixed cell at indices index .. index + count - 1 (the value
+    is kept because the key adds the depth bonus), and this is exact.  A
+    fixed cell splits into K copies of itself with its own value, and the
+    children of c copies with consecutive indices are K*c consecutive
+    indices one depth down.  No other leaf can be ordered between a run's
+    copies: an index belongs to one subtree only, and a copy's children
+    never rank better than the copy, since their value is the same, the
+    bonus nu * rho^(depth+1) does not grow, and on equal keys the deeper
+    entry loses.  So a popped run opens min(count, n - units) copies at
+    once (open_copies) and pushes one entry of K copies per copy opened.
     """
     check_nu_rho(nu, rho)
     n = cfg.budget_n
     run = _Run(obj, None, cfg)
+    K = run.K
 
-    # (_rank_key(value + nu rho^depth), depth, index, cell) of unopened leaves
-    heap = [(0.0, 0, 0, run.root)]
+    # (_rank_key(value + nu rho^depth), depth, index, value, cell, count) of
+    # unopened leaves, an entry standing for the `count` copies of a fixed
+    # cell at indices index .. index + count - 1; the root has no value
+    heap = [(0.0, 0, 0, None, run.root, 1)]
     while heap and run.units < n:
-        _key, depth, index, cell = heapq.heappop(heap)
-        base = index * run.K
+        _key, depth, index, value, cell, count = heapq.heappop(heap)
+        base = index * K
         bonus = nu * rho ** (depth + 1)
+        if count > 1 or fixed_cell(cell):
+            m = min(count, n - run.units)
+            run.open_copies(depth, index, m)
+            heapq.heappush(heap, (_rank_key(value + bonus), depth + 1, base,
+                                  value, cell, K * m))
+            continue
         children = run.open(cell, depth, base, 1, index)
         for j, (value, child) in enumerate(children):
             heapq.heappush(heap, (_rank_key(value + bonus), depth + 1,
-                                  base + j, child))
+                                  base + j, value, child, 1))
 
     return run.result()
 

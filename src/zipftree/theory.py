@@ -22,6 +22,7 @@ import decimal
 import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -156,17 +157,30 @@ class SmoothnessParams:
             raise ValueError("d must be >= 0")
 
 
+def _check_b(b):
+    """Raise ValueError unless the noise range b is finite and >= 0 (a NaN
+    fails)."""
+    if not (math.isfinite(b) and b >= 0):
+        raise ValueError(f"b must be >= 0 and finite: {b!r}")
+
+
 @dataclass
 class BoundInputs:
+    """What the StroquOOL bounds take: the budget n, an integer >= 1; the
+    noise range b, finite and >= 0; the confidence level delta in (0, 1)."""
+
     n: int
     b: float = 0.0
     delta: float = 0.05
 
     def __post_init__(self):
+        try:
+            self.n = operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"n must be an integer: {self.n!r}") from None
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.b < 0:
-            raise ValueError("b must be >= 0")
+        _check_b(self.b)
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
 
@@ -321,8 +335,7 @@ def confidence_radius(b, n, delta, evals):
         raise ValueError("delta must be in (0, 1)")
     if evals < 1:
         raise ValueError("evals must be >= 1")
-    if b < 0:
-        raise ValueError("b must be >= 0")
+    _check_b(b)
     return b * math.sqrt(math.log(2.0 * n * n / delta) / (2.0 * evals))
 
 

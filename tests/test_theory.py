@@ -142,6 +142,24 @@ def test_parameter_validation():
         BoundInputs(n=10, delta=1.0)
 
 
+@pytest.mark.parametrize("n", [1000.5, 1000.0, math.inf, math.nan, "1000"])
+def test_bound_inputs_reject_a_non_integer_n(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        BoundInputs(n=n, b=0.1)
+
+
+def test_bound_inputs_take_any_integer_n():
+    assert BoundInputs(n=np.int64(1000), b=0.1).n == 1000
+    assert type(BoundInputs(n=np.int64(1000)).n) is int
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+def test_bound_inputs_reject_a_non_finite_b(b):
+    # a NaN b had given regime "low", bound 1.5 and h_tilde NaN
+    with pytest.raises(ValueError, match="b must be >= 0 and finite"):
+        BoundInputs(n=1000, b=b)
+
+
 # ---------------------------------------------------------------------------
 # deterministic-feedback bound
 # ---------------------------------------------------------------------------
@@ -312,6 +330,12 @@ def test_confidence_radius_validation():
         confidence_radius(1.0, 10, 0.1, 0)
     with pytest.raises(ValueError, match="b must be >= 0"):
         confidence_radius(-1.0, 10, 0.1, 1)
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf])
+def test_confidence_radius_rejects_a_non_finite_b(b):
+    with pytest.raises(ValueError, match="b must be >= 0 and finite"):
+        confidence_radius(b, 10, 0.1, 1)
 
 
 # ---------------------------------------------------------------------------
