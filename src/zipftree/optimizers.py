@@ -168,11 +168,9 @@ class _Run:
 
     def open_copies(self, depth, index, count):
         """Open the `count` copies of a fixed cell at `depth` with CellId
-        indices index .. index + count - 1, one evaluation per child.  Each
-        splits into K copies of itself that hold its value, so nothing is
-        split or evaluated: the counts move as `open` moves them, and with a
-        trace one `open` event is logged per copy.  The running best stays,
-        since a copy's children tie with it one depth deeper and lose."""
+        indices index .. index + count - 1, one evaluation per child, without
+        a split or an evaluation.  The running best stays, since a copy's
+        children tie with it one depth deeper and lose."""
         if self.trace is not None:
             self.trace += [("open", depth, i, 1)
                            for i in range(index, index + count)]
@@ -416,9 +414,8 @@ def soo_run(obj: Objective, cfg: RunConfig) -> RunResult:
     K = run.K
 
     # depth -> heap of (_rank_key(value), index, cell, count) of unopened
-    # leaves, an entry standing for the `count` copies of a fixed cell at
-    # indices index .. index + count - 1; the root has no value, so its key
-    # lets it pass the sweep test and leaves vmax at -inf.  The sweep
+    # leaves (count > 1 only for a run of copies); the root has no value, so
+    # its key lets it pass the sweep test and leaves vmax at -inf.  The sweep
     # reaches the shallowest leaf with vmax still -inf, so every sweep opens
     # a cell
     heaps = {0: [(math.inf, 0, run.root, 1)]}
@@ -482,8 +479,8 @@ def doo_run(obj: Objective, cfg: RunConfig, nu: float, rho: float) -> RunResult:
     K = run.K
 
     # (_rank_key(value + nu rho^depth), depth, index, value, cell, count) of
-    # unopened leaves, an entry standing for the `count` copies of a fixed
-    # cell at indices index .. index + count - 1; the root has no value
+    # unopened leaves (count > 1 only for a run of copies); the root has no
+    # value
     heap = [(0.0, 0, 0, None, run.root, 1)]
     while heap and run.units < n:
         _key, depth, index, value, cell, count = heapq.heappop(heap)

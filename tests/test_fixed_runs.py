@@ -16,7 +16,7 @@ import zipftree.optimizers as optimizers
 from test_frozen_baselines import (CUSTOM, FROZEN, FROZEN_EXTRA, RUNNERS,
                                    digest)
 from zipftree.objectives import Objective, garland_objective, get_objective
-from zipftree.optimizers import RunConfig, doo_run, soo_run
+from zipftree.optimizers import RunConfig, doo_run
 from zipftree.partition import Box
 
 
@@ -73,8 +73,8 @@ ULP_FNS = {
 }
 
 ULP_RUNNERS = {
-    "soo": lambda obj, cfg: soo_run(obj, cfg),
-    "doo(1,0.6)": lambda obj, cfg: doo_run(obj, cfg, 1.0, 0.6),
+    "soo": RUNNERS["soo"],
+    "doo(1,0.6)": RUNNERS["doo(1,0.6)"],
     "doo(1e6,0.5)": lambda obj, cfg: doo_run(obj, cfg, 1e6, 0.5),
 }
 
@@ -110,7 +110,7 @@ def ulp_digest(algo, shape, ulps, fname):
 
 # (algorithm, shape, ulps, objective) -> ulp_digest, recorded before SOO and
 # DOO opened runs of copies.  Cells of the 1-D and "2-D narrow" shapes are
-# fixed within three depths; a "2-D unit" cell keeps width on its second
+# fixed within a few depths; a "2-D unit" cell keeps width on its second
 # axis at these budgets, so its x-splits give the parent object back
 # without the cell being fixed, and no run forms
 ULP_FROZEN = {
