@@ -38,10 +38,6 @@ def garland(x):
     return 4.0 * x * (1.0 - x) * (0.75 + 0.25 * (1.0 - math.sqrt(abs(math.sin(60.0 * x)))))
 
 
-def _garland_vec(x):
-    return 4.0 * x * (1.0 - x) * (0.75 + 0.25 * (1.0 - np.sqrt(np.abs(np.sin(60.0 * x)))))
-
-
 # ---------------------------------------------------------------------------
 # wrapped sine
 # ---------------------------------------------------------------------------
@@ -69,18 +65,6 @@ def wrapped_sine(x):
     return 0.5 * (math.sin(math.pi * math.log2(u)) + 1.0) * (ua - u ** _WS_FAST) - ua
 
 
-def _wrapped_sine_vec(x):
-    u = 2.0 * np.abs(x - 0.5)
-    # log2(0) -> -inf and 0 * inf -> nan at the midpoint, both masked below
-    old = np.seterr(divide="ignore", invalid="ignore")
-    try:
-        ua = u ** _WS_SLOW
-        s = 0.5 * (np.sin(np.pi * np.log2(u)) + 1.0) * (ua - u ** _WS_FAST) - ua
-    finally:
-        np.seterr(**old)
-    return np.where(u == 0.0, 0.0, s)
-
-
 # ---------------------------------------------------------------------------
 # generic objective + noise
 # ---------------------------------------------------------------------------
@@ -95,20 +79,20 @@ def _as_point(x):
 class Objective:
     """A deterministic scalar field on a box domain.
 
-    fn maps a point (tuple of floats) to a real value.  optimum_value, when
-    known, is the supremum used for regret scoring -- it need not be attained
-    at any representable argument (see GARLAND_OPTIMUM).  vector_fn, if
-    given, evaluates a numpy array of 1-D points in one call.
+    fn maps a point (tuple of floats) to a real value; the optimizers,
+    eval and theory.count_near_optimal all evaluate one point at a time
+    through it.  optimum_value, when known, is the supremum used for regret
+    scoring -- it need not be attained at any representable argument (see
+    GARLAND_OPTIMUM).
     """
 
     def __init__(self, name, domain, fn, optimum_value=None, optimum_point=None,
-                 vector_fn=None, optimum_note=""):
+                 optimum_note=""):
         self.name = name
         self.domain = domain
         self.fn = fn
         self.optimum_value = optimum_value
         self.optimum_point = optimum_point
-        self.vector_fn = vector_fn
         self.optimum_note = optimum_note
 
     def eval(self, point):
@@ -118,13 +102,6 @@ class Objective:
         return float(self.fn(point))
 
     __call__ = eval
-
-    def eval_many(self, xs):
-        """Vectorized evaluation for 1-D objectives (diagnostics only)."""
-        xs = np.asarray(xs, dtype=float)
-        if self.vector_fn is not None:
-            return self.vector_fn(xs)
-        return np.array([self.fn((float(v),)) for v in xs.ravel()]).reshape(xs.shape)
 
     def __repr__(self):
         return f"Objective({self.name!r})"
@@ -263,7 +240,6 @@ def garland_objective() -> Objective:
         lambda p: garland(p[0]),
         optimum_value=GARLAND_OPTIMUM,
         optimum_point=(GARLAND_ARGMAX,),
-        vector_fn=_garland_vec,
         optimum_note=("analytic supremum at the sine-zero cusp x=pi/6; the best "
                       "float64 argument evaluates 1.2035640817309456e-08 lower, "
                       "which is the regret floor"),
@@ -277,7 +253,6 @@ def wrapped_sine_objective() -> Objective:
         lambda p: wrapped_sine(p[0]),
         optimum_value=0.0,
         optimum_point=(0.5,),
-        vector_fn=_wrapped_sine_vec,
         optimum_note="supremum 0, attained by the S(1/2)=0 midpoint convention",
     )
 

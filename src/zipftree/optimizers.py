@@ -43,12 +43,11 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 from dataclasses import dataclass
 
 from .objectives import EvaluationStream, NoiseModel, Objective
 from .partition import checked_branching, fixed_cell, make_tree, split_cell
-from .theory import check_nu_rho, harmonic, stroquool_h_max
+from .theory import check_nu_rho, checked_integer, harmonic, stroquool_h_max
 
 __all__ = [
     "RunConfig", "RunResult",
@@ -73,12 +72,7 @@ class RunConfig:
     record_trace: bool = False
 
     def __post_init__(self):
-        try:
-            self.budget_n = operator.index(self.budget_n)
-        except TypeError:
-            raise ValueError(f"budget_n must be an integer: {self.budget_n!r}") from None
-        if self.budget_n < 1:
-            raise ValueError("budget_n must be >= 1")
+        self.budget_n = checked_integer(self.budget_n, "budget_n", 1)
         self.branching = checked_branching(self.branching)
 
 

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .partition import checked_branching, split_cell
+
 __all__ = [
     "SmoothnessParams", "BoundInputs", "harmonic", "stroquool_h_max",
     "lambert_w", "sequool_bound", "stroquool_bounds", "h_tilde_asymptotic",
@@ -134,6 +136,18 @@ def lambert_w(x):
 # parameter bundles
 # ---------------------------------------------------------------------------
 
+def checked_integer(value, name, minimum):
+    """`value` as an int >= `minimum` (anything operator.index takes is an
+    integer), else ValueError."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer: {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return value
+
+
 def check_nu_rho(nu, rho):
     """Raise ValueError unless nu > 0 and 0 < rho < 1 (a NaN fails both)."""
     if not nu > 0:
@@ -174,12 +188,7 @@ class BoundInputs:
     delta: float = 0.05
 
     def __post_init__(self):
-        try:
-            self.n = operator.index(self.n)
-        except TypeError:
-            raise ValueError(f"n must be an integer: {self.n!r}") from None
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        self.n = checked_integer(self.n, "n", 1)
         _check_b(self.b)
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
@@ -346,53 +355,44 @@ def confidence_radius(b, n, delta, evals):
 def count_near_optimal(obj, branching, h, epsilon, points_per_axis=100):
     """Number of depth-h cells whose supremum reaches optimum - epsilon.
 
-    The sup over each cell is estimated on an inclusive grid with
-    `points_per_axis` points per axis (>= 100 by default), so it is a lower
-    bound on the true sup and the count can only undercount -- a diagnostic
-    profile, not a certificate.  Cells follow the axis-cycling split
-    rule; requires branching^h <= 1e6 and a known optimum_value.
+    The cells are the optimizers' own, bit for bit: partition.split_cell
+    splits the domain's root level by level, and the depth-h cells come in
+    index order.  A cell's sup is estimated with the scalar obj.fn on the
+    product of per-axis grids of p = points_per_axis points lo + k*w/(p - 1),
+    the last one hi, so each grid holds both bounds exactly.  The estimate
+    lower-bounds the sup (a NaN never counts), so the count can only
+    undercount -- a diagnostic profile, not a certificate.
+
+    branching (K >= 2), h >= 0 and points_per_axis >= 2 are integers,
+    epsilon is finite and >= 0, K^h <= 1e6 and obj.optimum_value is known;
+    anything else raises ValueError.
     """
-    if branching < 2:
-        raise ValueError("branching must be at least 2")
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    if points_per_axis < 2:
-        raise ValueError("points_per_axis must be >= 2")
-    if branching ** h > 10 ** 6:
-        raise ValueError(f"K^h = {branching ** h} exceeds the 1e6 cell cap")
+    K = checked_branching(branching)
+    h = checked_integer(h, "h", 0)
+    points_per_axis = checked_integer(points_per_axis, "points_per_axis", 2)
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be >= 0 and finite: {epsilon!r}")
+    # every K >= 2 passes the cap by h = 20, so no huge K^h is built
+    if h >= 20 or K ** h > 10 ** 6:
+        raise ValueError(f"K^h = {K}^{h} exceeds the 1e6 cell cap")
     if obj.optimum_value is None:
         raise ValueError(f"objective {obj.name!r} has no optimum_value")
 
     dom = obj.domain
-    dim = dom.dim
+    cells = [(dom.lower, dom.upper, dom.center)]
+    for depth in range(h):
+        # lazy: the cells are split depth first and never all held at once
+        cells = itertools.chain.from_iterable(
+            map(split_cell, cells, itertools.repeat(depth), itertools.repeat(K)))
+    fn = obj.fn
     threshold = obj.optimum_value - epsilon
-    # slabs per axis induced by h axis-cycling splits
-    counts = [branching ** sum(1 for t in range(h) if t % dim == j)
-              for j in range(dim)]
-
-    if dim == 1:
-        m = counts[0]
-        lo, hi = dom.lower[0], dom.upper[0]
-        edges = lo + (hi - lo) * np.arange(m + 1) / m
-        frac = np.linspace(0.0, 1.0, points_per_axis)
-        total = 0
-        step = max(1, 10 ** 6 // points_per_axis)  # bound memory
-        for s in range(0, m, step):
-            e = min(m, s + step)
-            xs = edges[s:e, None] + (edges[s + 1:e + 1] - edges[s:e])[:, None] * frac
-            sups = obj.eval_many(xs).max(axis=1)
-            total += int((sups >= threshold).sum())
-        return total
-
-    axes = [dom.lower[j] + (dom.upper[j] - dom.lower[j]) * np.arange(counts[j] + 1) / counts[j]
-            for j in range(dim)]
+    last = points_per_axis - 1
     total = 0
-    for idx in itertools.product(*(range(c) for c in counts)):
-        grids = [np.linspace(axes[j][i], axes[j][i + 1], points_per_axis)
-                 for j, i in enumerate(idx)]
-        mesh = np.meshgrid(*grids, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=1)
-        sup = max(obj.fn(tuple(p)) for p in pts)
-        if sup >= threshold:
-            total += 1
+    for lower, upper, _ in cells:
+        grids = ([lo + k * (hi - lo) / last for k in range(last)] + [hi]
+                 for lo, hi in zip(lower, upper))
+        for x in itertools.product(*grids):
+            if threshold <= fn(x):
+                total += 1
+                break
     return total

@@ -9,8 +9,8 @@ repr of the full event trace against values recorded from the library.
 Any change to a schedule, a tie-break or the bookkeeping shows up here.
 
 A second grid (FROZEN_EXTRA) covers what the first does not: 2-D and 3-D
-objectives without a vector_fn (one of them piecewise constant, so ties
-decide most openings), branchings K = 2 and K = 4, and truncated-gaussian
+objectives defined here (one of them piecewise constant, so ties decide
+most openings), branchings K = 2 and K = 4, and truncated-gaussian
 noise for StroquOOL and uniform.
 """
 
@@ -428,7 +428,7 @@ def _ridge_3d(p):
     return -abs(x - 0.7) - 2.0 * (y - 0.25) ** 2 + math.cos(3.0 * z)
 
 
-# no vector_fn: the optimizers see only the scalar fn
+# objectives beyond the registry's two, each a scalar fn on its own box
 CUSTOM = {
     "bowl-2d": lambda: Objective("bowl-2d", Box([0.0, 0.0], [1.0, 1.0]),
                                  _bowl_2d),

@@ -7,7 +7,7 @@ from zipftree.objectives import (GARLAND_ARGMAX, GARLAND_FLOAT_MAX,
                                  GARLAND_OPTIMUM, EvaluationStream,
                                  NoiseModel, Objective, garland,
                                  garland_objective, get_objective,
-                                 wrapped_sine, wrapped_sine_objective)
+                                 wrapped_sine)
 from zipftree.partition import Box
 
 
@@ -55,18 +55,6 @@ def test_garland_second_peak_gap():
     assert 1e-3 < GARLAND_OPTIMUM - runner_up < 1.2e-3
 
 
-def test_garland_vectorized_matches_scalar():
-    obj = garland_objective()
-    xs = np.linspace(0.0, 1.0, 1001)
-    vec = obj.eval_many(xs)
-    assert vec.shape == xs.shape
-    for x, v in zip(xs, vec):
-        assert v == garland(float(x))
-    # 2-D input keeps its shape (used by the near-optimality profiler)
-    grid = xs[:50].reshape(10, 5)
-    assert obj.eval_many(grid).shape == (10, 5)
-
-
 # ---------------------------------------------------------------------------
 # wrapped sine
 # ---------------------------------------------------------------------------
@@ -98,16 +86,6 @@ def test_wrapped_sine_symmetry():
     for x in rng.uniform(0.0, 0.5, 300):
         assert wrapped_sine(float(x)) == pytest.approx(wrapped_sine(float(1.0 - x)),
                                                        abs=1e-9)
-
-
-def test_wrapped_sine_vectorized_handles_midpoint():
-    obj = wrapped_sine_objective()
-    xs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    vec = obj.eval_many(xs)
-    assert vec[2] == 0.0
-    assert np.all(np.isfinite(vec))
-    for x, v in zip(xs, vec):
-        assert v == wrapped_sine(float(x))
 
 
 # ---------------------------------------------------------------------------

@@ -344,8 +344,7 @@ def test_confidence_radius_rejects_a_non_finite_b(b):
 
 def _constant_objective(dim, c=2.5):
     box = Box([0.0] * dim, [1.0] * dim)
-    return Objective("const", box, lambda p: c, optimum_value=c,
-                     vector_fn=(lambda x: np.full_like(x, c)) if dim == 1 else None)
+    return Objective("const", box, lambda p: c, optimum_value=c)
 
 
 def test_count_near_optimal_constant_counts_everything():
@@ -378,7 +377,7 @@ def test_count_near_optimal_vee_profile_is_flat():
     # the optimum interior; at scale-matched epsilon = rho^h the number of
     # qualifying cells never grows: the profile is flat (d = 0, C <= 3)
     vee = Objective("vee", Box([0.0], [1.0]), lambda p: -abs(p[0] - 0.5),
-                    optimum_value=0.0, vector_fn=lambda x: -np.abs(x - 0.5))
+                    optimum_value=0.0)
     counts = [count_near_optimal(vee, 3, h, (1 / 3) ** h) for h in range(9)]
     assert counts == [1, 3, 3, 3, 3, 3, 3, 3, 3]
 
