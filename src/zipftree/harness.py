@@ -14,8 +14,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import numbers
-import operator
 import os
 import time
 import typing
@@ -28,7 +26,8 @@ import numpy as np
 from .objectives import NoiseModel, get_objective
 from .optimizers import (RunConfig, doo_run, sequool_run, soo_run,
                          stroquool_run, uniform_run)
-from .partition import checked_branching
+from .partition import (checked_delta, checked_integer, checked_range,
+                        is_real)
 from .theory import (BoundInputs, SmoothnessParams, check_nu_rho, sequool_bound,
                      stroquool_bounds)
 
@@ -61,17 +60,16 @@ class AlgoSpec:
         return self.name
 
 
-def _is_number(value):
-    """True for an int or a real number, a bool excepted."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _number(value, convert):
-    """`value` through `convert` -- operator.index for an int, float for a
-    real -- or TypeError if it is no such number."""
-    if not _is_number(value):
-        raise TypeError(value)
-    return convert(value)
+def _checked_list(values, name, check, *args):
+    """[check(v, name, *args) for v in values], which must be nonempty;
+    anything else raises ValueError."""
+    try:
+        checked = [check(v, name, *args) for v in values]
+    except TypeError:  # not iterable
+        raise ValueError(f"{name} must be a list: {values!r}") from None
+    if not checked:
+        raise ValueError(f"{name} must be nonempty")
+    return checked
 
 
 def parse_algo(token) -> AlgoSpec:
@@ -81,7 +79,7 @@ def parse_algo(token) -> AlgoSpec:
     if isinstance(token, dict):
         spec = AlgoSpec(token.get("name"), token.get("nu"), token.get("rho"))
         if not (isinstance(spec.name, str) and all(
-                v is None or _is_number(v) for v in (spec.nu, spec.rho))):
+                v is None or is_real(v) for v in (spec.nu, spec.rho))):
             raise ValueError(f"algorithm {token!r} invalid: name must be a "
                              "string, nu and rho numbers")
     else:
@@ -138,36 +136,16 @@ class ExperimentSpec:
         self.algorithms = [parse_algo(a) for a in self.algorithms]
         if not isinstance(self.objective, str):
             raise ValueError(f"objective must be a name: {self.objective!r}")
-        try:
-            self.budgets = [_number(n, operator.index) for n in self.budgets]
-        except TypeError:
-            raise ValueError(f"budgets must be a list of ints: "
-                             f"{self.budgets!r}") from None
-        if not self.budgets:
-            raise ValueError("budgets must be nonempty")
+        self.budgets = _checked_list(self.budgets, "budgets", checked_integer, 1)
         if any(b >= a for a, b in zip(self.budgets[1:], self.budgets)):
             raise ValueError("budgets must be strictly increasing")
-        try:
-            self.noise_b = ([0.0] if self.noise_b is None
-                            else [_number(b, float) for b in self.noise_b])
-        except TypeError:
-            raise ValueError(f"noise_b must be a list of numbers: "
-                             f"{self.noise_b!r}") from None
-        if not self.noise_b:
-            raise ValueError("noise_b must be nonempty")
-        if not all(math.isfinite(b) and b >= 0 for b in self.noise_b):
-            raise ValueError(f"noise levels must be >= 0 and finite: "
-                             f"{self.noise_b!r}")
-        if not (_is_number(self.delta) and 0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must be in (0, 1): {self.delta!r}")
-        self.branching = checked_branching(self.branching)
+        self.noise_b = _checked_list([0.0] if self.noise_b is None
+                                     else self.noise_b, "noise_b", checked_range)
+        self.delta = checked_delta(self.delta)
+        self.branching = checked_integer(self.branching, "branching", 2)
         if not (self.out is None or isinstance(self.out, (str, os.PathLike))):
             raise ValueError(f"out must be a path: {self.out!r}")
-        try:
-            self.master_seed = _number(self.master_seed, operator.index)
-        except TypeError:
-            raise ValueError(f"master_seed must be an int: "
-                             f"{self.master_seed!r}") from None
+        self.master_seed = checked_integer(self.master_seed, "master_seed")
         seeds = self.seeds if isinstance(self.seeds, list) else [self.seeds]
         if not all(type(s) is int for s in seeds):
             raise ValueError(f"seeds must be an int or a list of ints: {self.seeds!r}")
@@ -220,10 +198,7 @@ def _run_one(task):
     obj = get_objective(objective_name)
     seed = derive_seed(master_seed, algo.label, n, b, rep)
     cfg = RunConfig(budget_n=n, seed=seed, branching=branching)
-    deterministic, runner = _ALGOS[algo.name]
-    if deterministic and b != 0.0:
-        raise ValueError(f"{algo.name} is a deterministic-feedback algorithm; "
-                         f"run it with b=0 (got b={b})")
+    runner = _ALGOS[algo.name][1]
     noise = NoiseModel(b, seed=seed)
     t0 = time.perf_counter()
     try:
@@ -253,6 +228,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1):
     Records are written incrementally to spec.out (CSV) as runs finish;
     jobs > 1 fans the runs over min(jobs, tasks) worker processes (results
     are merged back in grid order, so parallel output equals serial output).
+    A grid that pairs a deterministic-feedback algorithm with a noise level
+    b != 0 is rejected before spec.out is opened.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -260,6 +237,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1):
     if obj.optimum_value is None:
         raise ValueError(f"objective {spec.objective!r} has no optimum_value; "
                          "cannot score regret")
+    exact = next((a for a in spec.algorithms if _ALGOS[a.name][0]), None)
+    if exact and max(spec.noise_b) != 0.0:
+        raise ValueError(f"{exact.name} is a deterministic-feedback algorithm; "
+                         f"run it with b=0 (got b={max(spec.noise_b)})")
     tasks = _tasks(spec)
     jobs = min(jobs, len(tasks))  # the pool forks every worker up front
     records = []

@@ -8,7 +8,7 @@ import numbers
 
 import numpy as np
 
-from .partition import Box
+from .partition import Box, checked_integer, checked_range
 
 # ---------------------------------------------------------------------------
 # garland
@@ -115,8 +115,9 @@ class NoiseModel:
 
     distribution is "uniform" (uniform on [-b, b]) or "truncated-gaussian"
     (N(0, (b/2)^2) with draws outside [-b, b] rejected and redrawn), b being
-    range_b; both are fixed at construction.  Each instance owns a private
-    seeded stream; use one instance per run.
+    range_b, a real number that is finite and >= 0; both are fixed at
+    construction.  Each instance owns a private stream, seeded by the
+    integer seed >= 0; use one instance per run.
 
     Draws are read from a block drawn ahead (rng.random or
     rng.standard_normal, 4096 at a time) and scaled as each block is drawn,
@@ -126,13 +127,11 @@ class NoiseModel:
     """
 
     def __init__(self, range_b, distribution="uniform", seed=0):
-        if not (math.isfinite(range_b) and range_b >= 0):
-            raise ValueError(f"range_b must be >= 0 and finite: {range_b!r}")
+        self._range_b = checked_range(range_b, "range_b")
         if distribution not in ("uniform", "truncated-gaussian"):
             raise ValueError(f"unknown noise distribution {distribution!r}")
-        self._range_b = float(range_b)
         self._distribution = distribution
-        self.seed = int(seed)
+        self.seed = checked_integer(seed, "seed", 0)
         self._rng = np.random.default_rng(self.seed)
         self._block = np.empty(0)  # scaled draws; those before _pos are spent
         self._pos = 0

@@ -46,8 +46,8 @@ import math
 from dataclasses import dataclass
 
 from .objectives import EvaluationStream, NoiseModel, Objective
-from .partition import checked_branching, fixed_cell, make_tree, split_cell
-from .theory import check_nu_rho, checked_integer, harmonic, stroquool_h_max
+from .partition import checked_integer, fixed_cell, make_tree, split_cell
+from .theory import check_nu_rho, harmonic, stroquool_h_max
 
 __all__ = [
     "RunConfig", "RunResult",
@@ -73,7 +73,7 @@ class RunConfig:
 
     def __post_init__(self):
         self.budget_n = checked_integer(self.budget_n, "budget_n", 1)
-        self.branching = checked_branching(self.branching)
+        self.branching = checked_integer(self.branching, "branching", 2)
 
 
 @dataclass
@@ -162,9 +162,10 @@ class _Run:
 
     def open_copies(self, depth, index, count):
         """Open the `count` copies of a fixed cell at `depth` with CellId
-        indices index .. index + count - 1, one evaluation per child, without
-        a split or an evaluation.  The running best stays, since a copy's
-        children tie with it one depth deeper and lose."""
+        indices index .. index + count - 1 (None without a trace), one
+        evaluation per child, without a split or an evaluation.  The running
+        best stays, since a copy's children tie with it one depth deeper and
+        lose."""
         if self.trace is not None:
             self.trace += [("open", depth, i, 1)
                            for i in range(index, index + count)]
@@ -193,9 +194,12 @@ class _Run:
         return nxt, index
 
     def result(self, point=None, value=None):
-        """The RunResult recommending `point` (default: the running best)."""
+        """The RunResult recommending `point` (default: the running best).
+        When every value was NaN there is no running best, and the lowest
+        CellId evaluated, the root's first child, is recommended at -inf."""
         if point is None:
-            point, value = self.best_point, self.best_value
+            point = self.best_point or split_cell(self.root, 0, self.K)[0][2]
+            value = self.best_value
         return RunResult(point, value, self.openings, self.stream.n_evals,
                          self.deepest, self.units, self.trace)
 
@@ -224,8 +228,9 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
     later depth g opens, m = min(len(level), h_max // g), does not depend
     on the cells, and the next level holds K*m of them: the openings,
     budget units, charged evaluations (K per opening) and the deepest
-    depth (h_max + 1) that remain are added up instead of performed.  With
-    a trace every cell is opened, so the log stays complete.
+    depth (h_max + 1) that remain are added up instead of performed, through
+    _Run.open_copies.  A traced run never settles, so its log stays
+    complete.
     """
     n = cfg.budget_n
     run = _Run(obj, None, cfg)
@@ -247,15 +252,12 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
         keys = [_rank_key(v) for v, _ in level]
         best = sorted(range(len(level)), key=keys.__getitem__)
         chosen = dict.fromkeys(best[:h_max // h], 1)
-        if tracing:
-            level, index = run.open_level(level, index, h, chosen)
-            continue
         # open_level puts the children of the t-th parent in index order
         # at t*K .. t*K + K-1
         parents = [level[i][1] for i in sorted(chosen)]
-        level, _ = run.open_level(level, None, h, chosen)
-        if all(child is parents[t // K] or fixed_cell(child)
-               for t, (_, child) in enumerate(level)):
+        level, index = run.open_level(level, index, h, chosen)
+        if not tracing and all(child is parents[t // K] or fixed_cell(child)
+                               for t, (_, child) in enumerate(level)):
             closed += 1
         else:
             closed = 0
@@ -263,12 +265,8 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
             size = len(level)
             for g in range(h + 1, h_max + 1):
                 m = min(size, h_max // g)
-                run.openings += m
-                run.units += m
-                run.stream.n_evals += K * m
+                run.open_copies(g, None, m)
                 size = K * m
-            # depth h_max opens h_max // h_max = 1 cell
-            run.deepest = h_max + 1
             break
 
     if run.openings > n + 1:
@@ -373,7 +371,8 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
 
     if run.units > n:
         raise RuntimeError("evaluation budget exceeded")
-    return run.result(point, value)
+    # a NaN mean reads -inf, as the other runs' NaN best does
+    return run.result(point, value if value == value else -math.inf)
 
 
 # ---------------------------------------------------------------------------

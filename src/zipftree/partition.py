@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from typing import NamedTuple
 
@@ -222,16 +223,35 @@ def _observer(evaluator):
     return functools.partial(_observe_sum, evaluator)
 
 
-def checked_branching(branching) -> int:
-    """`branching` as an int K >= 2; anything operator.index takes is an
-    integer, and anything else (2.5, "3") raises ValueError."""
-    try:
-        K = operator.index(branching)
-    except TypeError:
-        raise ValueError(f"branching must be an integer: {branching!r}") from None
-    if K < 2:
-        raise ValueError("branching must be at least 2")
-    return K
+def checked_integer(value, name, minimum=-math.inf) -> int:
+    """`value`, an integer >= `minimum`, as an int: anything operator.index
+    takes except a bool; anything else raises ValueError."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer: {value!r}")
+    value = operator.index(value)
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}: {value!r}")
+    return value
+
+
+def is_real(value) -> bool:
+    """True for a real number (numpy's included) other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def checked_range(value, name) -> float:
+    """`value`, a real number that is finite and >= 0 (a noise range or a
+    tolerance), as a float; anything else raises ValueError."""
+    if not (is_real(value) and math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be >= 0 and finite: {value!r}")
+    return float(value)
+
+
+def checked_delta(delta) -> float:
+    """`delta`, a real number in (0, 1), as a float, else ValueError."""
+    if not (is_real(delta) and 0.0 < delta < 1.0):
+        raise ValueError(f"delta must be in (0, 1): {delta!r}")
+    return float(delta)
 
 
 class PartitionTree:
@@ -246,7 +266,7 @@ class PartitionTree:
 
     def __init__(self, domain: Box, branching: int = 3):
         self.domain = domain
-        self.branching = checked_branching(branching)
+        self.branching = checked_integer(branching, "branching", 2)
         root = Cell(CellId(0, 0), domain.lower, domain.upper, domain.center)
         self.root = root
         self.cells = {root.id: root}
@@ -284,8 +304,7 @@ class PartitionTree:
         parent = self.cell(cid)
         if parent.opened:
             raise ValueError(f"cell already opened: {cid}")
-        if evals_per_child < 1:
-            raise ValueError("evals_per_child must be >= 1")
+        evals_per_child = checked_integer(evals_per_child, "evals_per_child", 1)
         children = self._split(parent)
         parent.opened = True
         self.opening_ledger += 1
@@ -303,8 +322,7 @@ class PartitionTree:
         """Evaluate an already-materialized cell `count` more times (no
         opening; the ledger is untouched).  Returns the updated mean."""
         cell = self.cell(cid)
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        count = checked_integer(count, "count", 1)
         cell.reward_sum += _observer(evaluator)(cell.representative, count)
         cell.eval_count += count
         return cell.reward_sum / cell.eval_count

@@ -22,13 +22,13 @@ import decimal
 import functools
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import checked_branching, split_cell
+from .partition import (checked_delta, checked_integer, checked_range,
+                        split_cell)
 
 __all__ = [
     "SmoothnessParams", "BoundInputs", "harmonic", "stroquool_h_max",
@@ -50,7 +50,7 @@ _EULER_GAMMA = decimal.Decimal(
 _DEC40 = decimal.Context(prec=40)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def harmonic(n):
     """Partial harmonic sum H(n) = 1 + 1/2 + ... + 1/n, exact up to 2^26.
 
@@ -64,11 +64,10 @@ def harmonic(n):
     For n > 2^26 it is the correctly rounded true H(n), from the
     Euler-Maclaurin series ln n + gamma + 1/(2n) - 1/(12n^2) + 1/(120n^4)
     - 1/(252n^6) evaluated to 40 digits; that can differ from the sum of
-    the rounded terms by 1 ulp.  The last 64 answers are cached.
+    the rounded terms by 1 ulp.  n is an integer >= 1; the last 64 answers
+    are cached per argument type, so 2.0 and True are checked too.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    n = int(n)
+    n = checked_integer(n, "n", 1)
     if n > _EXACT_MAX:
         with decimal.localcontext(_DEC40):
             x = decimal.Decimal(n)
@@ -92,11 +91,10 @@ def harmonic(n):
 def stroquool_h_max(n):
     """StroquOOL's depth budget floor(n / (2 (H(n)+1)^2)), clamped to >= 1.
 
-    The unclamped formula is 0 for n < 68; clamping keeps small budgets
-    runnable (the evaluation ledger stays far below n there).
+    n is an integer >= 1.  The unclamped formula is 0 for n < 68; clamping
+    keeps small budgets runnable (the ledger stays far below n there).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = checked_integer(n, "n", 1)
     return max(1, int(n // (2.0 * (harmonic(n) + 1.0) ** 2)))
 
 
@@ -136,18 +134,6 @@ def lambert_w(x):
 # parameter bundles
 # ---------------------------------------------------------------------------
 
-def checked_integer(value, name, minimum):
-    """`value` as an int >= `minimum` (anything operator.index takes is an
-    integer), else ValueError."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer: {value!r}") from None
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
-    return value
-
-
 def check_nu_rho(nu, rho):
     """Raise ValueError unless nu > 0 and 0 < rho < 1 (a NaN fails both)."""
     if not nu > 0:
@@ -171,13 +157,6 @@ class SmoothnessParams:
             raise ValueError("d must be >= 0")
 
 
-def _check_b(b):
-    """Raise ValueError unless the noise range b is finite and >= 0 (a NaN
-    fails)."""
-    if not (math.isfinite(b) and b >= 0):
-        raise ValueError(f"b must be >= 0 and finite: {b!r}")
-
-
 @dataclass
 class BoundInputs:
     """What the StroquOOL bounds take: the budget n, an integer >= 1; the
@@ -189,9 +168,8 @@ class BoundInputs:
 
     def __post_init__(self):
         self.n = checked_integer(self.n, "n", 1)
-        _check_b(self.b)
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
+        self.b = checked_range(self.b, "b")
+        self.delta = checked_delta(self.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +177,7 @@ class BoundInputs:
 # ---------------------------------------------------------------------------
 
 def sequool_bound(n, params: SmoothnessParams):
-    """Worst-case simple regret of SequOOL after n openings.
+    """Worst-case simple regret of SequOOL after n openings, n an integer >= 1.
 
     Returns a dict with:
       theorem   -- nu * rho^(h_max / C)                       if d = 0,
@@ -210,8 +188,7 @@ def sequool_bound(n, params: SmoothnessParams):
                    (d = 0, or n~ <= e -- lower-bounding W needs log n~ > 1);
       n_tilde, h_max -- the intermediate quantities.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = checked_integer(n, "n", 1)
     nu, rho, C, d = params.nu, params.rho, params.C, params.d
     h_max = int(n // harmonic(n))
     if d == 0.0:
@@ -337,14 +314,13 @@ def confidence_radius(b, n, delta, evals):
     """Half-width of the empirical-mean confidence interval after `evals`
     observations of a cell: b * sqrt(log(2 n^2 / delta) / (2 evals)).
 
-    On the dyadic grid evals = 2^p this is b * sqrt(L / 2^(p+1)).  Any
-    evals >= 1 is accepted (validation counts are not powers of two).
+    On the dyadic grid evals = 2^p this is b * sqrt(L / 2^(p+1)).  n and
+    evals are any integers >= 1 (validation counts are not powers of two).
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
-    if evals < 1:
-        raise ValueError("evals must be >= 1")
-    _check_b(b)
+    delta = checked_delta(delta)
+    n = checked_integer(n, "n", 1)
+    evals = checked_integer(evals, "evals", 1)
+    b = checked_range(b, "b")
     return b * math.sqrt(math.log(2.0 * n * n / delta) / (2.0 * evals))
 
 
@@ -364,19 +340,19 @@ def count_near_optimal(obj, branching, h, epsilon, points_per_axis=100):
     undercount -- a diagnostic profile, not a certificate.
 
     branching (K >= 2), h >= 0 and points_per_axis >= 2 are integers,
-    epsilon is finite and >= 0, K^h <= 1e6 and obj.optimum_value is known;
-    anything else raises ValueError.
+    epsilon is finite and >= 0, K^h <= 1e6 and obj.optimum_value is known
+    and finite; anything else raises ValueError.
     """
-    K = checked_branching(branching)
+    K = checked_integer(branching, "branching", 2)
     h = checked_integer(h, "h", 0)
     points_per_axis = checked_integer(points_per_axis, "points_per_axis", 2)
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise ValueError(f"epsilon must be >= 0 and finite: {epsilon!r}")
+    epsilon = checked_range(epsilon, "epsilon")
     # every K >= 2 passes the cap by h = 20, so no huge K^h is built
     if h >= 20 or K ** h > 10 ** 6:
         raise ValueError(f"K^h = {K}^{h} exceeds the 1e6 cell cap")
-    if obj.optimum_value is None:
-        raise ValueError(f"objective {obj.name!r} has no optimum_value")
+    if obj.optimum_value is None or not math.isfinite(obj.optimum_value):
+        raise ValueError(f"objective {obj.name!r} has no optimum_value or a "
+                         f"non-finite one: {obj.optimum_value!r}")
 
     dom = obj.domain
     cells = [(dom.lower, dom.upper, dom.center)]

@@ -99,7 +99,7 @@ def test_cli_rejects_a_non_finite_noise_level(tmp_path, capsys, b):
                  "--out", str(out)]) == 1
     stdout, err = capsys.readouterr()
     assert stdout == ""
-    assert err.startswith("error: noise levels must be >= 0 and finite")
+    assert err.startswith("error: noise_b must be >= 0 and finite")
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -202,13 +202,13 @@ def test_cli_parallel_jobs(tmp_path):
     ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
      '"branching": 2.5}', "branching must be an integer: 2.5"),
     ('{"algorithms": ["sequool"], "objective": "garland", "budgets": 5}',
-     "budgets must be a list of ints: 5"),
+     "budgets must be a list: 5"),
     ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
-     '"noise_b": 0.1}', "noise_b must be a list of numbers: 0.1"),
+     '"noise_b": 0.1}', "noise_b must be a list: 0.1"),
     ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
      '"delta": "x"}', "delta must be in (0, 1): 'x'"),
     ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
-     '"master_seed": "x"}', "master_seed must be an int: 'x'"),
+     '"master_seed": "x"}', "master_seed must be an integer: 'x'"),
     ('{"algorithms": ["sequool"], "objective": ["garland"], "budgets": [10]}',
      "objective must be a name: ['garland']"),
     ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
@@ -224,3 +224,17 @@ def test_cli_rejects_a_bad_config_document(tmp_path, capsys, document, message):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_cli_rejects_a_noisy_deterministic_grid_before_any_task_runs(
+        tmp_path, capsys):
+    # the stroquool rows used to be written before sequool's first task failed
+    out = tmp_path / "r.csv"
+    assert main(["--algo", "stroquool", "--algo", "sequool",
+                 "--objective", "garland", "--budget", "100",
+                 "--noise-b", "0.1", "--seeds", "1", "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == ("error: sequool is a deterministic-feedback algorithm; "
+                   "run it with b=0 (got b=0.1)\n")
+    assert not out.exists()

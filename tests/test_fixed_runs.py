@@ -115,85 +115,85 @@ def ulp_digest(algo, shape, ulps, fname):
 # without the cell being fixed, and no run forms
 ULP_FROZEN = {
     ('soo', '1-D', 1, 'constant'): '861c1f4848bc871f',
-    ('soo', '1-D', 1, 'nan'): '0a77cfffb077577a',
+    ('soo', '1-D', 1, 'nan'): 'aa432a5c9f1d39c8',
     ('soo', '1-D', 1, 'parity'): '62e68557f1d94d40',
     ('soo', '1-D', 3, 'constant'): '1a4e9dd03d615fb0',
-    ('soo', '1-D', 3, 'nan'): '0a77cfffb077577a',
+    ('soo', '1-D', 3, 'nan'): 'a629f875464a2d2e',
     ('soo', '1-D', 3, 'parity'): '63a644fd06efd09e',
     ('soo', '1-D', 7, 'constant'): 'af3c5a469e1b8c9a',
-    ('soo', '1-D', 7, 'nan'): '0a77cfffb077577a',
+    ('soo', '1-D', 7, 'nan'): 'e1a7f2de1d6a93b1',
     ('soo', '1-D', 7, 'parity'): 'dab7191c9eceeb0f',
     ('soo', '2-D unit', 1, 'constant'): '20b37df2e418d93a',
-    ('soo', '2-D unit', 1, 'nan'): '0a77cfffb077577a',
+    ('soo', '2-D unit', 1, 'nan'): '2eb4a5f4329e5da5',
     ('soo', '2-D unit', 1, 'parity'): 'd87ca734d5e8749a',
     ('soo', '2-D unit', 3, 'constant'): 'efbe9930384b03af',
-    ('soo', '2-D unit', 3, 'nan'): '0a77cfffb077577a',
+    ('soo', '2-D unit', 3, 'nan'): '2ac50122d1ceef42',
     ('soo', '2-D unit', 3, 'parity'): '3e8c9cc9f48aaf4d',
     ('soo', '2-D unit', 7, 'constant'): 'c82150e0b7be294f',
-    ('soo', '2-D unit', 7, 'nan'): '0a77cfffb077577a',
+    ('soo', '2-D unit', 7, 'nan'): 'bd50a07a6d7cd2df',
     ('soo', '2-D unit', 7, 'parity'): 'c04077394111ca6b',
     ('soo', '2-D narrow', 1, 'constant'): '9462d6cbf2b1687c',
-    ('soo', '2-D narrow', 1, 'nan'): '0a77cfffb077577a',
+    ('soo', '2-D narrow', 1, 'nan'): '43f6325c40f85b4d',
     ('soo', '2-D narrow', 1, 'parity'): '5741155fd5523f68',
     ('soo', '2-D narrow', 3, 'constant'): 'eaa207b6b98adcb7',
-    ('soo', '2-D narrow', 3, 'nan'): '0a77cfffb077577a',
+    ('soo', '2-D narrow', 3, 'nan'): 'd5f01540810473a3',
     ('soo', '2-D narrow', 3, 'parity'): '81b5233dc3b445f7',
     ('soo', '2-D narrow', 7, 'constant'): '1764c7866469b24a',
-    ('soo', '2-D narrow', 7, 'nan'): '0a77cfffb077577a',
+    ('soo', '2-D narrow', 7, 'nan'): 'a6a748a87185a79f',
     ('soo', '2-D narrow', 7, 'parity'): '998a2d61d54446ba',
     ('doo(1,0.6)', '1-D', 1, 'constant'): '85f24cd3ff6e7e78',
-    ('doo(1,0.6)', '1-D', 1, 'nan'): '308404e84fc1e241',
+    ('doo(1,0.6)', '1-D', 1, 'nan'): '7ab81a7732a6151a',
     ('doo(1,0.6)', '1-D', 1, 'parity'): 'cd75b0d333e35631',
     ('doo(1,0.6)', '1-D', 3, 'constant'): '42fa87615f95cefc',
-    ('doo(1,0.6)', '1-D', 3, 'nan'): '308404e84fc1e241',
+    ('doo(1,0.6)', '1-D', 3, 'nan'): 'd7562305438f2e7a',
     ('doo(1,0.6)', '1-D', 3, 'parity'): '3fc315310724a8cc',
     ('doo(1,0.6)', '1-D', 7, 'constant'): '936b1518c94c27b8',
-    ('doo(1,0.6)', '1-D', 7, 'nan'): '308404e84fc1e241',
+    ('doo(1,0.6)', '1-D', 7, 'nan'): '68965a4b111f2f41',
     ('doo(1,0.6)', '1-D', 7, 'parity'): 'f5638a69f18f43a0',
     ('doo(1,0.6)', '2-D unit', 1, 'constant'): '06f75940deda5cac',
-    ('doo(1,0.6)', '2-D unit', 1, 'nan'): '308404e84fc1e241',
+    ('doo(1,0.6)', '2-D unit', 1, 'nan'): '1ffbfb55182e794c',
     ('doo(1,0.6)', '2-D unit', 1, 'parity'): '04c9cf991ad64ac4',
     ('doo(1,0.6)', '2-D unit', 3, 'constant'): 'e92e89a3e265cd9a',
-    ('doo(1,0.6)', '2-D unit', 3, 'nan'): '308404e84fc1e241',
+    ('doo(1,0.6)', '2-D unit', 3, 'nan'): '10a2386a32fdb953',
     ('doo(1,0.6)', '2-D unit', 3, 'parity'): '70ed05af8cfbce95',
     ('doo(1,0.6)', '2-D unit', 7, 'constant'): '916120e1c2248c58',
-    ('doo(1,0.6)', '2-D unit', 7, 'nan'): '308404e84fc1e241',
+    ('doo(1,0.6)', '2-D unit', 7, 'nan'): 'c5cf5c67d95f9058',
     ('doo(1,0.6)', '2-D unit', 7, 'parity'): '9eafa35de77613b3',
     ('doo(1,0.6)', '2-D narrow', 1, 'constant'): '11d3fc2d0fc8825c',
-    ('doo(1,0.6)', '2-D narrow', 1, 'nan'): '308404e84fc1e241',
+    ('doo(1,0.6)', '2-D narrow', 1, 'nan'): '421fc59b0023431f',
     ('doo(1,0.6)', '2-D narrow', 1, 'parity'): '1688242519da77b5',
     ('doo(1,0.6)', '2-D narrow', 3, 'constant'): '09225c05810d9a60',
-    ('doo(1,0.6)', '2-D narrow', 3, 'nan'): '308404e84fc1e241',
+    ('doo(1,0.6)', '2-D narrow', 3, 'nan'): '80ce28a5f6af8687',
     ('doo(1,0.6)', '2-D narrow', 3, 'parity'): '826f187d8a3f89e2',
     ('doo(1,0.6)', '2-D narrow', 7, 'constant'): '6232e8294db30bfd',
-    ('doo(1,0.6)', '2-D narrow', 7, 'nan'): '308404e84fc1e241',
+    ('doo(1,0.6)', '2-D narrow', 7, 'nan'): 'fbddd3cd36e0d71f',
     ('doo(1,0.6)', '2-D narrow', 7, 'parity'): 'b29be912a8e0e799',
     ('doo(1e6,0.5)', '1-D', 1, 'constant'): '85f24cd3ff6e7e78',
-    ('doo(1e6,0.5)', '1-D', 1, 'nan'): '308404e84fc1e241',
+    ('doo(1e6,0.5)', '1-D', 1, 'nan'): '7ab81a7732a6151a',
     ('doo(1e6,0.5)', '1-D', 1, 'parity'): '8deee36834446308',
     ('doo(1e6,0.5)', '1-D', 3, 'constant'): '42fa87615f95cefc',
-    ('doo(1e6,0.5)', '1-D', 3, 'nan'): '308404e84fc1e241',
+    ('doo(1e6,0.5)', '1-D', 3, 'nan'): 'd7562305438f2e7a',
     ('doo(1e6,0.5)', '1-D', 3, 'parity'): '940d97fa7f5f56d3',
     ('doo(1e6,0.5)', '1-D', 7, 'constant'): '936b1518c94c27b8',
-    ('doo(1e6,0.5)', '1-D', 7, 'nan'): '308404e84fc1e241',
+    ('doo(1e6,0.5)', '1-D', 7, 'nan'): '68965a4b111f2f41',
     ('doo(1e6,0.5)', '1-D', 7, 'parity'): '99c0ab2f1713d532',
     ('doo(1e6,0.5)', '2-D unit', 1, 'constant'): '06f75940deda5cac',
-    ('doo(1e6,0.5)', '2-D unit', 1, 'nan'): '308404e84fc1e241',
+    ('doo(1e6,0.5)', '2-D unit', 1, 'nan'): '1ffbfb55182e794c',
     ('doo(1e6,0.5)', '2-D unit', 1, 'parity'): '70bfb01ca899404b',
     ('doo(1e6,0.5)', '2-D unit', 3, 'constant'): 'e92e89a3e265cd9a',
-    ('doo(1e6,0.5)', '2-D unit', 3, 'nan'): '308404e84fc1e241',
+    ('doo(1e6,0.5)', '2-D unit', 3, 'nan'): '10a2386a32fdb953',
     ('doo(1e6,0.5)', '2-D unit', 3, 'parity'): '3081a7824c8fed45',
     ('doo(1e6,0.5)', '2-D unit', 7, 'constant'): '916120e1c2248c58',
-    ('doo(1e6,0.5)', '2-D unit', 7, 'nan'): '308404e84fc1e241',
+    ('doo(1e6,0.5)', '2-D unit', 7, 'nan'): 'c5cf5c67d95f9058',
     ('doo(1e6,0.5)', '2-D unit', 7, 'parity'): '7314ab3f2b8805b7',
     ('doo(1e6,0.5)', '2-D narrow', 1, 'constant'): '11d3fc2d0fc8825c',
-    ('doo(1e6,0.5)', '2-D narrow', 1, 'nan'): '308404e84fc1e241',
+    ('doo(1e6,0.5)', '2-D narrow', 1, 'nan'): '421fc59b0023431f',
     ('doo(1e6,0.5)', '2-D narrow', 1, 'parity'): '13ac92fb9adc72b4',
     ('doo(1e6,0.5)', '2-D narrow', 3, 'constant'): '09225c05810d9a60',
-    ('doo(1e6,0.5)', '2-D narrow', 3, 'nan'): '308404e84fc1e241',
+    ('doo(1e6,0.5)', '2-D narrow', 3, 'nan'): '80ce28a5f6af8687',
     ('doo(1e6,0.5)', '2-D narrow', 3, 'parity'): '43b3154accc183f0',
     ('doo(1e6,0.5)', '2-D narrow', 7, 'constant'): '6232e8294db30bfd',
-    ('doo(1e6,0.5)', '2-D narrow', 7, 'nan'): '308404e84fc1e241',
+    ('doo(1e6,0.5)', '2-D narrow', 7, 'nan'): 'fbddd3cd36e0d71f',
     ('doo(1e6,0.5)', '2-D narrow', 7, 'parity'): 'cf3f519d6d37f17a',
 }
 

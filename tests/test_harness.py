@@ -55,7 +55,7 @@ def test_parse_algo_forms():
 @pytest.mark.parametrize("b", [math.nan, math.inf])
 def test_spec_rejects_a_non_finite_noise_level(b):
     # NaN passed the old b < 0 check, and a NoiseModel of it drew only NaN
-    with pytest.raises(ValueError, match="noise levels must be >= 0 and finite"):
+    with pytest.raises(ValueError, match="noise_b must be >= 0 and finite"):
         small_spec(noise_b=[0.0, b])
 
 
@@ -64,13 +64,13 @@ def test_spec_validation():
         small_spec(budgets=[100, 100])
     with pytest.raises(ValueError, match="strictly increasing"):
         small_spec(budgets=[200, 100])
-    with pytest.raises(ValueError, match="noise levels must be >= 0"):
+    with pytest.raises(ValueError, match="noise_b must be >= 0"):
         small_spec(noise_b=[-0.1])
     with pytest.raises(ValueError, match="algorithms must be nonempty"):
         small_spec(algorithms=[])
     with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
         small_spec(delta=0.0)
-    with pytest.raises(ValueError, match="branching must be at least 2"):
+    with pytest.raises(ValueError, match="branching must be >= 2"):
         small_spec(branching=1)
     spec = small_spec(seeds=[4, 9])
     assert spec.repeat_indices == [4, 9]
@@ -89,16 +89,16 @@ def test_spec_rejects_empty_grid_axes():
 @pytest.mark.parametrize("field, value, message", [
     ("branching", 2.5, "branching must be an integer: 2.5"),
     ("branching", "3", "branching must be an integer: '3'"),
-    ("budgets", 100, "budgets must be a list of ints: 100"),
-    ("budgets", [50, 150.5], r"budgets must be a list of ints: \[50, 150.5\]"),
-    ("budgets", ["50"], "budgets must be a list of ints"),
-    ("noise_b", 0.1, "noise_b must be a list of numbers: 0.1"),
-    ("noise_b", ["0.1"], "noise_b must be a list of numbers"),
-    ("noise_b", [True], "noise_b must be a list of numbers"),
+    ("budgets", 100, "budgets must be a list: 100"),
+    ("budgets", [50, 150.5], "budgets must be an integer: 150.5"),
+    ("budgets", ["50"], "budgets must be an integer: '50'"),
+    ("noise_b", 0.1, "noise_b must be a list: 0.1"),
+    ("noise_b", ["0.1"], "noise_b must be >= 0 and finite: '0.1'"),
+    ("noise_b", [True], "noise_b must be >= 0 and finite: True"),
     ("delta", "x", r"delta must be in \(0, 1\): 'x'"),
     ("delta", None, r"delta must be in \(0, 1\): None"),
-    ("master_seed", "x", "master_seed must be an int: 'x'"),
-    ("master_seed", 1.5, "master_seed must be an int: 1.5"),
+    ("master_seed", "x", "master_seed must be an integer: 'x'"),
+    ("master_seed", 1.5, "master_seed must be an integer: 1.5"),
     ("objective", ["garland"], "objective must be a name"),
     ("algorithms", 5, "algorithms must be a list: 5"),
     ("out", 1, "out must be a path: 1"),
@@ -384,3 +384,18 @@ def test_emit_bound_overlay_fills_tiny_noise_cells():
     with pytest.raises(ValueError, match="n=100 too small for the high-noise"):
         stroquool_bounds(BoundInputs(100, 1.0, spec.delta), params)
     assert rows[1]["stroquool_b=1"] > 0.0
+
+
+def test_a_noisy_deterministic_grid_runs_no_task(tmp_path, monkeypatch):
+    # the feedback rule is checked over the whole grid before spec.out is
+    # opened and before the first task, wherever the noise level sits
+    calls = []
+    monkeypatch.setattr(harness, "_run_one", calls.append)
+    out = tmp_path / "r.csv"
+    for algorithms in (["stroquool", "sequool"], ["uniform", "doo:1:0.5"]):
+        spec = small_spec(algorithms=algorithms, noise_b=[0.0, 0.2],
+                          out=str(out))
+        with pytest.raises(ValueError, match=r"deterministic-feedback "
+                           r"algorithm; run it with b=0 \(got b=0\.2\)"):
+            run_experiment(spec)
+    assert calls == [] and not out.exists()

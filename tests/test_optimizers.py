@@ -46,7 +46,7 @@ def test_branching_must_be_an_integer():
             RunConfig(budget_n=100, branching=K)
         with pytest.raises(ValueError, match="branching must be an integer"):
             make_tree(Box([0.0], [1.0]), branching=K)
-    with pytest.raises(ValueError, match="branching must be at least 2"):
+    with pytest.raises(ValueError, match="branching must be >= 2"):
         RunConfig(budget_n=100, branching=1)
     # anything operator.index takes is an integer
     cfg = RunConfig(budget_n=100, branching=np.int64(2))
@@ -434,3 +434,57 @@ def test_soo_and_doo_rank_a_nan_last(algo):
         assert res.openings_used == n
         assert res.recommendation == clean.recommendation
         assert regret(GARLAND, res) == regret(GARLAND, clean)
+
+
+# ---------------------------------------------------------------------------
+# an objective that is NaN everywhere
+# ---------------------------------------------------------------------------
+
+import dataclasses  # noqa: E402
+
+from zipftree.partition import split_cell  # noqa: E402
+
+ALL_NAN = Objective("all-nan", Box([0.0], [1.0]), lambda p: math.nan)
+
+
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("algo", sorted(_NAN_RUNS))
+def test_nan_everywhere_recommends_the_lowest_cell_evaluated(algo, K):
+    # with no value to rank, every run recommends the lowest CellId it
+    # evaluated at -inf: uniform its root, the others the root's first child
+    root = ((0.0,), (1.0,), (0.5,))
+    first = root[2] if algo.startswith("uniform") else split_cell(root, 0, K)[0][2]
+    for n in (8, 50):
+        for trace in (False, True):
+            res = _NAN_RUNS[algo](ALL_NAN, RunConfig(budget_n=n, branching=K,
+                                                     record_trace=trace))
+            assert res.recommendation == first, (n, trace)
+            assert res.recommendation_value_estimate == -math.inf
+
+
+# ---------------------------------------------------------------------------
+# SequOOL settles through _Run.open_copies
+# ---------------------------------------------------------------------------
+
+def test_sequool_settles_through_open_copies(monkeypatch):
+    # the settled depths are opened as counted copies, one call per depth
+    # down to h_max; a traced run takes the same loop and never settles
+    calls = []
+    open_copies = optimizers._Run.open_copies
+
+    def spy(run, depth, index, count):
+        calls.append((depth, index, count))
+        return open_copies(run, depth, index, count)
+
+    monkeypatch.setattr(optimizers._Run, "open_copies", spy)
+    n = 10_000
+    h_max = int(n // harmonic(n))
+    untraced = sequool_run(GARLAND, RunConfig(budget_n=n))
+    depths = [depth for depth, _, _ in calls]
+    assert depths == list(range(depths[0], h_max + 1))
+    assert all(index is None and count == h_max // depth
+               for depth, index, count in calls)
+    calls.clear()
+    traced = sequool_run(GARLAND, RunConfig(budget_n=n, record_trace=True))
+    assert calls == []
+    assert untraced == dataclasses.replace(traced, trace=None)

@@ -34,7 +34,7 @@ def test_make_tree_root():
     assert not tree.root.opened
     assert tree.opening_ledger == 0
     assert list(tree.cells) == [CellId(0, 0)]
-    with pytest.raises(ValueError, match="branching must be at least 2"):
+    with pytest.raises(ValueError, match="branching must be >= 2"):
         make_tree(Box([0.0], [1.0]), branching=1)
     with pytest.raises(KeyError, match="unknown cell"):
         tree.cell(CellId(1, 0))

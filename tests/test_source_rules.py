@@ -78,3 +78,36 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.splitlines() == [
         f"high {out['h_tilde']!r} {out['bound']!r}", repr(approx),
         repr(out["bound"])]
+
+
+def _integer_rule_uses(tree):
+    """Line numbers that state the integer rule: operator.index, `index`
+    imported from operator, or the name "__index__"."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "index"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "operator"):
+            yield node.lineno
+        elif (isinstance(node, ast.ImportFrom) and node.module == "operator"
+                and any(alias.name == "index" for alias in node.names)):
+            yield node.lineno
+        elif isinstance(node, ast.Constant) and node.value == "__index__":
+            yield node.lineno
+
+
+def test_the_integer_rule_lives_only_in_partition_checked_integer():
+    # "n is an integer" is stated once, by partition.checked_integer; a
+    # second copy of the rule anywhere in the package fails here
+    inside, outside = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        checker = [node for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "checked_integer"
+                   and path.name == "partition.py"]
+        for line in _integer_rule_uses(tree):
+            if any(f.lineno <= line <= f.end_lineno for f in checker):
+                inside.append(line)
+            else:
+                outside.append(f"{path.name}:{line}")
+    assert inside and outside == []
