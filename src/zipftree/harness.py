@@ -146,9 +146,13 @@ class ExperimentSpec:
         if not (self.out is None or isinstance(self.out, (str, os.PathLike))):
             raise ValueError(f"out must be a path: {self.out!r}")
         self.master_seed = checked_integer(self.master_seed, "master_seed")
-        seeds = self.seeds if isinstance(self.seeds, list) else [self.seeds]
-        if not all(type(s) is int for s in seeds):
-            raise ValueError(f"seeds must be an int or a list of ints: {self.seeds!r}")
+        try:
+            self.seeds = ([checked_integer(s, "seeds") for s in self.seeds]
+                          if isinstance(self.seeds, list)
+                          else checked_integer(self.seeds, "seeds"))
+        except ValueError:
+            raise ValueError(
+                f"seeds must be an int or a list of ints: {self.seeds!r}") from None
         if not self.repeat_indices:
             raise ValueError("seeds must be a count >= 1 or a nonempty list")
 

@@ -124,6 +124,11 @@ class NoiseModel:
     with the operations numpy's uniform(-b, b) and normal(0, b/2) apply, so
     every offsets() call returns the same values, bit for bit, as drawing it
     on its own would.  With b = 0 the generator is never read.
+
+    total(count) is float(offsets(count).sum()) bit for bit.  For fewer
+    than 8 uniform draws it adds them from a memoryview of the block one at
+    a time, starting from 0.0, which is the order numpy's pairwise sum uses
+    below 8 values; that skips the numpy calls a short sum would cost.
     """
 
     def __init__(self, range_b, distribution="uniform", seed=0):
@@ -134,6 +139,7 @@ class NoiseModel:
         self.seed = checked_integer(seed, "seed", 0)
         self._rng = np.random.default_rng(self.seed)
         self._block = np.empty(0)  # scaled draws; those before _pos are spent
+        self._view = memoryview(self._block)  # the block, read as floats
         self._pos = 0
 
     @property
@@ -157,6 +163,7 @@ class NoiseModel:
             else:
                 fresh = 0.0 + (0.5 * b) * self._rng.standard_normal(size)
             self._block = np.concatenate((self._block[pos:], fresh))
+            self._view = memoryview(self._block)
             pos = 0
         self._pos = pos + count
         return self._block[pos:pos + count]
@@ -177,6 +184,21 @@ class NoiseModel:
             bad = np.abs(out) > b
         return out
 
+    def total(self, count):
+        """Sum of the next `count` noise draws: float(offsets(count).sum())."""
+        pos = self._pos
+        end = pos + count
+        view = self._view
+        if 0 <= count < 8 and end <= len(view) and self._distribution == "uniform":
+            self._pos = end
+            if count == 1:  # the loop's value, without making a slice
+                return 0.0 + view[pos]
+            s = 0.0
+            for x in view[pos:end]:
+                s += x
+            return s
+        return float(self.offsets(count).sum())
+
 
 _NO_POINT = object()  # matches no point: an EvaluationStream's empty memo
 
@@ -189,7 +211,9 @@ class EvaluationStream:
     once, at construction: with no noise model or b = 0 the RNG is never
     consumed and the sum is computed as count * f(point) in a single
     multiply -- the noiseless fast path that makes full budget sweeps cheap.
-    Otherwise noise is drawn on every call.
+    Otherwise every call adds count * f(point) and NoiseModel.total(count),
+    the sum of the next `count` draws, which equals summing offsets(count)
+    bit for bit.
 
     observe_sum calls the objective's fn unchecked: it is meant for the
     partition's points, which lie in the domain by construction (see
@@ -222,10 +246,7 @@ class EvaluationStream:
         self.n_evals += count
         if self._noise is None:
             return count * v
-        eps = self._noise.offsets(count)
-        if count == 1:
-            return v + float(eps[0])
-        return count * v + float(eps.sum())
+        return count * v + self._noise.total(count)
 
 
 # ---------------------------------------------------------------------------

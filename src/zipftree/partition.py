@@ -242,7 +242,11 @@ def is_real(value) -> bool:
 def checked_range(value, name) -> float:
     """`value`, a real number that is finite and >= 0 (a noise range or a
     tolerance), as a float; anything else raises ValueError."""
-    if not (is_real(value) and math.isfinite(value) and value >= 0):
+    try:
+        finite = is_real(value) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not (finite and value >= 0):
         raise ValueError(f"{name} must be >= 0 and finite: {value!r}")
     return float(value)
 

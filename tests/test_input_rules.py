@@ -237,3 +237,40 @@ def test_the_checkers_take_numpy_numbers_and_return_python_ones():
     assert harmonic(np.int64(4)) == harmonic(4) == math.fsum(
         [1, 1 / 2, 1 / 3, 1 / 4])
     assert sequool_bound(np.int64(100), PARAMS) == sequool_bound(100, PARAMS)
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["huge", "minus-huge"])
+def test_a_range_too_large_for_a_float_raises_value_error(value):
+    # math.isfinite raises OverflowError for such an int
+    for call in (lambda: checked_range(value, "b"),
+                 lambda: NoiseModel(value),
+                 lambda: spec(noise_b=[value]),
+                 lambda: radius(b=value)):
+        with pytest.raises(ValueError, match="must be >= 0 and finite"):
+            call()
+
+
+def test_a_config_with_a_range_too_large_for_a_float_prints_one_error_line(
+        tmp_path, capsys):
+    from zipftree.cli import main
+    path = tmp_path / "cfg.json"
+    path.write_text('{"algorithms": ["uniform"], "objective": "garland", '
+                    f'"budgets": [10], "noise_b": [{10**400}]}}')
+    assert main(["--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: noise_b must be >= 0 and finite: 1000")
+    assert err.count("\n") == 1
+
+
+def test_seeds_take_numpy_integers():
+    assert spec(seeds=np.int64(3)).repeat_indices == [0, 1, 2]
+    listed = spec(seeds=[np.int64(4), np.int32(1), 7])
+    assert listed.repeat_indices == [4, 1, 7]
+    assert all(type(s) is int for s in listed.repeat_indices)
+    assert type(spec(seeds=np.int64(3)).seeds) is int
+    with pytest.raises(ValueError,
+                       match=r"seeds must be an int or a list of ints: np.float64"):
+        spec(seeds=np.float64(3.0))
+    with pytest.raises(ValueError, match="seeds must be a count >= 1"):
+        spec(seeds=np.int64(0))
