@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from zipftree.cli import main
 from zipftree.harness import ExperimentSpec, parse_algo, run_experiment
 from zipftree.objectives import NoiseModel, Objective
 from zipftree.optimizers import RunConfig, stroquool_run
@@ -252,7 +253,6 @@ def test_a_range_too_large_for_a_float_raises_value_error(value):
 
 def test_a_config_with_a_range_too_large_for_a_float_prints_one_error_line(
         tmp_path, capsys):
-    from zipftree.cli import main
     path = tmp_path / "cfg.json"
     path.write_text('{"algorithms": ["uniform"], "objective": "garland", '
                     f'"budgets": [10], "noise_b": [{10**400}]}}')
