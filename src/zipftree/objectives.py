@@ -111,31 +111,26 @@ _NOISE_BLOCK = 4096  # draws taken from the generator at a time
 
 
 class NoiseModel:
-    """Bounded zero-mean observation noise: y = f(x) + eps with |eps| <= b.
+    """Bounded zero-mean observation noise: y = f(x) + eps with eps uniform
+    on [-b, b], b being range_b, a real number that is finite and >= 0,
+    fixed at construction.  Each instance owns a private stream, seeded by
+    the integer seed >= 0; use one instance per run.
 
-    distribution is "uniform" (uniform on [-b, b]) or "truncated-gaussian"
-    (N(0, (b/2)^2) with draws outside [-b, b] rejected and redrawn), b being
-    range_b, a real number that is finite and >= 0; both are fixed at
-    construction.  Each instance owns a private stream, seeded by the
-    integer seed >= 0; use one instance per run.
+    Draws are read from a block drawn ahead (rng.random, 4096 at a time)
+    and scaled as each block is drawn, with the operations numpy's
+    uniform(-b, b) applies, so every offsets() call returns the same
+    values, bit for bit, as drawing it on its own would.  With b = 0 the
+    generator is never read.  A count that is not an integer >= 0 raises
+    ValueError and draws nothing.
 
-    Draws are read from a block drawn ahead (rng.random or
-    rng.standard_normal, 4096 at a time) and scaled as each block is drawn,
-    with the operations numpy's uniform(-b, b) and normal(0, b/2) apply, so
-    every offsets() call returns the same values, bit for bit, as drawing it
-    on its own would.  With b = 0 the generator is never read.
-
-    total(count) is float(offsets(count).sum()) bit for bit.  For fewer
-    than 8 uniform draws it adds them from a memoryview of the block one at
-    a time, starting from 0.0, which is the order numpy's pairwise sum uses
+    total(count) is float(offsets(count).sum()) bit for bit.  For an int
+    count below 8 it adds the draws from a memoryview of the block one at a
+    time, starting from 0.0, which is the order numpy's pairwise sum uses
     below 8 values; that skips the numpy calls a short sum would cost.
     """
 
-    def __init__(self, range_b, distribution="uniform", seed=0):
+    def __init__(self, range_b, seed=0):
         self._range_b = checked_range(range_b, "range_b")
-        if distribution not in ("uniform", "truncated-gaussian"):
-            raise ValueError(f"unknown noise distribution {distribution!r}")
-        self._distribution = distribution
         self.seed = checked_integer(seed, "seed", 0)
         self._rng = np.random.default_rng(self.seed)
         self._block = np.empty(0)  # scaled draws; those before _pos are spent
@@ -146,51 +141,30 @@ class NoiseModel:
     def range_b(self):
         return self._range_b
 
-    @property
-    def distribution(self):
-        return self._distribution
-
-    def _draws(self, count):
-        """The next `count` draws."""
+    def offsets(self, count):
+        """Array of the next `count` noise draws."""
+        count = checked_integer(count, "count", 0)
+        b = self._range_b
+        if b == 0.0:
+            return np.zeros(count)
         pos = self._pos
         if pos + count > len(self._block):
             # keep the unread tail and draw whole blocks after it
             need = count - (len(self._block) - pos)
             size = -(-need // _NOISE_BLOCK) * _NOISE_BLOCK
-            b = self._range_b
-            if self._distribution == "uniform":
-                fresh = -b + (b - -b) * self._rng.random(size)
-            else:
-                fresh = 0.0 + (0.5 * b) * self._rng.standard_normal(size)
+            fresh = -b + (b - -b) * self._rng.random(size)
             self._block = np.concatenate((self._block[pos:], fresh))
             self._view = memoryview(self._block)
             pos = 0
         self._pos = pos + count
         return self._block[pos:pos + count]
 
-    def offsets(self, count):
-        """Array of `count` noise draws."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        b = self._range_b
-        if b == 0.0:
-            return np.zeros(count)
-        out = self._draws(count)
-        if self._distribution == "uniform":
-            return out
-        bad = np.abs(out) > b
-        while bad.any():
-            out[bad] = self._draws(int(bad.sum()))
-            bad = np.abs(out) > b
-        return out
-
     def total(self, count):
         """Sum of the next `count` noise draws: float(offsets(count).sum())."""
         pos = self._pos
-        end = pos + count
         view = self._view
-        if 0 <= count < 8 and end <= len(view) and self._distribution == "uniform":
-            self._pos = end
+        if type(count) is int and 0 <= count < 8 and pos + count <= len(view):
+            end = self._pos = pos + count
             if count == 1:  # the loop's value, without making a slice
                 return 0.0 + view[pos]
             s = 0.0
@@ -228,8 +202,6 @@ class EvaluationStream:
     """
 
     def __init__(self, objective: Objective, noise: NoiseModel | None = None):
-        self.objective = objective
-        self.noise = noise
         self._noise = None if noise is None or noise.range_b == 0.0 else noise
         self.n_evals = 0
         self._fn = objective.fn

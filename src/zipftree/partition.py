@@ -239,14 +239,18 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def is_finite(value) -> bool:
+    """True for a finite real number (numpy's included) other than a bool."""
+    try:
+        return is_real(value) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def checked_range(value, name) -> float:
     """`value`, a real number that is finite and >= 0 (a noise range or a
     tolerance), as a float; anything else raises ValueError."""
-    try:
-        finite = is_real(value) and math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        finite = False
-    if not (finite and value >= 0):
+    if not (is_finite(value) and value >= 0):
         raise ValueError(f"{name} must be >= 0 and finite: {value!r}")
     return float(value)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import (checked_delta, checked_integer, checked_range,
-                        split_cell)
+                        is_finite, is_real, split_cell)
 
 __all__ = [
     "SmoothnessParams", "BoundInputs", "harmonic", "stroquool_h_max",
@@ -135,10 +135,10 @@ def lambert_w(x):
 # ---------------------------------------------------------------------------
 
 def check_nu_rho(nu, rho):
-    """Raise ValueError unless nu > 0 and 0 < rho < 1 (a NaN fails both)."""
-    if not nu > 0:
-        raise ValueError("nu must be > 0")
-    if not 0.0 < rho < 1.0:
+    """Raise ValueError unless nu > 0 and 0 < rho < 1, both finite reals."""
+    if not (is_finite(nu) and nu > 0):
+        raise ValueError("nu must be > 0 and finite")
+    if not (is_real(rho) and 0.0 < rho < 1.0):
         raise ValueError("rho must be in (0, 1)")
 
 
@@ -151,10 +151,9 @@ class SmoothnessParams:
 
     def __post_init__(self):
         check_nu_rho(self.nu, self.rho)
-        if not self.C >= 1.0:
-            raise ValueError("C must be >= 1")
-        if not self.d >= 0.0:
-            raise ValueError("d must be >= 0")
+        if not (is_finite(self.C) and self.C >= 1.0):
+            raise ValueError("C must be >= 1 and finite")
+        checked_range(self.d, "d")
 
 
 @dataclass

@@ -10,8 +10,7 @@ Any change to a schedule, a tie-break or the bookkeeping shows up here.
 
 A second grid (FROZEN_EXTRA) covers what the first does not: 2-D and 3-D
 objectives defined here (one of them piecewise constant, so ties decide
-most openings), branchings K = 2 and K = 4, and truncated-gaussian
-noise for StroquOOL and uniform.
+most openings), and branchings K = 2 and K = 4.
 """
 
 import hashlib
@@ -408,7 +407,7 @@ def test_frozen_result(objective, algo, n):
 
 
 # ---------------------------------------------------------------------------
-# custom objectives, K = 2 and 4, SequOOL's options, truncated-gaussian noise
+# custom objectives, K = 2 and 4
 # ---------------------------------------------------------------------------
 
 def _bowl_2d(p):
@@ -440,21 +439,13 @@ CUSTOM = {
 }
 
 
-def _truncated_gaussian(b):
-    return NoiseModel(b, "truncated-gaussian", seed=NOISE_SEED)
-
-
 EXTRA_RUNNERS = {
     "sequool": RUNNERS["sequool"],
     "soo": RUNNERS["soo"],
     "doo(1,0.6)": RUNNERS["doo(1,0.6)"],
     "uniform": RUNNERS["uniform"],
-    "uniform:tg=0.5": lambda obj, cfg: uniform_run(
-        obj, _truncated_gaussian(0.5), cfg),
     "stroquool": RUNNERS["stroquool"],
     "stroquool:b=0.5": RUNNERS["stroquool:b=0.5"],
-    "stroquool:tg=0.5": lambda obj, cfg: stroquool_run(
-        obj, _truncated_gaussian(0.5), cfg),
 }
 
 # (objective, K, algorithm, n) -> digest, over the objective/K settings
@@ -493,14 +484,6 @@ FROZEN_EXTRA = {
         1500, 3001, 11, 1500, '(0.47119140625,)',
         '0.9833793771386087',
         '05a99483eaea0b68522bad5452aac07eb04436758c613a427adcee69f85e8048'),
-    ('garland', 2, 'uniform:tg=0.5', 20): (
-        20, 41, 5, 20, '(0.4375,)',
-        '1.2043694538275327',
-        '26bd4604a159f0b71328da2045edd041b5f9d3ada3b7b1394f10bb713472866d'),
-    ('garland', 2, 'uniform:tg=0.5', 1500): (
-        1500, 3001, 11, 1500, '(0.419677734375,)',
-        '1.4062348910126936',
-        '05a99483eaea0b68522bad5452aac07eb04436758c613a427adcee69f85e8048'),
     ('garland', 2, 'stroquool', 20): (
         2, 5, 2, 3, '(0.375,)',
         '0.7739112007497448',
@@ -517,14 +500,6 @@ FROZEN_EXTRA = {
         17, 98, 10, 55, '(0.5625,)',
         '0.9372276755938267',
         '25b8061de22018f8ce8b9f625c3615db7450cda68c07c8ecf2413bed51f38978'),
-    ('garland', 2, 'stroquool:tg=0.5', 20): (
-        2, 5, 2, 3, '(0.25,)',
-        '0.5282428470686339',
-        'fe757e1180c6f78f66a20d69718a278040b79522beb10cf6a8a76e29e5a19b26'),
-    ('garland', 2, 'stroquool:tg=0.5', 1500): (
-        17, 102, 10, 59, '(0.625,)',
-        '0.8961518312211092',
-        '70207803058983ae3376067d72e0432c99eb4cf588e0265bcb365ec2235c87df'),
     ('garland', 4, 'sequool', 20): (
         10, 40, 6, 10, '(0.5235595703125,)',
         '0.9856815395768833',
@@ -557,14 +532,6 @@ FROZEN_EXTRA = {
         1500, 6001, 7, 1500, '(0.5235595703125,)',
         '0.9856815395768833',
         '17788d810fb1016b6ee40f16a0d9f43b880bf2a1eb03838211d5a47e155c0be2'),
-    ('garland', 4, 'uniform:tg=0.5', 20): (
-        20, 81, 3, 20, '(0.4453125,)',
-        '1.216837521354238',
-        '758e586eae16de03986e949f3deae05ca4cb33fb2e33866dab38bacda0d69d37'),
-    ('garland', 4, 'uniform:tg=0.5', 1500): (
-        1500, 6001, 7, 1500, '(0.5240478515625,)',
-        '1.4412595859037898',
-        '17788d810fb1016b6ee40f16a0d9f43b880bf2a1eb03838211d5a47e155c0be2'),
     ('garland', 4, 'stroquool', 20): (
         2, 9, 2, 3, '(0.625,)',
         '0.8332627102343574',
@@ -581,14 +548,6 @@ FROZEN_EXTRA = {
         19, 208, 10, 64, '(0.4155254364013672,)',
         '1.1940165777366012',
         '7ba2cfb6913864a416280b3cd6c4dc19d6fc0a2ff509de5288bb37b91f7f4161'),
-    ('garland', 4, 'stroquool:tg=0.5', 20): (
-        2, 9, 2, 3, '(0.375,)',
-        '0.7639210854307407',
-        'bbb97473870d0685098c188cb6640e1f9becbe5586b8aa9a5c30b879cd5b7a4d'),
-    ('garland', 4, 'stroquool:tg=0.5', 1500): (
-        19, 208, 10, 64, '(0.52099609375,)',
-        '1.018866856747775',
-        '685c152f10b4713e726f705383c07df3f66c64ef23e3c1c1e35228531aa81c75'),
     ('bowl-2d', 3, 'sequool', 20): (
         9, 27, 6, 9, '(0.12962962962962962, 0.6111111111111112)',
         '0.019167391590462025',
@@ -621,14 +580,6 @@ FROZEN_EXTRA = {
         1500, 4501, 8, 1500, '(0.1419753086419753, 0.6111111111111112)',
         '0.02034834160490677',
         'e7d077a7e68503e798f6b6406ff2117c225aaaa2889df789c80e1dd5ec1919d8'),
-    ('bowl-2d', 3, 'uniform:tg=0.5', 20): (
-        20, 61, 4, 20, '(0.05555555555555555, 0.38888888888888884)',
-        '0.27964100866388375',
-        '0917ed5cf909572d1a7cc50d271403990893fdc9c6ff9043ebf4bfe7952c178b'),
-    ('bowl-2d', 3, 'uniform:tg=0.5', 1500): (
-        1500, 4501, 8, 1500, '(0.12962962962962962, 0.537037037037037)',
-        '0.4850088966631175',
-        'e7d077a7e68503e798f6b6406ff2117c225aaaa2889df789c80e1dd5ec1919d8'),
     ('bowl-2d', 3, 'stroquool', 20): (
         2, 7, 2, 3, '(0.16666666666666666, 0.5)',
         '-0.013938740269644631',
@@ -645,14 +596,6 @@ FROZEN_EXTRA = {
         18, 154, 10, 62, '(0.24074074074074073, 0.6481481481481481)',
         '0.2545740137881596',
         '64ff65becf36a5584da9298efe0aa1b5a614fcda91f3b27d83dead00370a690d'),
-    ('bowl-2d', 3, 'stroquool:tg=0.5', 20): (
-        2, 7, 2, 3, '(0.16666666666666666, 0.5)',
-        '-0.15371456053930133',
-        'fe757e1180c6f78f66a20d69718a278040b79522beb10cf6a8a76e29e5a19b26'),
-    ('bowl-2d', 3, 'stroquool:tg=0.5', 1500): (
-        18, 154, 10, 62, '(0.09259259259259259, 0.6111111111111112)',
-        '0.038412100226366375',
-        '79e35fd426637aac194727356d146738a25f683e55cde7b2d4d474145c0fcff8'),
     ('steps-2d', 2, 'sequool', 20): (
         8, 16, 6, 8, '(0.5, 0.5)',
         '0.0',
@@ -685,14 +628,6 @@ FROZEN_EXTRA = {
         1500, 3001, 11, 1500, '(0.5, 0.5)',
         '0.0',
         '05a99483eaea0b68522bad5452aac07eb04436758c613a427adcee69f85e8048'),
-    ('steps-2d', 2, 'uniform:tg=0.5', 20): (
-        20, 41, 5, 20, '(0.25, 0.25)',
-        '-0.014244502768464527',
-        '26bd4604a159f0b71328da2045edd041b5f9d3ada3b7b1394f10bb713472866d'),
-    ('steps-2d', 2, 'uniform:tg=0.5', 1500): (
-        1500, 3001, 11, 1500, '(0.34375, 0.6875)',
-        '0.44832886929171517',
-        '05a99483eaea0b68522bad5452aac07eb04436758c613a427adcee69f85e8048'),
     ('steps-2d', 2, 'stroquool', 20): (
         2, 5, 2, 3, '(0.5, 0.5)',
         '0.0',
@@ -709,14 +644,6 @@ FROZEN_EXTRA = {
         17, 102, 10, 59, '(0.25, 0.5)',
         '0.16204313772444617',
         'c98f68b5574a8b79be648283a43a897157dfbcf2cb2cc6644d351e7bc89ad9bb'),
-    ('steps-2d', 2, 'stroquool:tg=0.5', 20): (
-        2, 5, 2, 3, '(0.5, 0.5)',
-        '-0.07055635306402543',
-        'd6c3e59915641d922db133ad071954f84b08ce1d0a46f3aa5ac16c40ccfefe9d'),
-    ('steps-2d', 2, 'stroquool:tg=0.5', 1500): (
-        17, 102, 10, 59, '(0.5, 0.5)',
-        '0.0628891209867519',
-        'b2e0e3850b9822c9e372563f012906bf395e9696be5a60b07fb76edc35f44042'),
     ('ridge-3d', 4, 'sequool', 20): (
         10, 40, 6, 10, '(0.78125, 0.21875, 2.0625)',
         '0.9122225276975189',
@@ -750,14 +677,6 @@ FROZEN_EXTRA = {
         1500, 6001, 7, 1500, '(0.78125, 0.21875, 2.0625)',
         '0.9122225276975189',
         '17788d810fb1016b6ee40f16a0d9f43b880bf2a1eb03838211d5a47e155c0be2'),
-    ('ridge-3d', 4, 'uniform:tg=0.5', 20): (
-        20, 81, 3, 20, '(0.875, 0.125, 2.0625)',
-        '0.8224071768008469',
-        '758e586eae16de03986e949f3deae05ca4cb33fb2e33866dab38bacda0d69d37'),
-    ('ridge-3d', 4, 'uniform:tg=0.5', 1500): (
-        1500, 6001, 7, 1500, '(0.59375, 0.15625, 2.140625)',
-        '1.2924145391877901',
-        '17788d810fb1016b6ee40f16a0d9f43b880bf2a1eb03838211d5a47e155c0be2'),
     ('ridge-3d', 4, 'stroquool', 20): (
         2, 9, 2, 3, '(0.875, 0.125, 1.75)',
         '0.3058354772418407',
@@ -774,14 +693,6 @@ FROZEN_EXTRA = {
         19, 208, 10, 64, '(0.6640625, 0.3671875, 2.04296875)',
         '1.2558537238152532',
         'a271597275888f6fc8dbeaeed2f020d182457445161c4fe8d6c97fa461c19a34'),
-    ('ridge-3d', 4, 'stroquool:tg=0.5', 20): (
-        2, 9, 2, 3, '(0.875, 0.125, 1.75)',
-        '0.2958453619228366',
-        '6b6e7f574bac7415d13fd67f5b6bb823f43eb2a71c5fd89f3ccb3dcdd7c4cacb'),
-    ('ridge-3d', 4, 'stroquool:tg=0.5', 1500): (
-        19, 204, 10, 60, '(0.78125, 0.34375, 2.0625)',
-        '1.0156461515966602',
-        '677f5069466efd818f11e42c418cdc6f47b4c9a631c36035d5bae0d2c93fff44'),
 }
 
 

@@ -1,8 +1,9 @@
 """Each input rule is stated once, in `zipftree.partition`, and every layer
 applies it: an integer (`checked_integer`: anything operator.index takes,
-a bool excepted), a finite range >= 0 (`checked_range`) and a confidence
-level in (0, 1) (`checked_delta`).  A rejected input raises ValueError, and
-the message names the setting as the caller passed it."""
+a bool excepted), a finite real number (`is_finite`), a finite range >= 0
+(`checked_range`) and a confidence level in (0, 1) (`checked_delta`).  A
+rejected input raises ValueError, and the message names the setting as the
+caller passed it."""
 
 import math
 
@@ -11,8 +12,8 @@ import pytest
 
 from zipftree.cli import main
 from zipftree.harness import ExperimentSpec, parse_algo, run_experiment
-from zipftree.objectives import NoiseModel, Objective
-from zipftree.optimizers import RunConfig, stroquool_run
+from zipftree.objectives import NoiseModel, Objective, garland_objective
+from zipftree.optimizers import RunConfig, doo_run, stroquool_run
 from zipftree.partition import (Box, CellId, checked_delta, checked_integer,
                                 checked_range, make_tree)
 from zipftree.theory import (BoundInputs, SmoothnessParams, confidence_radius,
@@ -49,6 +50,13 @@ def radius(**overrides):
                                 | overrides))
 
 
+def partly_read():
+    """A noise model with 3 draws of its first block spent."""
+    nm = NoiseModel(0.1, seed=1)
+    nm.offsets(3)
+    return nm
+
+
 # (id, message regex, call): inputs every layer has long rejected
 REJECTED = [
     ("make_tree-float-K", "branching must be an integer", lambda: make_tree(UNIT, 2.5)),
@@ -73,8 +81,6 @@ REJECTED = [
     ("NoiseModel-inf", "range_b must be >= 0 and finite", lambda: NoiseModel(math.inf)),
     ("NoiseModel-minus-inf", "range_b must be >= 0 and finite", lambda: NoiseModel(-math.inf)),
     ("NoiseModel-negative-seed", "seed must be >= 0", lambda: NoiseModel(0.1, seed=-1)),
-    ("NoiseModel-distribution", "unknown noise distribution",
-     lambda: NoiseModel(0.1, "cauchy")),
     ("BoundInputs-n0", "n must be >= 1", lambda: BoundInputs(0)),
     ("BoundInputs-float-n", "n must be an integer", lambda: BoundInputs(2.5)),
     ("BoundInputs-str-n", "n must be an integer", lambda: BoundInputs("5")),
@@ -210,6 +216,36 @@ NOW_REJECTED = [
      lambda: near(obj=const(math.inf))),
     ("count_near_optimal-minus-inf-optimum", "non-finite one: -inf",
      lambda: near(obj=const(-math.inf))),
+    ("NoiseModel-offsets-float-count", "count must be an integer: 2.5",
+     lambda: partly_read().offsets(2.5)),
+    ("NoiseModel-total-float-count", "count must be an integer: 2.5",
+     lambda: partly_read().total(2.5)),
+    ("NoiseModel-total-whole-float-count", "count must be an integer: 8.0",
+     lambda: partly_read().total(8.0)),
+    ("NoiseModel-offsets-bool-count", "count must be an integer: True",
+     lambda: partly_read().offsets(True)),
+    ("NoiseModel-total-bool-count", "count must be an integer: True",
+     lambda: partly_read().total(True)),
+    ("SmoothnessParams-bool-nu", "nu must be > 0 and finite",
+     lambda: SmoothnessParams(True, 0.5, 1.0)),
+    ("SmoothnessParams-inf-nu", "nu must be > 0 and finite",
+     lambda: SmoothnessParams(math.inf, 0.5, 2.0)),
+    ("SmoothnessParams-huge-nu", "nu must be > 0 and finite",
+     lambda: SmoothnessParams(10**400, 0.5, 2.0)),
+    ("SmoothnessParams-str-rho", r"rho must be in \(0, 1\)",
+     lambda: SmoothnessParams(1.0, "0.5", 2.0)),
+    ("SmoothnessParams-str-C", "C must be >= 1 and finite",
+     lambda: SmoothnessParams(1.0, 0.5, "2")),
+    ("SmoothnessParams-inf-C", "C must be >= 1 and finite",
+     lambda: SmoothnessParams(1.0, 0.5, math.inf)),
+    ("SmoothnessParams-inf-d", "d must be >= 0 and finite: inf",
+     lambda: SmoothnessParams(1.0, 0.5, 2.0, math.inf)),
+    ("SmoothnessParams-str-d", "d must be >= 0 and finite: '0'",
+     lambda: SmoothnessParams(1.0, 0.5, 2.0, "0")),
+    ("doo_run-bool-nu", "nu must be > 0 and finite",
+     lambda: doo_run(garland_objective(), RunConfig(budget_n=50), True, 0.5)),
+    ("parse_algo-doo-inf-nu", "nu must be > 0 and finite",
+     lambda: parse_algo("doo:inf:0.5")),
 ]
 
 
@@ -238,6 +274,18 @@ def test_the_checkers_take_numpy_numbers_and_return_python_ones():
     assert harmonic(np.int64(4)) == harmonic(4) == math.fsum(
         [1, 1 / 2, 1 / 3, 1 / 4])
     assert sequool_bound(np.int64(100), PARAMS) == sequool_bound(100, PARAMS)
+
+
+@pytest.mark.parametrize("count", [2.5, 8.0, True, "3"])
+def test_a_rejected_count_draws_nothing(count):
+    # total(2.5) used to move the read position to 5.5 before it raised,
+    # and every later draw raised too
+    nm, twin = partly_read(), partly_read()
+    for draw in (nm.offsets, nm.total):
+        with pytest.raises(ValueError, match="count must be"):
+            draw(count)
+    assert nm.total(5) == twin.total(5)
+    assert nm.offsets(9).tobytes() == twin.offsets(9).tobytes()
 
 
 @pytest.mark.parametrize("value", [10**400, -10**400], ids=["huge", "minus-huge"])

@@ -203,54 +203,33 @@ def test_noise_uniform_bounds_and_mean():
     assert draws.std() == pytest.approx(b / math.sqrt(3), rel=0.02)
 
 
-def test_noise_truncated_gaussian():
-    b = 0.5
-    nm = NoiseModel(b, distribution="truncated-gaussian", seed=9)
-    draws = nm.offsets(100_000)
-    assert np.all(np.abs(draws) <= b)
-    assert abs(draws.mean()) < 0.01
-    # sigma = b/2 before truncation; truncation at 2 sigma shrinks it a bit
-    assert 0.4 * b < draws.std() < 0.5 * b
-
-
 def test_noise_validation_and_reset():
     with pytest.raises(ValueError, match="range_b must be >= 0"):
         NoiseModel(-0.1)
-    with pytest.raises(ValueError, match="unknown noise distribution"):
-        NoiseModel(0.1, distribution="cauchy")
     first = NoiseModel(0.3, seed=21).offsets(8)
     assert np.array_equal(NoiseModel(0.3, seed=21).offsets(8), first)
     assert not np.array_equal(NoiseModel(0.3, seed=22).offsets(8), first)
 
 
 @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("distribution", ["uniform", "truncated-gaussian"])
-def test_noise_rejects_a_non_finite_width(b, distribution):
+def test_noise_rejects_a_non_finite_width(b):
     # NaN passed the old b < 0 check and drew only NaN, as did inf
     with pytest.raises(ValueError, match="range_b must be >= 0 and finite"):
-        NoiseModel(b, distribution)
+        NoiseModel(b)
 
 
 class _PerCallNoise:
     """Reference: NoiseModel's draws made one numpy call per offsets()."""
 
-    def __init__(self, range_b, distribution, seed):
+    def __init__(self, range_b, seed):
         self.range_b = range_b
-        self.distribution = distribution
         self._rng = np.random.default_rng(seed)
 
     def offsets(self, count):
         b = self.range_b
         if b == 0.0:
             return np.zeros(count)
-        if self.distribution == "uniform":
-            return self._rng.uniform(-b, b, count)
-        out = self._rng.normal(0.0, 0.5 * b, count)
-        bad = np.abs(out) > b
-        while bad.any():
-            out[bad] = self._rng.normal(0.0, 0.5 * b, int(bad.sum()))
-            bad = np.abs(out) > b
-        return out
+        return self._rng.uniform(-b, b, count)
 
 
 def _bitwise_equal(got, want):
@@ -264,20 +243,18 @@ _BLOCK_COUNTS = [1, 2, 7, 8, 9, 4095, 4096, 4097, 9000]
 _COUNT_SEQUENCE = _BLOCK_COUNTS + [9, 4097, 1, 4095, 2, 9000, 8, 4096, 7] + [1] * 50
 
 
-@pytest.mark.parametrize("distribution", ["uniform", "truncated-gaussian"])
-def test_noise_block_equals_per_call_draws(distribution):
-    nm = NoiseModel(0.4, distribution, seed=17)
-    ref = _PerCallNoise(0.4, distribution, 17)
+def test_noise_block_equals_per_call_draws():
+    nm = NoiseModel(0.4, seed=17)
+    ref = _PerCallNoise(0.4, 17)
     for k in _COUNT_SEQUENCE:
         assert _bitwise_equal(nm.offsets(k), ref.offsets(k)), k
 
 
-@pytest.mark.parametrize("distribution", ["uniform", "truncated-gaussian"])
-def test_observe_sum_equals_per_call_sum(distribution):
+def test_observe_sum_equals_per_call_sum():
     obj = garland_objective()
-    nm = NoiseModel(0.1, distribution, seed=23)
+    nm = NoiseModel(0.1, seed=23)
     stream = EvaluationStream(obj, nm)
-    ref = _PerCallNoise(0.1, distribution, 23)
+    ref = _PerCallNoise(0.1, 23)
     points = [0.0, 0.3, GARLAND_ARGMAX, 1.0]
     for step, k in enumerate(_COUNT_SEQUENCE):
         p = points[step % len(points)]
@@ -288,28 +265,23 @@ def test_observe_sum_equals_per_call_sum(distribution):
     assert stream.n_evals == sum(_COUNT_SEQUENCE)
 
 
-@pytest.mark.parametrize("distribution", ["uniform", "truncated-gaussian"])
-def test_noise_rejects_negative_count_and_width(distribution):
-    # a negative count would move the block's read position backwards, and
-    # a negative width would never pass the truncated gaussian's rejection
-    nm = NoiseModel(0.5, distribution, seed=1)
+def test_noise_rejects_negative_count_and_width():
+    # a negative count would move the block's read position backwards
+    nm = NoiseModel(0.5, seed=1)
     with pytest.raises(ValueError, match="count must be >= 0"):
         nm.offsets(-1)
     with pytest.raises(ValueError, match="range_b must be >= 0"):
-        NoiseModel(-0.5, distribution, seed=1)
-    want = _PerCallNoise(0.5, distribution, 1).offsets(3)
+        NoiseModel(-0.5, seed=1)
+    want = _PerCallNoise(0.5, 1).offsets(3)
     assert _bitwise_equal(nm.offsets(3), want)
 
 
-def test_noise_distribution_is_fixed():
-    nm = NoiseModel(0.5, "truncated-gaussian", seed=1)
-    assert nm.distribution == "truncated-gaussian"
-    with pytest.raises(AttributeError):
-        nm.distribution = "uniform"
+def test_noise_range_is_fixed():
+    nm = NoiseModel(0.5, seed=1)
     assert nm.range_b == 0.5
     with pytest.raises(AttributeError):
         nm.range_b = 1.0
-    assert (nm.distribution, nm.range_b) == ("truncated-gaussian", 0.5)
+    assert nm.range_b == 0.5
 
 
 def test_observe_reproducible():
@@ -364,12 +336,11 @@ def test_observe_sum_matches_points_by_identity():
     assert stream.n_evals == 6
 
 
-@pytest.mark.parametrize("distribution", ["uniform", "truncated-gaussian"])
-def test_observe_sum_with_reused_values_equals_per_call_sum(distribution):
+def test_observe_sum_with_reused_values_equals_per_call_sum():
     obj, calls = counting_objective(lambda p: garland(abs(p[0])))
-    nm = NoiseModel(0.1, distribution, seed=29)
+    nm = NoiseModel(0.1, seed=29)
     stream = EvaluationStream(obj, nm)
-    ref = _PerCallNoise(0.1, distribution, 29)
+    ref = _PerCallNoise(0.1, 29)
     points = [(0.3,), (GARLAND_ARGMAX,), (-0.0,), (0.0,)]
     # runs of the same object, as the children of a cell with no width left
     order = [0, 0, 0, 1, 1, 2, 3, 3, 0, 2, 2]

@@ -95,19 +95,54 @@ def _integer_rule_uses(tree):
             yield node.lineno
 
 
-def test_the_integer_rule_lives_only_in_partition_checked_integer():
-    # "n is an integer" is stated once, by partition.checked_integer; a
-    # second copy of the rule anywhere in the package fails here
+def _random_uses(tree):
+    """Line numbers that name `random`: an import of the random module or
+    of numpy.random, and any attribute or variable called random."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        if any("random" in name.split(".") for name in names):
+            yield node.lineno
+
+
+def _uses_inside_and_outside(uses, filename, name):
+    """The lines uses(tree) yields across the package, split into those
+    inside the top-level function or class `name` of `filename` and the
+    others, as "file:line"."""
     inside, outside = [], []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        checker = [node for node in tree.body
-                   if isinstance(node, ast.FunctionDef)
-                   and node.name == "checked_integer"
-                   and path.name == "partition.py"]
-        for line in _integer_rule_uses(tree):
-            if any(f.lineno <= line <= f.end_lineno for f in checker):
+        owner = [node for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and node.name == name and path.name == filename]
+        for line in uses(tree):
+            if any(o.lineno <= line <= o.end_lineno for o in owner):
                 inside.append(line)
             else:
                 outside.append(f"{path.name}:{line}")
+    return inside, outside
+
+
+def test_the_integer_rule_lives_only_in_partition_checked_integer():
+    # "n is an integer" is stated once, by partition.checked_integer; a
+    # second copy of the rule anywhere in the package fails here
+    inside, outside = _uses_inside_and_outside(
+        _integer_rule_uses, "partition.py", "checked_integer")
+    assert inside and outside == []
+
+
+def test_random_draws_live_only_in_objectives_noise_model():
+    # harness's determinism contract derives one seed per run, and a run's
+    # draws reproduce only if they all come from the NoiseModel seeded with
+    # it; a second random number generator anywhere in the package fails here
+    inside, outside = _uses_inside_and_outside(
+        _random_uses, "objectives.py", "NoiseModel")
     assert inside and outside == []
