@@ -20,9 +20,8 @@ from .objectives import (GARLAND_ARGMAX, GARLAND_FLOAT_MAX, GARLAND_OPTIMUM,
                          wrapped_sine_objective)
 from .optimizers import (RunConfig, RunResult, doo_run, sequool_run, soo_run,
                          stroquool_run, uniform_run)
-from .theory import (BoundInputs, SmoothnessParams, confidence_radius,
-                     count_near_optimal, h_tilde_asymptotic, harmonic,
-                     lambert_w, sequool_bound, stroquool_bounds,
+from .theory import (BoundInputs, SmoothnessParams, count_near_optimal,
+                     harmonic, lambert_w, sequool_bound, stroquool_bounds,
                      stroquool_h_max)
 from .harness import (AlgoSpec, ExperimentSpec, RegretRecord, derive_seed,
                       emit_bound_overlay, read_records, run_experiment,
@@ -40,8 +39,7 @@ __all__ = [
     "sequool_run", "stroquool_run", "soo_run", "doo_run", "uniform_run",
     "SmoothnessParams", "BoundInputs",
     "harmonic", "lambert_w", "stroquool_h_max",
-    "sequool_bound", "stroquool_bounds", "h_tilde_asymptotic",
-    "confidence_radius", "count_near_optimal",
+    "sequool_bound", "stroquool_bounds", "count_near_optimal",
     "AlgoSpec", "ExperimentSpec", "RegretRecord", "derive_seed",
     "run_experiment", "summarize", "emit_bound_overlay", "read_records",
     "__version__",

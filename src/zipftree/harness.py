@@ -12,6 +12,7 @@ exempt from reproducibility.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import math
 import os
@@ -72,6 +73,15 @@ def _checked_list(values, name, check, *args):
     return checked
 
 
+def _check_unique(values, name):
+    """Raise ValueError at the first entry of `values` equal to an earlier one."""
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise ValueError(f"{name} must not repeat: {v!r}")
+        seen.add(v)
+
+
 def parse_algo(token) -> AlgoSpec:
     """"sequool" | "doo:1.0:0.5" | {"name": "doo", "nu": 1, "rho": 0.5}"""
     if isinstance(token, AlgoSpec):
@@ -107,13 +117,15 @@ def parse_algo(token) -> AlgoSpec:
     return spec
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     """One experimental grid.
 
     seeds is a repeat count >= 1 (repeat indices 0..count-1) or a nonempty
     list of repeat indices (so a later spec can extend an earlier run
-    without recomputing it).  noise_b None means [0.0].
+    without recomputing it).  noise_b None means [0.0].  No axis repeats an
+    entry (algorithms by label).  The fields cannot be reassigned, but a
+    list changed in place is not checked again.
     """
 
     algorithms: list
@@ -128,33 +140,37 @@ class ExperimentSpec:
 
     def __post_init__(self):
         # a --config document can hold any JSON type, so every field is
-        # checked for its type before it is used
+        # checked for its type before it is used, and put stores it as checked
+        put = functools.partial(object.__setattr__, self)
         if not isinstance(self.algorithms, (list, tuple)):
             raise ValueError(f"algorithms must be a list: {self.algorithms!r}")
         if not self.algorithms:
             raise ValueError("algorithms must be nonempty")
-        self.algorithms = [parse_algo(a) for a in self.algorithms]
+        put("algorithms", [parse_algo(a) for a in self.algorithms])
         if not isinstance(self.objective, str):
             raise ValueError(f"objective must be a name: {self.objective!r}")
-        self.budgets = _checked_list(self.budgets, "budgets", checked_integer, 1)
+        put("budgets", _checked_list(self.budgets, "budgets", checked_integer, 1))
         if any(b >= a for a, b in zip(self.budgets[1:], self.budgets)):
             raise ValueError("budgets must be strictly increasing")
-        self.noise_b = _checked_list([0.0] if self.noise_b is None
-                                     else self.noise_b, "noise_b", checked_range)
-        self.delta = checked_delta(self.delta)
-        self.branching = checked_integer(self.branching, "branching", 2)
+        put("noise_b", _checked_list([0.0] if self.noise_b is None
+                                     else self.noise_b, "noise_b", checked_range))
+        put("delta", checked_delta(self.delta))
+        put("branching", checked_integer(self.branching, "branching", 2))
         if not (self.out is None or isinstance(self.out, (str, os.PathLike))):
             raise ValueError(f"out must be a path: {self.out!r}")
-        self.master_seed = checked_integer(self.master_seed, "master_seed")
+        put("master_seed", checked_integer(self.master_seed, "master_seed"))
         try:
-            self.seeds = ([checked_integer(s, "seeds") for s in self.seeds]
-                          if isinstance(self.seeds, list)
-                          else checked_integer(self.seeds, "seeds"))
+            put("seeds", [checked_integer(s, "seeds") for s in self.seeds]
+                if isinstance(self.seeds, list)
+                else checked_integer(self.seeds, "seeds"))
         except ValueError:
             raise ValueError(
                 f"seeds must be an int or a list of ints: {self.seeds!r}") from None
         if not self.repeat_indices:
             raise ValueError("seeds must be a count >= 1 or a nonempty list")
+        _check_unique([a.label for a in self.algorithms], "algorithms")
+        _check_unique(self.noise_b, "noise_b")
+        _check_unique(self.repeat_indices, "seeds")
 
     @property
     def repeat_indices(self):

@@ -86,13 +86,11 @@ class Objective:
     GARLAND_OPTIMUM).
     """
 
-    def __init__(self, name, domain, fn, optimum_value=None, optimum_point=None,
-                 optimum_note=""):
+    def __init__(self, name, domain, fn, optimum_value=None, optimum_note=""):
         self.name = name
         self.domain = domain
         self.fn = fn
         self.optimum_value = optimum_value
-        self.optimum_point = optimum_point
         self.optimum_note = optimum_note
 
     def eval(self, point):
@@ -231,7 +229,6 @@ def garland_objective() -> Objective:
         Box([0.0], [1.0]),
         lambda p: garland(p[0]),
         optimum_value=GARLAND_OPTIMUM,
-        optimum_point=(GARLAND_ARGMAX,),
         optimum_note=("analytic supremum at the sine-zero cusp x=pi/6; the best "
                       "float64 argument evaluates 1.2035640817309456e-08 lower, "
                       "which is the regret floor"),
@@ -244,7 +241,6 @@ def wrapped_sine_objective() -> Objective:
         Box([0.0], [1.0]),
         lambda p: wrapped_sine(p[0]),
         optimum_value=0.0,
-        optimum_point=(0.5,),
         optimum_note="supremum 0, attained by the S(1/2)=0 midpoint convention",
     )
 
@@ -252,7 +248,6 @@ def wrapped_sine_objective() -> Objective:
 _REGISTRY = {
     "garland": garland_objective,
     "wrapped-sine": wrapped_sine_objective,
-    "wrapped_sine": wrapped_sine_objective,
 }
 
 
@@ -261,6 +256,6 @@ def get_objective(name: str) -> Objective:
     try:
         factory = _REGISTRY[name]
     except KeyError:
-        known = ", ".join(sorted(set(_REGISTRY) - {"wrapped_sine"}))
+        known = ", ".join(sorted(_REGISTRY))
         raise ValueError(f"unknown objective {name!r} (known: {known})") from None
     return factory()

@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """What every optimizer run takes.
 
@@ -72,8 +72,10 @@ class RunConfig:
     record_trace: bool = False
 
     def __post_init__(self):
-        self.budget_n = checked_integer(self.budget_n, "budget_n", 1)
-        self.branching = checked_integer(self.branching, "branching", 2)
+        object.__setattr__(self, "budget_n",
+                           checked_integer(self.budget_n, "budget_n", 1))
+        object.__setattr__(self, "branching",
+                           checked_integer(self.branching, "branching", 2))
 
 
 @dataclass
@@ -290,7 +292,8 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
     fresh evaluations and recommend the candidate with the best fresh mean.
 
     The budget-unit ledger (init h_max + exploration quotas + validation
-    evaluations) never exceeds n.
+    evaluations) never exceeds n.  h_max uses H(n) where stroquool_bounds'
+    M uses log2 n (42 against 24 at n = 1e4); source not recorded.
     """
     n = cfg.budget_n
     if n < 8:

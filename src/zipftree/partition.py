@@ -74,27 +74,13 @@ class Box:
         return box
 
     @property
-    def dim(self):
-        return len(self.lower)
-
-    @property
     def center(self):
         return tuple(0.5 * (lo + hi) for lo, hi in zip(self.lower, self.upper))
-
-    @property
-    def widths(self):
-        return tuple(hi - lo for lo, hi in zip(self.lower, self.upper))
 
     def contains(self, point):
         return (len(point) == len(self.lower)
                 and all(map(operator.le, self.lower, point))
                 and all(map(operator.le, point, self.upper)))
-
-    def __eq__(self, other):
-        return isinstance(other, Box) and self.lower == other.lower and self.upper == other.upper
-
-    def __hash__(self):
-        return hash((self.lower, self.upper))
 
     def __repr__(self):
         return f"Box({list(self.lower)}, {list(self.upper)})"

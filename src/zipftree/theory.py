@@ -1,6 +1,6 @@
 """Closed-form machinery: harmonic numbers, Lambert W, simple-regret bound
-calculators for the two optimizers, union-bound confidence radii, and an
-empirical near-optimality profiler.
+calculators for the two optimizers, and an empirical near-optimality
+profiler.
 
 Conventions shared by the bound calculators: nu, rho describe how fast the
 objective can drop inside cells containing an optimum (f >= f* - nu*rho^h at
@@ -32,8 +32,7 @@ from .partition import (checked_delta, checked_integer, checked_range,
 
 __all__ = [
     "SmoothnessParams", "BoundInputs", "harmonic", "stroquool_h_max",
-    "lambert_w", "sequool_bound", "stroquool_bounds", "h_tilde_asymptotic",
-    "confidence_radius", "count_near_optimal",
+    "lambert_w", "sequool_bound", "stroquool_bounds", "count_near_optimal",
 ]
 
 _LOG_DBL_MAX = math.log(sys.float_info.max)
@@ -142,7 +141,7 @@ def check_nu_rho(nu, rho):
         raise ValueError("rho must be in (0, 1)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SmoothnessParams:
     nu: float
     rho: float
@@ -156,7 +155,7 @@ class SmoothnessParams:
         checked_range(self.d, "d")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundInputs:
     """What the StroquOOL bounds take: the budget n, an integer >= 1; the
     noise range b, finite and >= 0; the confidence level delta in (0, 1)."""
@@ -166,9 +165,9 @@ class BoundInputs:
     delta: float = 0.05
 
     def __post_init__(self):
-        self.n = checked_integer(self.n, "n", 1)
-        self.b = checked_range(self.b, "b")
-        self.delta = checked_delta(self.delta)
+        object.__setattr__(self, "n", checked_integer(self.n, "n", 1))
+        object.__setattr__(self, "b", checked_range(self.b, "b"))
+        object.__setattr__(self, "delta", checked_delta(self.delta))
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +212,6 @@ def _log_n_bar(h, nu, rho, C, d, b, L):
             + 2.0 * (math.log(nu) - math.log(b)))
 
 
-def _h_tilde_exact(h_max_alg, nu, rho, C, d, b, L):
-    """Root of (h_max nu^2 rho^(2h)) / (4 h b^2 L) = C rho^(-d h).
-
-    In logs this is A - log h - a h = 0 with a = (d+2) log(1/rho) and
-    A = log(h_max nu^2 / (4 C b^2 L)); the left side is strictly decreasing,
-    so the root is unique.  It is h = W(a e^A) / a, and a e^A is n_bar at
-    h = h_max, so W is taken at log n_bar.
-    """
-    return (_w_exp(_log_n_bar(h_max_alg, nu, rho, C, d, b, L))
-            / ((d + 2.0) * math.log(1.0 / rho)))
-
-
 def stroquool_bounds(inputs: BoundInputs, params: SmoothnessParams):
     """Simple-regret bound for StroquOOL, with noise-regime classification.
 
@@ -254,7 +241,12 @@ def stroquool_bounds(inputs: BoundInputs, params: SmoothnessParams):
     if b == 0.0:
         regime, h_tilde = "low", math.inf
     else:
-        h_tilde = _h_tilde_exact(stroquool_h_max(n), nu, rho, C, d, b, L)
+        # in logs the crossover is A - log h - a h = 0 with a = (d+2) log(1/rho)
+        # and A = log(h_max nu^2 / (4 C b^2 L)); the left side is strictly
+        # decreasing, so the root is unique.  It is h = W(a e^A) / a, and
+        # a e^A is n_bar at h = h_max, so W is taken at log n_bar
+        h_tilde = (_w_exp(_log_n_bar(stroquool_h_max(n), nu, rho, C, d, b, L))
+                   / ((d + 2.0) * math.log(1.0 / rho)))
         # b >= nu rho^h_tilde / sqrt(L) in logs, as rho^h_tilde can underflow
         log_threshold = math.log(nu) + h_tilde * math.log(rho) - 0.5 * math.log(L)
         regime = "high" if math.log(b) >= log_threshold else "low"
@@ -286,41 +278,6 @@ def stroquool_bounds(inputs: BoundInputs, params: SmoothnessParams):
         corollary = 3.0 * nu * (math.log(n_low) / n_low) ** (1.0 / d)
     return {"regime": regime, "bound": bound, "h_tilde": h_tilde,
             "corollary": corollary, "n_readable": n_low, "M": M, "L": L}
-
-
-def h_tilde_asymptotic(inputs: BoundInputs, params: SmoothnessParams):
-    """First-order approximation of the crossover depth,
-    log(n_bar / log n_bar) / ((d+2) log(1/rho)) with
-    n_bar = nu^2 h_max (d+2) log(1/rho) / (4 C b^2 L); exposed for comparison
-    against the exact root.  None when n_bar <= e; inf when b = 0.
-    """
-    n, b, delta = inputs.n, inputs.b, inputs.delta
-    if b == 0.0:
-        return math.inf
-    nu, rho, C, d = params.nu, params.rho, params.C, params.d
-    L = math.log(2.0 * n * n / delta)
-    log_n_bar = _log_n_bar(stroquool_h_max(n), nu, rho, C, d, b, L)
-    if log_n_bar <= 1.0:
-        return None
-    return (log_n_bar - math.log(log_n_bar)) / ((d + 2.0) * math.log(1.0 / rho))
-
-
-# ---------------------------------------------------------------------------
-# confidence radius
-# ---------------------------------------------------------------------------
-
-def confidence_radius(b, n, delta, evals):
-    """Half-width of the empirical-mean confidence interval after `evals`
-    observations of a cell: b * sqrt(log(2 n^2 / delta) / (2 evals)).
-
-    On the dyadic grid evals = 2^p this is b * sqrt(L / 2^(p+1)).  n and
-    evals are any integers >= 1 (validation counts are not powers of two).
-    """
-    delta = checked_delta(delta)
-    n = checked_integer(n, "n", 1)
-    evals = checked_integer(evals, "evals", 1)
-    b = checked_range(b, "b")
-    return b * math.sqrt(math.log(2.0 * n * n / delta) / (2.0 * evals))
 
 
 # ---------------------------------------------------------------------------

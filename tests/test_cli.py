@@ -238,3 +238,14 @@ def test_cli_rejects_a_noisy_deterministic_grid_before_any_task_runs(
     assert err == ("error: sequool is a deterministic-feedback algorithm; "
                    "run it with b=0 (got b=0.1)\n")
     assert not out.exists()
+
+
+def test_cli_rejects_a_repeated_noise_level_before_opening_out(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert main(["--algo", "stroquool", "--objective", "garland",
+                 "--budget", "100", "--noise-b", "0.1,0.1", "--seeds", "1",
+                 "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == "error: noise_b must not repeat: 0.1\n"
+    assert not out.exists()

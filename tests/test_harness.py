@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,36 @@ def test_spec_rejects_seeds_of_another_type():
         with pytest.raises(ValueError, match="seeds must be an int or a list "
                            "of ints"):
             small_spec(seeds=seeds)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(noise_b=[0.1, 0.1]), "noise_b must not repeat: 0.1"),
+    (dict(noise_b=[0.0, 0.5, -0.0]), "noise_b must not repeat: -0.0"),
+    (dict(seeds=[0, 0]), "seeds must not repeat: 0"),
+    (dict(seeds=[3, 1, np.int64(3)]), "seeds must not repeat: 3"),
+    (dict(algorithms=["sequool", "soo", "sequool"]),
+     "algorithms must not repeat: 'sequool'"),
+    (dict(algorithms=["doo:1:0.6", "doo:1.0000001:0.6"]),
+     "algorithms must not repeat: 'doo:nu=1:rho=0.6'"),
+    (dict(algorithms=["doo:1:0.6", {"name": "doo", "nu": 1, "rho": 0.6}]),
+     "algorithms must not repeat: 'doo:nu=1:rho=0.6'"),
+], ids=["noise-b", "signed-zero-noise-b", "seeds", "numpy-seed",
+        "algorithm", "doo-same-label", "doo-dict"])
+def test_spec_rejects_a_repeated_axis_entry(tmp_path, overrides, message):
+    # a repeat used to write duplicate rows (the same label, n, b and rep
+    # give the same derived seed) that summarize counted as separate runs
+    out = tmp_path / "r.csv"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        small_spec(out=str(out), **overrides)
+    assert not out.exists()
+
+
+def test_spec_keeps_distinct_axis_entries():
+    spec = small_spec(algorithms=["doo:1:0.6", "doo:1:0.5", "soo"],
+                      noise_b=[0.0, 0.1], seeds=[2, 0])
+    assert [a.label for a in spec.algorithms] == [
+        "doo:nu=1:rho=0.6", "doo:nu=1:rho=0.5", "soo"]
+    assert spec.noise_b == [0.0, 0.1] and spec.repeat_indices == [2, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ applies it: an integer (`checked_integer`: anything operator.index takes,
 a bool excepted), a finite real number (`is_finite`), a finite range >= 0
 (`checked_range`) and a confidence level in (0, 1) (`checked_delta`).  A
 rejected input raises ValueError, and the message names the setting as the
-caller passed it."""
+caller passed it.  A checked bundle cannot be reassigned afterwards."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,9 +17,9 @@ from zipftree.objectives import NoiseModel, Objective, garland_objective
 from zipftree.optimizers import RunConfig, doo_run, stroquool_run
 from zipftree.partition import (Box, CellId, checked_delta, checked_integer,
                                 checked_range, make_tree)
-from zipftree.theory import (BoundInputs, SmoothnessParams, confidence_radius,
-                             count_near_optimal, harmonic, lambert_w,
-                             sequool_bound, stroquool_h_max)
+from zipftree.theory import (BoundInputs, SmoothnessParams, count_near_optimal,
+                             harmonic, lambert_w, sequool_bound,
+                             stroquool_h_max)
 
 UNIT = Box([0.0], [1.0])
 PARAMS = SmoothnessParams(1.0, 0.5, 2.0)
@@ -43,11 +44,6 @@ def opened(evals=1, more=1):
     tree = make_tree(UNIT)
     tree.open_cell(CellId(0, 0), evals, lambda p: p[0])
     return tree.add_evaluations(CellId(1, 0), more, lambda p: p[0])
-
-
-def radius(**overrides):
-    return confidence_radius(**(dict(b=0.1, n=100, delta=0.05, evals=4)
-                                | overrides))
 
 
 def partly_read():
@@ -97,13 +93,6 @@ REJECTED = [
     ("harmonic-negative-n", "n must be >= 1", lambda: harmonic(-3)),
     ("stroquool_h_max-n0", "n must be >= 1", lambda: stroquool_h_max(0)),
     ("sequool_bound-n0", "n must be >= 1", lambda: sequool_bound(0, PARAMS)),
-    ("confidence_radius-delta0", r"delta must be in \(0, 1\)", lambda: radius(delta=0.0)),
-    ("confidence_radius-delta1", r"delta must be in \(0, 1\)", lambda: radius(delta=1.0)),
-    ("confidence_radius-evals0", "evals must be >= 1", lambda: radius(evals=0)),
-    ("confidence_radius-n0", "n must be >= 1: 0", lambda: radius(n=0)),
-    ("confidence_radius-negative-b", "b must be >= 0 and finite", lambda: radius(b=-1.0)),
-    ("confidence_radius-nan-b", "b must be >= 0 and finite", lambda: radius(b=math.nan)),
-    ("confidence_radius-inf-b", "b must be >= 0 and finite", lambda: radius(b=math.inf)),
     ("count_near_optimal-float-K", "branching must be an integer",
      lambda: near(branching=2.5)),
     ("count_near_optimal-K1", "branching must be >= 2", lambda: near(branching=1)),
@@ -202,11 +191,6 @@ NOW_REJECTED = [
     ("NoiseModel-bool", "range_b must be >= 0 and finite: True", lambda: NoiseModel(True)),
     ("NoiseModel-float-seed", "seed must be an integer: 2.5",
      lambda: NoiseModel(0.1, seed=2.5)),
-    ("confidence_radius-str-b", "b must be >= 0 and finite: '0.1'", lambda: radius(b="0.1")),
-    ("confidence_radius-float-n", "n must be an integer: 2.5", lambda: radius(n=2.5)),
-    ("confidence_radius-bool-n", "n must be an integer: True", lambda: radius(n=True)),
-    ("confidence_radius-float-evals", "evals must be an integer: 2.5",
-     lambda: radius(evals=2.5)),
     ("count_near_optimal-bool-h", "h must be an integer: True", lambda: near(h=True)),
     ("count_near_optimal-str-eps", "epsilon must be >= 0 and finite: '0.1'",
      lambda: near(epsilon="0.1")),
@@ -294,7 +278,7 @@ def test_a_range_too_large_for_a_float_raises_value_error(value):
     for call in (lambda: checked_range(value, "b"),
                  lambda: NoiseModel(value),
                  lambda: spec(noise_b=[value]),
-                 lambda: radius(b=value)):
+                 lambda: BoundInputs(100, value)):
         with pytest.raises(ValueError, match="must be >= 0 and finite"):
             call()
 
@@ -322,3 +306,16 @@ def test_seeds_take_numpy_integers():
         spec(seeds=np.float64(3.0))
     with pytest.raises(ValueError, match="seeds must be a count >= 1"):
         spec(seeds=np.int64(0))
+
+
+@pytest.mark.parametrize("bundle", [
+    RunConfig(100), SmoothnessParams(1.0, 0.5, 2.0), BoundInputs(100, 0.1),
+    spec()], ids=lambda b: type(b).__name__)
+def test_a_checked_bundle_cannot_be_reassigned(bundle):
+    # p.nu = math.inf used to make sequool_bound's theorem inf, and
+    # cfg.budget_n = 50.5 let SOO run 51 openings
+    for field in dataclasses.fields(bundle):
+        before = getattr(bundle, field.name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(bundle, field.name, math.inf)
+        assert getattr(bundle, field.name) is before

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from zipftree.theory import (BoundInputs, SmoothnessParams, h_tilde_asymptotic,
-                             lambert_w, stroquool_bounds)
+from zipftree.theory import (BoundInputs, SmoothnessParams, lambert_w,
+                             stroquool_bounds)
 
 # b = 10^(k/4) from 1e-300 to 1e3: b^2 underflows below ~1e-162
 NOISE = [10.0 ** (k / 4) for k in range(-1200, 13)]
@@ -63,21 +63,6 @@ def test_regime_where_rho_to_the_h_tilde_underflows():
         assert 0.5 ** out["h_tilde"] == 0.0
         assert out["h_tilde"] == pytest.approx(1124.6106032377443, rel=1e-12)
         assert out["regime"] == "low"
-
-
-@pytest.mark.parametrize("rho, C", SHAPES)
-def test_h_tilde_asymptotic_under_exact_for_every_noise_level(rho, C):
-    params = SmoothnessParams(nu=1.0, rho=rho, C=C)
-    a = 2.0 * math.log(1.0 / rho)
-    for b in NOISE:
-        if b > 1.0:
-            break
-        exact = stroquool_bounds(BoundInputs(10**5, b), params)["h_tilde"]
-        approx = h_tilde_asymptotic(BoundInputs(10**5, b), params)
-        if approx is None:  # n_bar <= e, so W(n_bar) <= 1
-            assert exact <= 1.0 / a, b
-        else:
-            assert math.isfinite(approx) and approx <= exact, b
 
 
 def test_lambert_w_round_trip_in_logs():

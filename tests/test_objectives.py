@@ -100,7 +100,6 @@ def test_objective_eval_checks_domain():
     with pytest.raises(ValueError, match="outside domain of garland"):
         obj.eval((1.25,))
     assert obj.optimum_value == GARLAND_OPTIMUM
-    assert obj.optimum_point == (GARLAND_ARGMAX,)
 
 
 def _probe(domain):
@@ -174,7 +173,6 @@ def test_observe_sum_accepts_numpy_scalars():
 def test_objective_registry():
     assert get_objective("garland").name == "garland"
     assert get_objective("wrapped-sine").name == "wrapped-sine"
-    assert get_objective("wrapped_sine").name == "wrapped-sine"
     with pytest.raises(ValueError, match="unknown objective 'peaks3'"):
         get_objective("peaks3")
     assert get_objective("wrapped-sine").optimum_value == 0.0

@@ -19,9 +19,8 @@ def test_box_validation():
     with pytest.raises(ValueError, match="at least one dimension"):
         Box([], [])
     box = Box([0.0, -1.0], [1.0, 3.0])
-    assert box.dim == 2
+    assert (box.lower, box.upper) == ((0.0, -1.0), (1.0, 3.0))
     assert box.center == (0.5, 1.0)
-    assert box.widths == (1.0, 4.0)
     assert box.contains((0.0, 3.0))
     assert not box.contains((0.5,))
     assert not box.contains((0.5, 3.5))
@@ -85,7 +84,8 @@ def test_children_tile_parent_exactly():
         for left, right in zip(kids, kids[1:]):
             assert left.box.upper[0] == right.box.lower[0]
         # descend along the child whose box is widest to vary the path
-        cur = max(kids, key=lambda k: (k.box.widths[0], -k.id.index))
+        cur = max(kids, key=lambda k: (k.box.upper[0] - k.box.lower[0],
+                                       -k.id.index))
 
 
 def test_middle_child_center_exact():
@@ -164,10 +164,10 @@ def test_axis_cycling_in_two_dims():
     tree = make_tree(Box([0.0, 0.0], [1.0, 2.0]), branching=2)
     out0 = tree.open_cell(CellId(0, 0), 1, lambda p: p[0] + p[1])
     left = tree.cell(out0[0][0])
-    assert left.box.widths == (0.5, 2.0)      # depth 0 splits axis 0
+    assert (left.box.lower, left.box.upper) == ((0.0, 0.0), (0.5, 2.0))  # axis 0
     out1 = tree.open_cell(left.id, 1, lambda p: p[0] + p[1])
     bottom = tree.cell(out1[0][0])
-    assert bottom.box.widths == (0.5, 1.0)    # depth 1 splits axis 1
+    assert (bottom.box.lower, bottom.box.upper) == ((0.0, 0.0), (0.5, 1.0))  # axis 1
     assert bottom.id == CellId(2, 0)
 
 
@@ -220,19 +220,19 @@ def _check_geometry(tree, opened):
     for cell in tree.cells.values():
         box = cell.box
         assert cell.representative == box.center, cell
-        assert box == cell.box and hash(box) == hash(cell.box)
         assert (box.lower, box.upper) == (cell.lower, cell.upper)
     for parent in opened:
         depth, index = parent.id
         kids = [tree.cell(CellId(depth + 1, index * K + j)) for j in range(K)]
         assert kids == tree.children_of(parent.id)
-        axis = depth % parent.box.dim
+        dim = len(parent.lower)
+        axis = depth % dim
         assert kids[0].lower[axis] == parent.lower[axis]
         assert kids[-1].upper[axis] == parent.upper[axis]
         for left, right in zip(kids, kids[1:]):
             assert left.upper[axis] == right.lower[axis]
         for kid in kids:
-            for i in range(parent.box.dim):
+            for i in range(dim):
                 if i != axis:
                     assert kid.lower[i] == parent.lower[i]
                     assert kid.upper[i] == parent.upper[i]
@@ -266,7 +266,7 @@ def test_split_geometry_past_float_resolution():
         opened.append(cell)
         out = tree.open_cell(cell.id, 1, lambda p: -abs(p[0] - target) - abs(p[1] - target))
         cell = tree.cell(max(out, key=lambda pair: (pair[1], -pair[0].index))[0])
-    assert cell.box.widths == (0.0, 0.0)
+    assert cell.box.lower == cell.box.upper  # no width left on either axis
     _check_geometry(tree, opened)
 
 
@@ -284,7 +284,7 @@ def test_split_of_negative_zero_bound_starts_at_positive_zero():
 def test_cell_box_is_built_from_bounds():
     tree = make_tree(Box([0.0, 1.0], [2.0, 5.0]))
     root = tree.root
-    assert root.box == tree.domain
+    assert (root.box.lower, root.box.upper) == (tree.domain.lower, tree.domain.upper)
     assert root.box is not root.box  # rebuilt on each read
     assert (root.lower, root.upper, root.representative) == ((0.0, 1.0), (2.0, 5.0), (1.0, 3.0))
 

@@ -11,11 +11,9 @@ import pytest
 import zipftree
 from zipftree.objectives import Objective, garland_objective, wrapped_sine_objective
 from zipftree.partition import Box
-from zipftree.theory import (BoundInputs, SmoothnessParams, confidence_radius,
-                             count_near_optimal, h_tilde_asymptotic, harmonic,
-                             lambert_w, sequool_bound, stroquool_bounds,
-                             stroquool_h_max)
-from zipftree.theory import _h_tilde_exact
+from zipftree.theory import (BoundInputs, SmoothnessParams, count_near_optimal,
+                             harmonic, lambert_w, sequool_bound,
+                             stroquool_bounds, stroquool_h_max)
 
 
 # ---------------------------------------------------------------------------
@@ -288,54 +286,10 @@ def test_h_tilde_exact_matches_closed_form():
         h_max = stroquool_h_max(n)
         a = (d + 2.0) * math.log(1.0 / rho)
         A = math.log(h_max / (4.0 * C * b * b * L))
-        exact = _h_tilde_exact(h_max, 1.0, rho, C, d, b, L)
+        exact = stroquool_bounds(BoundInputs(n, b),
+                                 SmoothnessParams(1.0, rho, C, d))["h_tilde"]
         assert exact == pytest.approx(lambert_w(a * math.exp(A)) / a, rel=1e-10)
         assert abs(A - math.log(exact) - a * exact) < 1e-12  # residual
-
-
-def test_h_tilde_asymptotic_under_exact():
-    params = SmoothnessParams(nu=1.0, rho=0.5, C=2.0)
-    assert h_tilde_asymptotic(BoundInputs(10**4, 0.0), params) == math.inf
-    for n, b in ((10**4, 0.1), (10**5, 0.01), (10**6, 0.001)):
-        out = stroquool_bounds(BoundInputs(n, b), params)
-        approx = h_tilde_asymptotic(BoundInputs(n, b), params)
-        assert approx is not None
-        assert approx <= out["h_tilde"]            # log(x/log x) <= W(x)
-        assert approx >= 0.6 * out["h_tilde"]      # first order, same scale
-
-
-# ---------------------------------------------------------------------------
-# confidence radius
-# ---------------------------------------------------------------------------
-
-def test_confidence_radius_formula():
-    # b = 1, n = 100, delta = 0.1: one evaluation gives sqrt(log(2e5) / 2)
-    assert confidence_radius(1.0, 100, 0.1, 1) == pytest.approx(
-        math.sqrt(math.log(2e5) / 2.0), rel=1e-15)
-    assert confidence_radius(0.0, 100, 0.1, 7) == 0.0
-    # dyadic doubling: evals = 2^p gives b sqrt(L / 2^(p+1))
-    L = math.log(2.0 * 50 ** 2 / 0.05)
-    for p in range(8):
-        assert confidence_radius(0.3, 50, 0.05, 2 ** p) == pytest.approx(
-            0.3 * math.sqrt(L / 2 ** (p + 1)), rel=1e-15)
-    # halves per quadrupling
-    assert confidence_radius(1.0, 100, 0.1, 4) == pytest.approx(
-        0.5 * confidence_radius(1.0, 100, 0.1, 1), rel=1e-15)
-
-
-def test_confidence_radius_validation():
-    with pytest.raises(ValueError, match="delta"):
-        confidence_radius(1.0, 10, 0.0, 1)
-    with pytest.raises(ValueError, match="evals"):
-        confidence_radius(1.0, 10, 0.1, 0)
-    with pytest.raises(ValueError, match="b must be >= 0"):
-        confidence_radius(-1.0, 10, 0.1, 1)
-
-
-@pytest.mark.parametrize("b", [math.nan, math.inf])
-def test_confidence_radius_rejects_a_non_finite_b(b):
-    with pytest.raises(ValueError, match="b must be >= 0 and finite"):
-        confidence_radius(b, 10, 0.1, 1)
 
 
 # ---------------------------------------------------------------------------
