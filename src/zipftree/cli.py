@@ -75,12 +75,9 @@ def spec_from_args(args) -> ExperimentSpec:
         fields["budgets"] = [int(v) for v in _split_multi(args.budget)]
     if args.noise_b:
         fields["noise_b"] = [float(v) for v in _split_multi(args.noise_b)]
-    for flag, key in (("seeds", "seeds"), ("delta", "delta"),
-                      ("branching", "branching"), ("out", "out"),
-                      ("master_seed", "master_seed")):
-        value = getattr(args, flag)
-        if value is not None:
-            fields[key] = value
+    for key in ("seeds", "delta", "branching", "out", "master_seed"):
+        if getattr(args, key) is not None:
+            fields[key] = getattr(args, key)
     missing = [k for k in ("algorithms", "objective", "budgets")
                if not fields.get(k)]
     if missing:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-import math
 import os
 import time
 import typing
@@ -57,20 +56,26 @@ class AlgoSpec:
     @property
     def label(self):
         if self.name == "doo":
-            return f"doo:nu={self.nu:g}:rho={self.rho:g}"
+            return f"doo:nu={_exact(self.nu)}:rho={_exact(self.rho)}"
         return self.name
 
 
-def _checked_list(values, name, check, *args):
-    """[check(v, name, *args) for v in values], which must be nonempty;
+def _exact(x):
+    """float(x) as `:g` writes it where that reads back as the same float,
+    else its repr, so distinct settings keep distinct labels."""
+    x = float(x)
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
+def _checked_axis(values, name, check):
+    """tuple(map(check, values)) of a nonempty list or tuple `values`;
     anything else raises ValueError."""
-    try:
-        checked = [check(v, name, *args) for v in values]
-    except TypeError:  # not iterable
-        raise ValueError(f"{name} must be a list: {values!r}") from None
-    if not checked:
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list: {values!r}")
+    if not values:
         raise ValueError(f"{name} must be nonempty")
-    return checked
+    return tuple(map(check, values))
 
 
 def _check_unique(values, name):
@@ -121,17 +126,18 @@ def parse_algo(token) -> AlgoSpec:
 class ExperimentSpec:
     """One experimental grid.
 
-    seeds is a repeat count >= 1 (repeat indices 0..count-1) or a nonempty
-    list of repeat indices (so a later spec can extend an earlier run
-    without recomputing it).  noise_b None means [0.0].  No axis repeats an
-    entry (algorithms by label).  The fields cannot be reassigned, but a
-    list changed in place is not checked again.
+    algorithms, budgets and noise_b are nonempty lists or tuples, stored as
+    tuples of their checked entries; noise_b None means (0.0,).  seeds is
+    a repeat count >= 1 or a nonempty list of repeat indices (so a later
+    spec can extend an earlier run without recomputing it), stored as the
+    tuple of repeat indices: a count c gives 0..c-1.  No axis repeats an
+    entry (algorithms by label).  The spec is frozen.
     """
 
-    algorithms: list
+    algorithms: tuple
     objective: str
-    budgets: list
-    noise_b: list = None
+    budgets: tuple
+    noise_b: tuple = None
     seeds: object = 20
     delta: float = 0.05
     branching: int = 3
@@ -142,41 +148,34 @@ class ExperimentSpec:
         # a --config document can hold any JSON type, so every field is
         # checked for its type before it is used, and put stores it as checked
         put = functools.partial(object.__setattr__, self)
-        if not isinstance(self.algorithms, (list, tuple)):
-            raise ValueError(f"algorithms must be a list: {self.algorithms!r}")
-        if not self.algorithms:
-            raise ValueError("algorithms must be nonempty")
-        put("algorithms", [parse_algo(a) for a in self.algorithms])
+        put("algorithms",
+            _checked_axis(self.algorithms, "algorithms", parse_algo))
         if not isinstance(self.objective, str):
             raise ValueError(f"objective must be a name: {self.objective!r}")
-        put("budgets", _checked_list(self.budgets, "budgets", checked_integer, 1))
+        put("budgets", _checked_axis(self.budgets, "budgets",
+                                     lambda v: checked_integer(v, "budgets", 1)))
         if any(b >= a for a, b in zip(self.budgets[1:], self.budgets)):
             raise ValueError("budgets must be strictly increasing")
-        put("noise_b", _checked_list([0.0] if self.noise_b is None
-                                     else self.noise_b, "noise_b", checked_range))
+        noise_b = (0.0,) if self.noise_b is None else self.noise_b
+        put("noise_b", _checked_axis(noise_b, "noise_b",
+                                     lambda v: checked_range(v, "noise_b")))
         put("delta", checked_delta(self.delta))
         put("branching", checked_integer(self.branching, "branching", 2))
         if not (self.out is None or isinstance(self.out, (str, os.PathLike))):
             raise ValueError(f"out must be a path: {self.out!r}")
         put("master_seed", checked_integer(self.master_seed, "master_seed"))
         try:
-            put("seeds", [checked_integer(s, "seeds") for s in self.seeds]
-                if isinstance(self.seeds, list)
-                else checked_integer(self.seeds, "seeds"))
+            put("seeds", tuple(checked_integer(s, "seeds") for s in self.seeds)
+                if isinstance(self.seeds, (list, tuple))
+                else tuple(range(checked_integer(self.seeds, "seeds"))))
         except ValueError:
             raise ValueError(
                 f"seeds must be an int or a list of ints: {self.seeds!r}") from None
-        if not self.repeat_indices:
+        if not self.seeds:
             raise ValueError("seeds must be a count >= 1 or a nonempty list")
         _check_unique([a.label for a in self.algorithms], "algorithms")
         _check_unique(self.noise_b, "noise_b")
-        _check_unique(self.repeat_indices, "seeds")
-
-    @property
-    def repeat_indices(self):
-        if isinstance(self.seeds, int):
-            return list(range(self.seeds))
-        return list(self.seeds)
+        _check_unique(self.seeds, "seeds")
 
 
 @dataclass
@@ -239,7 +238,7 @@ def _tasks(spec: ExperimentSpec):
             for a in spec.algorithms
             for n in spec.budgets
             for b in spec.noise_b
-            for rep in spec.repeat_indices]
+            for rep in spec.seeds]
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1):
@@ -251,8 +250,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1):
     A grid that pairs a deterministic-feedback algorithm with a noise level
     b != 0 is rejected before spec.out is opened.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    jobs = checked_integer(jobs, "jobs", 1)
     obj = get_objective(spec.objective)
     if obj.optimum_value is None:
         raise ValueError(f"objective {spec.objective!r} has no optimum_value; "
@@ -336,64 +334,25 @@ def read_records(path):
 # ---------------------------------------------------------------------------
 
 def summarize(records):
-    """Group records by (algo, n, b) and fit log-regret trends.
-
-    Returns {"groups": {(algo, n, b): {median, q10, q90, count}},
-             "fits":   {(algo, b): {slope, slope_log2, r2, flat, points,
-                                    dropped_nonpositive}}}.
-
-    Fits regress log(median regret) on n per (algo, b).  Constant groups
-    report flat=True with r2=None (the fit is degenerate: zero variance).
-    Nonpositive medians cannot be logged and are dropped (counted in
-    dropped_nonpositive).
-    """
+    """Group records by (algo, n, b): returns
+    {(algo, n, b): {median, q10, q90, count}} of their regrets."""
     if not records:
         raise ValueError("no records")
     groups = {}
     for rec in records:
         groups.setdefault((rec.algo, rec.n, rec.b), []).append(rec.regret)
-    gstats = {}
-    for key, vals in groups.items():
-        arr = np.asarray(vals, dtype=float)
-        gstats[key] = {"median": float(np.median(arr)),
-                       "q10": float(np.quantile(arr, 0.10)),
-                       "q90": float(np.quantile(arr, 0.90)),
-                       "count": len(vals)}
-
-    fits = {}
-    series = {}
-    for (algo, n, b), stats in gstats.items():
-        series.setdefault((algo, b), []).append((n, stats["median"]))
-    for key, pts in series.items():
-        pts.sort()
-        xs = [n for n, r in pts if r > 0]
-        ys = [math.log(r) for n, r in pts if r > 0]
-        fit = fits[key] = {"slope": None, "slope_log2": None, "r2": None,
-                           "flat": None, "points": len(xs),
-                           "dropped_nonpositive": len(pts) - len(xs)}
-        if len(xs) < 2:
-            continue
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if np.ptp(ys) == 0.0:
-            # constant regret: slope 0, R^2 undefined -> flat
-            fit.update(slope=0.0, slope_log2=0.0, flat=True)
-            continue
-        slope, intercept = np.polyfit(xs, ys, 1)
-        pred = slope * xs + intercept
-        ss_res = float(np.sum((ys - pred) ** 2))
-        ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-        fit.update(slope=float(slope), slope_log2=float(slope) / math.log(2.0),
-                   r2=1.0 - ss_res / ss_tot, flat=False)
-    return {"groups": gstats, "fits": fits}
+    return {key: {"median": float(np.median(vals)),
+                  "q10": float(np.quantile(vals, 0.10)),
+                  "q90": float(np.quantile(vals, 0.90)),
+                  "count": len(vals)}
+            for key, vals in groups.items()}
 
 
 def format_summary(summary):
     """Plain-text table of the per-(algo, n, b) medians."""
     lines = [f"{'algo':24} {'n':>7} {'b':>6} {'median':>13} {'q10':>13} "
              f"{'q90':>13} {'runs':>5}"]
-    for (algo, n, b) in sorted(summary["groups"]):
-        g = summary["groups"][(algo, n, b)]
+    for (algo, n, b), g in sorted(summary.items()):
         lines.append(f"{algo:24} {n:>7} {b:>6g} {g['median']:>13.6g} "
                      f"{g['q10']:>13.6g} {g['q90']:>13.6g} {g['count']:>5}")
     return "\n".join(lines)

@@ -122,7 +122,7 @@ def test_cli_rejects_jobs_below_one(tmp_path, capsys):
     assert main(["--algo", "uniform", "--objective", "garland",
                  "--budget", "10", "--seeds", "1", "--jobs", "0",
                  "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+    assert capsys.readouterr().err == "error: jobs must be >= 1: 0\n"
     assert not out.exists()
 
 
@@ -203,8 +203,12 @@ def test_cli_parallel_jobs(tmp_path):
      '"branching": 2.5}', "branching must be an integer: 2.5"),
     ('{"algorithms": ["sequool"], "objective": "garland", "budgets": 5}',
      "budgets must be a list: 5"),
+    ('{"algorithms": ["sequool"], "objective": "garland", "budgets": "100"}',
+     "budgets must be a list: '100'"),
     ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
      '"noise_b": 0.1}', "noise_b must be a list: 0.1"),
+    ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
+     '"noise_b": "0.1"}', "noise_b must be a list: '0.1'"),
     ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
      '"delta": "x"}', "delta must be in (0, 1): 'x'"),
     ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
@@ -214,7 +218,8 @@ def test_cli_parallel_jobs(tmp_path):
     ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
      '"out": ["a.csv"]}', "out must be a path: ['a.csv']"),
 ], ids=["not-an-object", "unknown-settings", "float-seeds", "string-seeds",
-        "float-branching", "int-budgets", "float-noise-b", "string-delta",
+        "float-branching", "int-budgets", "string-budgets", "float-noise-b",
+        "string-noise-b", "string-delta",
         "string-master-seed", "list-objective", "list-out"])
 def test_cli_rejects_a_bad_config_document(tmp_path, capsys, document, message):
     path = tmp_path / "cfg.json"

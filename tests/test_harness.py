@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import re
 
@@ -30,6 +31,10 @@ def test_parse_algo_forms():
     assert doo == AlgoSpec("doo", 1.5, 0.5)
     assert doo.label == "doo:nu=1.5:rho=0.5"
     assert parse_algo({"name": "doo", "nu": 1, "rho": 0.25}).rho == 0.25
+    # a label writes the float a setting runs with, digit for digit
+    assert parse_algo({"name": "doo", "nu": np.float32(0.6),
+                       "rho": 1 / 3}).label == (
+        "doo:nu=0.6000000238418579:rho=0.3333333333333333")
     assert parse_algo(doo) is doo
     with pytest.raises(ValueError, match="unknown algorithm 'sooo'"):
         parse_algo("sooo")
@@ -73,13 +78,12 @@ def test_spec_validation():
         small_spec(delta=0.0)
     with pytest.raises(ValueError, match="branching must be >= 2"):
         small_spec(branching=1)
-    spec = small_spec(seeds=[4, 9])
-    assert spec.repeat_indices == [4, 9]
-    assert small_spec(seeds=3).repeat_indices == [0, 1, 2]
+    assert small_spec(seeds=[4, 9]).seeds == (4, 9)
+    assert small_spec(seeds=3).seeds == (0, 1, 2)
 
 
 def test_spec_rejects_empty_grid_axes():
-    assert small_spec(noise_b=None).noise_b == [0.0]
+    assert small_spec(noise_b=None).noise_b == (0.0,)
     with pytest.raises(ValueError, match="noise_b must be nonempty"):
         small_spec(noise_b=[])
     for seeds in (0, -2, []):
@@ -91,9 +95,11 @@ def test_spec_rejects_empty_grid_axes():
     ("branching", 2.5, "branching must be an integer: 2.5"),
     ("branching", "3", "branching must be an integer: '3'"),
     ("budgets", 100, "budgets must be a list: 100"),
+    ("budgets", "100", "budgets must be a list: '100'"),
     ("budgets", [50, 150.5], "budgets must be an integer: 150.5"),
     ("budgets", ["50"], "budgets must be an integer: '50'"),
     ("noise_b", 0.1, "noise_b must be a list: 0.1"),
+    ("noise_b", "0.1", "noise_b must be a list: '0.1'"),
     ("noise_b", ["0.1"], "noise_b must be >= 0 and finite: '0.1'"),
     ("noise_b", [True], "noise_b must be >= 0 and finite: True"),
     ("delta", "x", r"delta must be in \(0, 1\): 'x'"),
@@ -103,8 +109,9 @@ def test_spec_rejects_empty_grid_axes():
     ("objective", ["garland"], "objective must be a name"),
     ("algorithms", 5, "algorithms must be a list: 5"),
     ("out", 1, "out must be a path: 1"),
-], ids=["float-branching", "string-branching", "int-budgets", "float-budget",
-        "string-budget", "float-noise-b", "string-noise-b", "bool-noise-b",
+], ids=["float-branching", "string-branching", "int-budgets",
+        "string-budgets", "float-budget", "string-budget", "float-noise-b",
+        "string-noise-b-axis", "string-noise-b", "bool-noise-b",
         "string-delta", "none-delta", "string-master-seed",
         "float-master-seed", "list-objective", "int-algorithms", "int-out"])
 def test_spec_rejects_a_field_of_another_type(field, value, message):
@@ -115,7 +122,7 @@ def test_spec_rejects_a_field_of_another_type(field, value, message):
 def test_spec_takes_any_integer_type():
     spec = small_spec(budgets=(np.int64(50), 150), branching=np.int64(2),
                       master_seed=np.int32(7), noise_b=[0, np.float32(0.5)])
-    assert spec.budgets == [50, 150] and spec.noise_b == [0.0, 0.5]
+    assert spec.budgets == (50, 150) and spec.noise_b == (0.0, 0.5)
     assert (type(spec.branching), type(spec.master_seed)) == (int, int)
 
 
@@ -134,7 +141,7 @@ def test_spec_rejects_seeds_of_another_type():
     (dict(seeds=[3, 1, np.int64(3)]), "seeds must not repeat: 3"),
     (dict(algorithms=["sequool", "soo", "sequool"]),
      "algorithms must not repeat: 'sequool'"),
-    (dict(algorithms=["doo:1:0.6", "doo:1.0000001:0.6"]),
+    (dict(algorithms=["doo:1:0.6", "doo:1.0:0.60"]),
      "algorithms must not repeat: 'doo:nu=1:rho=0.6'"),
     (dict(algorithms=["doo:1:0.6", {"name": "doo", "nu": 1, "rho": 0.6}]),
      "algorithms must not repeat: 'doo:nu=1:rho=0.6'"),
@@ -150,11 +157,44 @@ def test_spec_rejects_a_repeated_axis_entry(tmp_path, overrides, message):
 
 
 def test_spec_keeps_distinct_axis_entries():
-    spec = small_spec(algorithms=["doo:1:0.6", "doo:1:0.5", "soo"],
+    # a DOO label writes nu and rho exactly, so distinct settings never clash
+    spec = small_spec(algorithms=["doo:1:0.6", "doo:1.0000001:0.6",
+                                  "doo:1:0.5", "soo"],
                       noise_b=[0.0, 0.1], seeds=[2, 0])
     assert [a.label for a in spec.algorithms] == [
-        "doo:nu=1:rho=0.6", "doo:nu=1:rho=0.5", "soo"]
-    assert spec.noise_b == [0.0, 0.1] and spec.repeat_indices == [2, 0]
+        "doo:nu=1:rho=0.6", "doo:nu=1.0000001:rho=0.6", "doo:nu=1:rho=0.5",
+        "soo"]
+    assert spec.noise_b == (0.0, 0.1) and spec.seeds == (2, 0)
+
+
+def test_doo_settings_that_print_alike_write_distinct_rows(tmp_path):
+    # both settings used to label as doo:nu=1:rho=0.6, and so derive the
+    # same seeds
+    rows = []
+    for token in ("doo:1:0.6", "doo:1.0000001:0.6"):
+        out = tmp_path / "r.csv"
+        run_experiment(small_spec(algorithms=[token], budgets=[20], seeds=2,
+                                  out=str(out)))
+        rows.append(read_records(str(out)))
+    assert {r.algo for r in rows[0]} == {"doo:nu=1:rho=0.6"}
+    assert {r.algo for r in rows[1]} == {"doo:nu=1.0000001:rho=0.6"}
+    assert not {r.seed for r in rows[0]} & {r.seed for r in rows[1]}
+
+
+def test_spec_axes_are_tuples():
+    # a list changed in place used to get past every rule: an appended
+    # noise level wrote a second row per run
+    spec = small_spec(algorithms=("sequool",), seeds=2)
+    assert spec.algorithms == (AlgoSpec("sequool"),)
+    assert (spec.budgets, spec.noise_b, spec.seeds) == (
+        (50, 150), (0.0,), (0, 1))
+    with pytest.raises(AttributeError):
+        spec.noise_b.append(0.1)
+    # replace builds a new spec, checked again
+    grown = dataclasses.replace(spec, budgets=[50, 150, 450])
+    assert grown.budgets == (50, 150, 450) and grown.seeds == (0, 1)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        dataclasses.replace(spec, budgets=[150, 50])
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +277,20 @@ def test_run_experiment_caps_the_pool_at_the_task_count(monkeypatch):
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run_experiment(small_spec(), jobs=jobs)
+
+
+def test_run_experiment_takes_an_integer_jobs(tmp_path):
+    # jobs=2.5 used to write the header, then fail inside the pool with a
+    # TypeError; jobs=True ran serially
+    out = tmp_path / "r.csv"
+    for jobs in (2.5, True, "2"):
+        with pytest.raises(ValueError,
+                           match=f"jobs must be an integer: {jobs!r}"):
+            run_experiment(small_spec(out=str(out)), jobs=jobs)
+        assert not out.exists()
+    records = run_experiment(small_spec(), jobs=np.int64(2))
+    assert [record_key(r) for r in records] == [
+        record_key(r) for r in run_experiment(small_spec())]
 
 
 def test_run_experiment_subgrid_consistency():
@@ -347,34 +401,14 @@ def synthetic(algo, n, regret, b=0.0, seed=0):
 def test_summarize_groups_and_quantiles():
     records = [synthetic("soo", 100, r, seed=i)
                for i, r in enumerate((0.1, 0.2, 0.4, 0.8, 1.6))]
-    out = summarize(records)
-    g = out["groups"][("soo", 100, 0.0)]
+    out = summarize(records + [synthetic("soo", 200, 0.05)])
+    assert list(out) == [("soo", 100, 0.0), ("soo", 200, 0.0)]
+    g = out[("soo", 100, 0.0)]
     assert g["count"] == 5
     assert g["median"] == 0.4
     assert g["q10"] < g["median"] < g["q90"]
-
-
-def test_summarize_power_law_slope():
-    # regret 2^-n: log-linear in n with slope exactly -log 2
-    records = [synthetic("soo", n, 2.0 ** -n) for n in (10, 20, 30, 40)]
-    fit = summarize(records)["fits"][("soo", 0.0)]
-    assert fit["flat"] is False
-    assert fit["slope"] == pytest.approx(-math.log(2.0), abs=1e-12)
-    assert fit["slope_log2"] == pytest.approx(-1.0, abs=1e-9)
-    assert fit["r2"] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_summarize_flat_and_dropped():
-    records = [synthetic("doo", n, 0.25) for n in (10, 20, 30)]
-    fit = summarize(records)["fits"][("doo", 0.0)]
-    assert fit == {"slope": 0.0, "slope_log2": 0.0, "r2": None, "flat": True,
-                   "points": 3, "dropped_nonpositive": 0}
-    # zero regret cannot be logged; it is dropped and counted
-    records += [synthetic("doo", 40, 0.0)]
-    fit = summarize(records)["fits"][("doo", 0.0)]
-    assert fit["dropped_nonpositive"] == 1 and fit["points"] == 3
-    single = summarize([synthetic("soo", 10, 0.5)])["fits"][("soo", 0.0)]
-    assert single["slope"] is None and single["flat"] is None
+    assert out[("soo", 200, 0.0)] == {"median": 0.05, "q10": 0.05,
+                                      "q90": 0.05, "count": 1}
     with pytest.raises(ValueError, match="no records"):
         summarize([])
 

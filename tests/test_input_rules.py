@@ -296,11 +296,10 @@ def test_a_config_with_a_range_too_large_for_a_float_prints_one_error_line(
 
 
 def test_seeds_take_numpy_integers():
-    assert spec(seeds=np.int64(3)).repeat_indices == [0, 1, 2]
+    assert spec(seeds=np.int64(3)).seeds == (0, 1, 2)
     listed = spec(seeds=[np.int64(4), np.int32(1), 7])
-    assert listed.repeat_indices == [4, 1, 7]
-    assert all(type(s) is int for s in listed.repeat_indices)
-    assert type(spec(seeds=np.int64(3)).seeds) is int
+    assert listed.seeds == (4, 1, 7)
+    assert all(type(s) is int for s in listed.seeds)
     with pytest.raises(ValueError,
                        match=r"seeds must be an int or a list of ints: np.float64"):
         spec(seeds=np.float64(3.0))
