@@ -1,43 +1,66 @@
-# Tour of the partition layer: boxes, cell ids, openings, and the
+# Tour of the partition the optimizers walk: boxes, cell ids, split_cell on
+# bare (lower, upper, centre) tuples, observing centres through an
+# EvaluationStream, cells with no width left, and the
 # closed-left/open-right membership rule.
 
-from zipftree import Box, CellId, garland_objective, make_tree
-from zipftree.objectives import EvaluationStream
+import math
 
+from zipftree import Box, CellId, EvaluationStream, garland_objective
+from zipftree.partition import cell_containing, fixed_cell, split_cell
+
+K = 3
 obj = garland_objective()
-tree = make_tree(obj.domain, branching=3)
+domain = obj.domain
 stream = EvaluationStream(obj)
 
-print("root:", tree.root)
-print("root box:", tree.root.box, "representative:", tree.root.representative)
+# a cell is a (lower, upper, centre) tuple; the root's centre is the domain's
+root = (domain.lower, domain.upper, domain.center)
+print("domain:", domain, "root centre:", root[2])
 
-# peek at the children without materializing anything
-for kid in tree.children_of(CellId(0, 0)):
-    print("would-be child", tuple(kid.id), "box", kid.box)
-print("cells registered so far:", len(tree.cells))
+# the children of cell (h, i) are (h+1, i*K + j), cut along axis h % dim
+print("\nsplitting the root...")
+children = split_cell(root, 0, K)
+for j, (lower, upper, centre) in enumerate(children):
+    value = stream.observe_sum(centre, 1)
+    print(f"  child {tuple(CellId(1, j))}: box {Box(lower, upper)} "
+          f"centre={centre[0]:.6f} value={value:.6f}")
+print("evaluations so far:", stream.n_evals)
 
-# open the root: K children appear, each evaluated once at its midpoint
-print("\nopening the root...")
-for cid, mean in tree.open_cell(CellId(0, 0), 1, stream):
-    print(f"  child {tuple(cid)}: center={tree.cell(cid).representative[0]:.6f} "
-          f"value={mean:.6f}")
-print("openings so far:", tree.opening_ledger, "evaluations:", stream.n_evals)
+# follow the best child down a few levels; a tie goes to the lowest index
+cid, cell = CellId(0, 0), root
+for depth in range(5):
+    kids = split_cell(cell, depth, K)
+    sums = [stream.observe_sum(kid[2], 1) for kid in kids]
+    j = max(range(K), key=sums.__getitem__)
+    cid, cell = CellId(depth + 1, cid.index * K + j), kids[j]
+    print(f"depth {cid.depth}: best child {tuple(cid)} "
+          f"centre={cell[2][0]:.8f} value={sums[j]:.8f}")
 
-# follow the best child down a few levels
-cur = max((c for c in tree.cells.values() if c.eval_count), key=lambda c: c.mean)
-for _ in range(4):
-    kids = tree.open_cell(cur.id, 1, stream)
-    cid, mean = max(kids, key=lambda t: t[1])
-    cur = tree.cell(cid)
-    print(f"depth {cur.id.depth}: best child {tuple(cur.id)} "
-          f"center={cur.representative[0]:.8f} value={mean:.8f}")
+# a sum of m observations without noise is m * f(centre), charged m times
+before = stream.n_evals
+total = stream.observe_sum(cell[2], 5)
+print(f"\n5 observations at {tuple(cid)} sum to {total:.8f}, "
+      f"charged {stream.n_evals - before}")
 
-# membership: which depth-6 cell contains a point, without materializing it
+# membership: which depth-6 cell contains a point, without splitting a tree
 for x in (0.0, 1 / 3, 0.523598, 1.0):
-    print(f"x={x:.6f} lives in depth-6 cell", tuple(tree.cell_containing((x,), 6)))
+    print(f"x={x:.6f} lives in depth-6 cell",
+          tuple(cell_containing(domain, K, (x,), 6)))
 
-# re-evaluating a cell is not an opening
-before = tree.opening_ledger
-tree.add_evaluations(cur.id, 5, stream)
-print("\nafter 5 extra evaluations:", cur.eval_count, "samples,",
-      "ledger still", tree.opening_ledger == before)
+# float64 runs out of width: follow the cell holding pi/6 until a split
+# gives the cell itself back, then take its first child, which has no width
+x = (math.pi / 6,)
+cell, depth = root, 0
+while True:
+    # the last base-K digit of the index is the child's place in its parent
+    j = cell_containing(domain, K, x, depth + 1).index % K
+    child = split_cell(cell, depth, K)[j]
+    if child is cell:
+        break
+    cell, depth = child, depth + 1
+print(f"\nthe depth-{depth} cell holding pi/6, "
+      f"[{cell[0][0]!r}, {cell[1][0]!r}], is its own child")
+flat = split_cell(cell, depth, K)[0]
+print(f"its first child [{flat[0][0]!r}, {flat[1][0]!r}] has no width left:",
+      "fixed_cell", fixed_cell(flat), "and splits into itself",
+      all(kid is flat for kid in split_cell(flat, depth + 1, K)))

@@ -364,8 +364,10 @@ def format_summary(summary):
 
 def emit_bound_overlay(spec: ExperimentSpec, params: SmoothnessParams, out=None):
     """Theoretical-bound curve for each budget: the deterministic-feedback
-    bound plus, per requested noise level, the noise-adaptive bound.  Writes
-    CSV to `out` when given (empty field where a bound is undefined)."""
+    bound plus, per requested noise level, the noise-adaptive bound in
+    column stroquool_b=<b>, b written as AlgoSpec.label writes doo's
+    settings, so distinct levels keep distinct columns.  Writes CSV to
+    `out` when given (empty field where a bound is undefined)."""
     rows = []
     for n in spec.budgets:
         row = {"n": n, "sequool": sequool_bound(n, params)["theorem"]}
@@ -374,7 +376,7 @@ def emit_bound_overlay(spec: ExperimentSpec, params: SmoothnessParams, out=None)
                 value = stroquool_bounds(BoundInputs(n, b, spec.delta), params)["bound"]
             except ValueError:
                 value = None  # n too small for the high-noise bound (its only error)
-            row[f"stroquool_b={b:g}"] = value
+            row[f"stroquool_b={_exact(b)}"] = value
         rows.append(row)
     if out:
         columns = list(rows[0].keys())

@@ -213,10 +213,14 @@ class EvaluationStream:
                 point = _as_point(point)
             v = float(self._fn(point))
             self._last_point, self._last_value = point, v
-        self.n_evals += count
         if self._noise is None:
+            self.n_evals += count
             return count * v
-        return count * v + self._noise.total(count)
+        # total raises on a count that is not an integer >= 0, so such a
+        # count is never charged
+        noise = self._noise.total(count)
+        self.n_evals += count
+        return count * v + noise
 
 
 # ---------------------------------------------------------------------------

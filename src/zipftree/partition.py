@@ -5,10 +5,11 @@ A cell is "opened" by splitting it into K equal-width children along one axis
 representative point.  The split formula, `split_cell`, works on bare
 (lower, upper, centre) tuples of floats, the centre being the cell's
 representative; the optimizers open such tuples and take only the root,
-with the domain and branching checks, from `make_tree`.  `PartitionTree`
-keeps `Cell` objects with their evaluation statistics and an opening ledger
-for callers that want the explored tree itself (the partition tour demo),
-and `cell_containing` names the cell of a point at any depth.
+with the domain and branching checks, from `make_tree`.
+`cell_containing` names the cell of a point at any depth.  `PartitionTree`
+keeps the root and any cells opened through it as `Cell` objects, and sums
+their observations through objectives.EvaluationStream.observe_sum, as the
+runs do.
 
 Points are checked against the domain once, not per evaluation: split_cell
 raises unless its children's centres lie inside the parent, so when the
@@ -28,7 +29,6 @@ every depth.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import operator
@@ -111,17 +111,6 @@ class Cell:
         may have zero width)."""
         return Box._unchecked(self.lower, self.upper)
 
-    @property
-    def mean(self):
-        """Empirical mean of the observed values; only defined once evaluated."""
-        if self.eval_count == 0:
-            raise ValueError(f"cell {self.id} has no evaluations")
-        return self.reward_sum / self.eval_count
-
-    def __repr__(self):
-        return (f"Cell(id={tuple(self.id)}, T={self.eval_count}, "
-                f"opened={self.opened})")
-
 
 def split_cell(cell, depth, K):
     """The K children of `cell`, a (lower, upper, centre) tuple of float
@@ -192,23 +181,6 @@ def fixed_cell(cell):
                for lo, hi, c in zip(lower, upper, centre))
 
 
-def _observe_sum(evaluator, point, count):
-    """Sum of `count` calls of the plain callable `evaluator` at `point`."""
-    return math.fsum(evaluator(point) for _ in range(count))
-
-
-def _observer(evaluator):
-    """`observe(point, count)` returning the sum of `count` observations.
-
-    Evaluators may expose an `observe_sum(point, count)` batch method (see
-    objectives.EvaluationStream); plain callables are invoked count times.
-    """
-    batch = getattr(evaluator, "observe_sum", None)
-    if batch is not None:
-        return batch
-    return functools.partial(_observe_sum, evaluator)
-
-
 def checked_integer(value, name, minimum=-math.inf) -> int:
     """`value`, an integer >= `minimum`, as an int: anything operator.index
     takes except a bool; anything else raises ValueError."""
@@ -248,14 +220,43 @@ def checked_delta(delta) -> float:
     return float(delta)
 
 
+def cell_containing(domain: Box, K: int, point, depth: int) -> CellId:
+    """CellId of the depth-`depth` cell of `domain`'s K-ary partition that
+    contains `point`.
+
+    Slabs are closed-left/open-right (the last slab is closed) so
+    membership is a total function on the domain.  The descent splits with
+    split_cell, so it raises where opening would.
+    """
+    K = checked_integer(K, "K", 2)
+    depth = checked_integer(depth, "depth", 0)
+    if not domain.contains(point):
+        raise ValueError(f"point {point!r} outside the domain")
+    cell = (domain.lower, domain.upper, domain.center)
+    index = 0
+    for h in range(depth):
+        axis = h % len(point)
+        children = split_cell(cell, h, K)
+        # the last child whose lower edge is at or below the point
+        j = K - 1
+        while j > 0 and point[axis] < children[j][0][axis]:
+            j -= 1
+        cell = children[j]
+        index = index * K + j
+    return CellId(depth, index)
+
+
 class PartitionTree:
-    """The explored part of the infinite K-ary partition of `domain`.
+    """The root of `domain`'s K-ary partition and the cells opened under it.
 
     `cells` holds the root plus every child of an opened cell.  All mutation
-    goes through open_cell / add_evaluations, so a tree's state is a
-    deterministic function of (domain, K, evaluator stream, call sequence).
-    A depth-h cell splits along axis h % dim.  Single-writer; run one
-    optimizer per tree.
+    goes through open_cell / add_evaluations, which sum observations with
+    objectives.EvaluationStream.observe_sum.  A depth-h cell splits along
+    axis h % dim.  Single-writer.
+
+    The runs take only the root.  open_cell, add_evaluations, `cells` and
+    Cell's box, eval_count and representative stay because perfbench's
+    tracer wraps or reads them (ROADMAP item 4).
     """
 
     def __init__(self, domain: Box, branching: int = 3):
@@ -264,93 +265,40 @@ class PartitionTree:
         root = Cell(CellId(0, 0), domain.lower, domain.upper, domain.center)
         self.root = root
         self.cells = {root.id: root}
-        self.opening_ledger = 0
 
-    # -- lookups ------------------------------------------------------------
-
-    def cell(self, cid) -> Cell:
-        try:
-            return self.cells[cid]
-        except KeyError:
-            raise KeyError(f"unknown cell {cid!r}") from None
-
-    def _split(self, parent: Cell):
-        depth, index = parent.id
-        base = index * self.branching
-        cells = split_cell((parent.lower, parent.upper, parent.representative),
-                           depth, self.branching)
-        return [Cell(CellId(depth + 1, base + j), *cell)
-                for j, cell in enumerate(cells)]
-
-    def children_of(self, cid):
-        """The K children of `cid` (fresh objects unless the parent is opened)."""
-        parent = self.cell(cid)
-        if parent.opened:
-            K = self.branching
-            base = parent.id.index * K
-            return [self.cells[CellId(parent.id.depth + 1, base + j)] for j in range(K)]
-        return self._split(parent)
-
-    def open_cell(self, cid, evals_per_child, evaluator):
-        """Open `cid`: materialize its K children and evaluate each child's
-        representative `evals_per_child` times.  Returns [(child id, mean)].
-        Counts as one opening on the ledger."""
-        parent = self.cell(cid)
+    def open_cell(self, cid, evals_per_child, stream):
+        """Open `cid`: materialize its K children and observe each child's
+        representative `evals_per_child` times through `stream`, an
+        EvaluationStream.  Returns [(child id, mean)]."""
+        parent = self.cells[cid]
         if parent.opened:
             raise ValueError(f"cell already opened: {cid}")
         evals_per_child = checked_integer(evals_per_child, "evals_per_child", 1)
-        children = self._split(parent)
+        depth, index = parent.id
+        K = self.branching
+        children = split_cell((parent.lower, parent.upper, parent.representative),
+                              depth, K)
         parent.opened = True
-        self.opening_ledger += 1
-        observe = _observer(evaluator)
-        cells = self.cells
         out = []
-        for child in children:
-            cells[child.id] = child
-            child.reward_sum = observe(child.representative, evals_per_child)
+        for j, (lower, upper, centre) in enumerate(children):
+            child = Cell(CellId(depth + 1, index * K + j), lower, upper, centre)
+            self.cells[child.id] = child
+            child.reward_sum = stream.observe_sum(centre, evals_per_child)
             child.eval_count = evals_per_child
-            out.append((child.id, child.reward_sum / child.eval_count))
+            out.append((child.id, child.reward_sum / evals_per_child))
         return out
 
-    def add_evaluations(self, cid, count, evaluator):
-        """Evaluate an already-materialized cell `count` more times (no
-        opening; the ledger is untouched).  Returns the updated mean."""
-        cell = self.cell(cid)
+    def add_evaluations(self, cid, count, stream):
+        """Observe an already-materialized cell `count` more times through
+        `stream`.  Returns the updated mean."""
+        cell = self.cells[cid]
         count = checked_integer(count, "count", 1)
-        cell.reward_sum += _observer(evaluator)(cell.representative, count)
+        cell.reward_sum += stream.observe_sum(cell.representative, count)
         cell.eval_count += count
         return cell.reward_sum / cell.eval_count
-
-    def cell_containing(self, point, depth):
-        """CellId of the depth-`depth` cell containing `point`.
-
-        Slabs are closed-left/open-right (the last slab is closed) so
-        membership is a total function on the domain; works for any depth,
-        materialized or not.  The descent splits with split_cell, so it
-        raises where opening would.
-        """
-        if not self.domain.contains(point):
-            raise ValueError(f"point {point!r} outside the domain")
-        K = self.branching
-        root = self.root
-        cell = (root.lower, root.upper, root.representative)
-        index = 0
-        for h in range(depth):
-            axis = h % len(point)
-            children = split_cell(cell, h, K)
-            # the last child whose lower edge is at or below the point
-            j = K - 1
-            while j > 0 and point[axis] < children[j][0][axis]:
-                j -= 1
-            cell = children[j]
-            index = index * K + j
-        return CellId(depth, index)
 
 
 def make_tree(domain: Box, branching: int = 3) -> PartitionTree:
     """Fresh tree over `domain`: a single unopened root whose representative
     is the domain center."""
-    if not isinstance(domain, Box):
-        domain = Box(*domain)
     return PartitionTree(domain, branching)
-

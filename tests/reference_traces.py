@@ -1,5 +1,6 @@
-"""Straight-line re-derivations of the two harmonic-schedule optimizers,
-written over plain dicts and tuples, independently of the package internals.
+"""Straight-line re-derivations of the two harmonic-schedule optimizers and
+of the uniform baseline, written over plain dicts and tuples, independently
+of the package internals.
 
 The trace-equality tests replay these against the library and require the
 event logs to match exactly.  Cell geometry is the shared interface contract
@@ -10,7 +11,8 @@ the running sum -- so those floating-point expressions are reproduced here
 verbatim.  Everything about *scheduling* (which cell is opened when, with
 how many evaluations, and what gets recommended) is re-derived from scratch.
 
-1-D domains only; deterministic feedback (the b = 0 case).
+1-D domains only; deterministic feedback (the b = 0 case), except for
+uniform_reference, which adds one noise draw per observation.
 """
 
 import math
@@ -121,6 +123,50 @@ def stroquool_reference(f, n, lo=0.0, hi=1.0, K=3):
     rec = min(fresh, key=lambda c: (-fresh[c], c))
     trace.append(("recommend", rec[0], rec[1]))
     return trace, (0.5 * (bounds[rec][0] + bounds[rec][1]),), h_max
+
+
+def uniform_reference(f, n, lo=0.0, hi=1.0, K=3, noise=None):
+    """Returns (trace, recommended point, its value, openings, observations,
+    deepest depth, budget units): the trace and the six RunResult fields.
+
+    uniform_run's docstring: breadth-first openings in CellId order, one
+    observation per child; the root's midpoint is observed once up front,
+    so n openings cost K*n + 1 observations.  The recommendation is the
+    best observed value, a NaN reading -inf and ties going to the lowest
+    CellId.  `noise`, a NoiseModel or None, adds its next draw to each
+    observation, in observation order.
+    """
+    def observe(x):
+        value = f(x)
+        if noise is not None:
+            value += float(noise.offsets(1)[0])
+        return value
+
+    trace = [("evaluate", 0, 0, 1)]
+    bounds = {(0, 0): (lo, hi)}
+    values = {(0, 0): observe(0.5 * (lo + hi))}
+    order = [(0, 0)]  # every cell made so far, in CellId order
+    deepest = 0
+    for t in range(n):
+        h, i = order[t]
+        trace.append(("open", h, i, 1))
+        deepest = max(deepest, h + 1)
+        a, b = bounds[h, i]
+        w = b - a
+        for j in range(K):
+            ca = a + j * w / K
+            cb = b if j == K - 1 else a + (j + 1) * w / K
+            kid = (h + 1, i * K + j)
+            bounds[kid] = (ca, cb)
+            values[kid] = observe(0.5 * (ca + cb))
+            order.append(kid)
+
+    def read(c):
+        return values[c] if values[c] == values[c] else -math.inf
+
+    rec = min(values, key=lambda c: (-read(c), c))
+    point = (0.5 * (bounds[rec][0] + bounds[rec][1]),)
+    return trace, point, read(rec), n, len(values), deepest, n
 
 
 def trace_budget_units(trace):

@@ -17,7 +17,8 @@ from zipftree.objectives import (EvaluationStream, NoiseModel, Objective,
                                  garland, garland_objective)
 from zipftree.optimizers import (RunConfig, doo_run, sequool_run, soo_run,
                                  stroquool_run, uniform_run)
-from zipftree.partition import Box, make_tree, split_cell
+from zipftree.partition import (Box, CellId, cell_containing, make_tree,
+                                split_cell)
 
 RUNNERS = {
     "sequool": lambda obj, n: sequool_run(obj, RunConfig(budget_n=n)),
@@ -105,10 +106,12 @@ def test_split_rejects_centres_outside_the_parent():
     # the tree's split and its point lookup go through the same check
     for lower, upper, point in [(0.0, math.inf, 1.0), (-1e308, 1e308, 0.0)]:
         tree = make_tree(Box([lower], [upper]))
+        stream = EvaluationStream(Objective("x", tree.domain, lambda p: p[0]))
         with pytest.raises(ValueError, match="outside the cell"):
-            tree.children_of((0, 0))
+            tree.open_cell(CellId(0, 0), 1, stream)
+        assert stream.n_evals == 0 and not tree.root.opened
         with pytest.raises(ValueError, match="outside the cell"):
-            tree.cell_containing((point,), 1)
+            cell_containing(tree.domain, 3, (point,), 1)
 
 
 def test_package_does_not_import_hypothesis():

@@ -451,6 +451,25 @@ def test_emit_bound_overlay_fills_tiny_noise_cells():
     assert rows[1]["stroquool_b=1"] > 0.0
 
 
+def test_emit_bound_overlay_keeps_a_column_per_noise_level(tmp_path):
+    # b = 0.1 and 0.1000001 both read 0.1 under :g, so the second level's
+    # bound used to overwrite the first's in one column
+    spec = small_spec(budgets=[10**4], noise_b=[0.1, 0.1000001])
+    params = SmoothnessParams(nu=1.0, rho=0.5, C=2.0)
+    (row,) = emit_bound_overlay(spec, params)
+    assert list(row) == ["n", "sequool", "stroquool_b=0.1",
+                         "stroquool_b=0.1000001"]
+    for b in spec.noise_b:
+        assert row[f"stroquool_b={harness._exact(b)}"] == stroquool_bounds(
+            BoundInputs(10**4, b, spec.delta), params)["bound"]
+    assert row["stroquool_b=0.1"] != row["stroquool_b=0.1000001"]
+    out = tmp_path / "overlay.csv"
+    emit_bound_overlay(spec, params, out=str(out))
+    with open(out) as fh:
+        header = next(csv.reader(fh))
+    assert header == list(row)
+
+
 def test_a_noisy_deterministic_grid_runs_no_task(tmp_path, monkeypatch):
     # the feedback rule is checked over the whole grid before spec.out is
     # opened and before the first task, wherever the noise level sits

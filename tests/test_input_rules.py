@@ -13,10 +13,11 @@ import pytest
 
 from zipftree.cli import main
 from zipftree.harness import ExperimentSpec, parse_algo, run_experiment
-from zipftree.objectives import NoiseModel, Objective, garland_objective
+from zipftree.objectives import (EvaluationStream, NoiseModel, Objective,
+                                 garland_objective)
 from zipftree.optimizers import RunConfig, doo_run, stroquool_run
-from zipftree.partition import (Box, CellId, checked_delta, checked_integer,
-                                checked_range, make_tree)
+from zipftree.partition import (Box, CellId, cell_containing, checked_delta,
+                                checked_integer, checked_range, make_tree)
 from zipftree.theory import (BoundInputs, SmoothnessParams, count_near_optimal,
                              harmonic, lambert_w, sequool_bound,
                              stroquool_h_max)
@@ -42,8 +43,9 @@ def near(**overrides):
 
 def opened(evals=1, more=1):
     tree = make_tree(UNIT)
-    tree.open_cell(CellId(0, 0), evals, lambda p: p[0])
-    return tree.add_evaluations(CellId(1, 0), more, lambda p: p[0])
+    stream = EvaluationStream(Objective("x", UNIT, lambda p: p[0]))
+    tree.open_cell(CellId(0, 0), evals, stream)
+    return tree.add_evaluations(CellId(1, 0), more, stream)
 
 
 def partly_read():
@@ -62,6 +64,8 @@ REJECTED = [
     ("make_tree-bool-K", "branching must be", lambda: make_tree(UNIT, True)),
     ("open_cell-evals0", "evals_per_child must be >= 1", lambda: opened(evals=0)),
     ("add_evaluations-count0", "count must be >= 1", lambda: opened(more=0)),
+    ("cell_containing-K1", "K must be >= 2",
+     lambda: cell_containing(UNIT, 1, (0.5,), 2)),
     ("RunConfig-n0", "budget_n must be >= 1", lambda: RunConfig(budget_n=0)),
     ("RunConfig-negative-n", "budget_n must be >= 1", lambda: RunConfig(budget_n=-1)),
     ("RunConfig-float-n", "budget_n must be an integer", lambda: RunConfig(budget_n=100.5)),
@@ -170,6 +174,12 @@ NOW_REJECTED = [
      lambda: opened(evals=2.5)),
     ("add_evaluations-float-count", "count must be an integer: 2.5",
      lambda: opened(more=2.5)),
+    ("cell_containing-negative-depth", "depth must be >= 0: -1",
+     lambda: cell_containing(UNIT, 3, (0.5,), -1)),
+    ("cell_containing-bool-depth", "depth must be an integer: True",
+     lambda: cell_containing(UNIT, 3, (0.5,), True)),
+    ("cell_containing-float-depth", "depth must be an integer: 2.5",
+     lambda: cell_containing(UNIT, 3, (0.5,), 2.5)),
     ("harmonic-float-n", "n must be an integer: 2.5", lambda: harmonic(2.5)),
     ("harmonic-whole-float-n", "n must be an integer: 2.0", lambda: harmonic(2.0)),
     ("harmonic-bool-n", "n must be an integer: True", lambda: harmonic(True)),

@@ -354,6 +354,19 @@ def test_observe_sum_with_reused_values_equals_per_call_sum():
     assert len(calls) == 2 * len(_COUNT_SEQUENCE) - repeats
 
 
+def test_observe_sum_charges_no_rejected_count():
+    # a count the noise model rejects used to be added to n_evals before
+    # the draw raised
+    stream = EvaluationStream(garland_objective(), NoiseModel(0.1, seed=3))
+    twin = EvaluationStream(garland_objective(), NoiseModel(0.1, seed=3))
+    for count in (2.5, -1, True):
+        with pytest.raises(ValueError, match="count must be"):
+            stream.observe_sum((0.5,), count)
+        assert stream.n_evals == 0
+    assert stream.observe_sum((0.5,), 3) == twin.observe_sum((0.5,), 3)
+    assert stream.n_evals == 3
+
+
 def test_evaluation_stream_counts_and_batches():
     obj = garland_objective()
     stream = EvaluationStream(obj)  # noiseless

@@ -2,11 +2,18 @@ import math
 
 import pytest
 
-from zipftree.partition import Box, CellId, PartitionTree, make_tree
+from zipftree.objectives import EvaluationStream, NoiseModel, Objective
+from zipftree.partition import (Box, CellId, cell_containing, make_tree,
+                                split_cell)
 
 
 def value_fn(point):
     return -abs(point[0] - 0.5)
+
+
+def stream_of(fn=value_fn, domain=Box([0.0], [1.0]), noise=None):
+    """An EvaluationStream of `fn` on `domain`, as the runs observe."""
+    return EvaluationStream(Objective("value", domain, fn), noise)
 
 
 def test_box_validation():
@@ -27,58 +34,54 @@ def test_box_validation():
 
 
 def test_make_tree_root():
-    tree = make_tree(([0.0], [1.0]), branching=3)
+    tree = make_tree(Box([0.0], [1.0]), branching=3)
     assert tree.root.id == CellId(0, 0)
     assert tree.root.representative == (0.5,)
     assert not tree.root.opened
-    assert tree.opening_ledger == 0
     assert list(tree.cells) == [CellId(0, 0)]
     with pytest.raises(ValueError, match="branching must be >= 2"):
         make_tree(Box([0.0], [1.0]), branching=1)
-    with pytest.raises(KeyError, match="unknown cell"):
-        tree.cell(CellId(1, 0))
+    with pytest.raises(KeyError):
+        tree.open_cell(CellId(1, 0), 1, stream_of())
 
 
 def test_root_children_centers_are_thirds():
-    tree = make_tree(Box([0.0], [1.0]), branching=3)
-    kids = tree.children_of(CellId(0, 0))
-    assert [k.id for k in kids] == [CellId(1, 0), CellId(1, 1), CellId(1, 2)]
-    centers = [k.representative[0] for k in kids]
+    root = make_tree(Box([0.0], [1.0]), branching=3).root
+    kids = split_cell((root.lower, root.upper, root.representative), 0, 3)
+    centers = [centre[0] for _, _, centre in kids]
     assert centers[0] == pytest.approx(1.0 / 6.0, abs=1e-16)
     assert centers[1] == 0.5  # exact: see test_middle_child_center_exact
     assert centers[2] == pytest.approx(5.0 / 6.0, abs=1e-15)
-    # probing children does not materialize them
-    assert list(tree.cells) == [CellId(0, 0)]
-    assert tree.opening_ledger == 0
 
 
 def test_open_cell_bookkeeping():
     tree = make_tree(Box([0.0], [1.0]), branching=3)
-    out = tree.open_cell(CellId(0, 0), 1, value_fn)
+    stream = stream_of()
+    out = tree.open_cell(CellId(0, 0), 1, stream)
     assert [cid for cid, _ in out] == [CellId(1, 0), CellId(1, 1), CellId(1, 2)]
     for cid, mean in out:
-        cell = tree.cell(cid)
+        cell = tree.cells[cid]
+        assert cell.id == cid
         assert mean == value_fn(cell.representative)
         assert cell.eval_count == 1
         assert not cell.opened
     assert tree.root.opened
-    assert tree.opening_ledger == 1
     assert len(tree.cells) == 4
+    assert stream.n_evals == 3
     with pytest.raises(ValueError, match="cell already opened"):
-        tree.open_cell(CellId(0, 0), 1, value_fn)
+        tree.open_cell(CellId(0, 0), 1, stream)
     with pytest.raises(ValueError, match="evals_per_child must be >= 1"):
-        tree.open_cell(CellId(1, 0), 0, value_fn)
-    # children_of on an opened parent returns the registered cells
-    kids = tree.children_of(CellId(0, 0))
-    assert all(k is tree.cells[k.id] for k in kids)
+        tree.open_cell(CellId(1, 0), 0, stream)
+    assert stream.n_evals == 3
 
 
 def test_children_tile_parent_exactly():
     tree = make_tree(Box([0.0], [1.0]), branching=3)
+    stream = stream_of()
     cur = tree.root
     for _ in range(6):
-        out = tree.open_cell(cur.id, 1, value_fn)
-        kids = [tree.cell(cid) for cid, _ in out]
+        out = tree.open_cell(cur.id, 1, stream)
+        kids = [tree.cells[cid] for cid, _ in out]
         assert kids[0].box.lower[0] == cur.box.lower[0]
         assert kids[-1].box.upper[0] == cur.box.upper[0]
         for left, right in zip(kids, kids[1:]):
@@ -92,10 +95,11 @@ def test_middle_child_center_exact():
     # the K=3 middle cell at every depth has midpoint exactly 1/2: the child
     # edge arithmetic keeps (lo + hi) == 1.0 exact along the middle spine
     tree = make_tree(Box([0.0], [1.0]), branching=3)
+    stream = stream_of()
     cur = tree.root
     for depth in range(1, 13):
-        out = tree.open_cell(cur.id, 1, value_fn)
-        mid = tree.cell(out[1][0])
+        out = tree.open_cell(cur.id, 1, stream)
+        mid = tree.cells[out[1][0]]
         assert mid.id == CellId(depth, (3 ** depth - 1) // 2)
         assert mid.representative[0] == 0.5, depth
         assert mid.box.lower[0] + mid.box.upper[0] == 1.0
@@ -103,57 +107,52 @@ def test_middle_child_center_exact():
 
 
 def test_add_evaluations_statistics():
-    draws = iter([0.5, 0.1, 0.2, 0.3, 0.9])
-
-    def noisy(_point):
-        return next(draws)
-
+    # the sums are the stream's: count * f(x) plus the next count draws
+    stream = stream_of(noise=NoiseModel(0.1, seed=4))
+    draws = NoiseModel(0.1, seed=4).offsets(5)
     tree = make_tree(Box([0.0], [1.0]), branching=2)
-    (cid0, mean0), _ = tree.open_cell(CellId(0, 0), 1, noisy)
-    assert mean0 == 0.5
-    updated = tree.add_evaluations(cid0, 3, noisy)
-    cell = tree.cell(cid0)
+    (cid0, mean0), _ = tree.open_cell(CellId(0, 0), 1, stream)
+    f0 = value_fn((0.25,))
+    assert mean0 == f0 + draws[0]
+    updated = tree.add_evaluations(cid0, 3, stream)
+    cell = tree.cells[cid0]
     assert cell.eval_count == 4
-    assert cell.reward_sum == pytest.approx(0.5 + 0.2 + 0.3 + 0.9)
-    assert updated == cell.mean == cell.reward_sum / 4
-    assert tree.opening_ledger == 1  # re-evaluation is not an opening
+    assert cell.reward_sum == mean0 + (3 * f0 + float(draws[2:5].sum()))
+    assert updated == cell.reward_sum / 4
+    assert stream.n_evals == 5
     with pytest.raises(ValueError, match="count must be >= 1"):
-        tree.add_evaluations(cid0, 0, noisy)
-
-
-def test_mean_requires_evaluations():
-    tree = make_tree(Box([0.0], [1.0]))
-    with pytest.raises(ValueError, match="no evaluations"):
-        _ = tree.root.mean
+        tree.add_evaluations(cid0, 0, stream)
+    assert (cell.eval_count, stream.n_evals) == (4, 5)
 
 
 def test_cell_containing_boundaries():
-    tree = make_tree(Box([0.0], [1.0]), branching=3)
-    assert tree.cell_containing((0.4,), 0) == CellId(0, 0)
+    unit = Box([0.0], [1.0])
+    assert cell_containing(unit, 3, (0.4,), 0) == CellId(0, 0)
     # slabs are closed-left / open-right; the last slab is closed
     third = 1.0 / 3.0
-    assert tree.cell_containing((third - 1e-12,), 1) == CellId(1, 0)
-    assert tree.cell_containing((third,), 1) == CellId(1, 1)
-    assert tree.cell_containing((1.0,), 1) == CellId(1, 2)
-    assert tree.cell_containing((0.0,), 5) == CellId(5, 0)
-    assert tree.cell_containing((1.0,), 5) == CellId(5, 3 ** 5 - 1)
+    assert cell_containing(unit, 3, (third - 1e-12,), 1) == CellId(1, 0)
+    assert cell_containing(unit, 3, (third,), 1) == CellId(1, 1)
+    assert cell_containing(unit, 3, (1.0,), 1) == CellId(1, 2)
+    assert cell_containing(unit, 3, (0.0,), 5) == CellId(5, 0)
+    assert cell_containing(unit, 3, (1.0,), 5) == CellId(5, 3 ** 5 - 1)
     with pytest.raises(ValueError, match="outside the domain"):
-        tree.cell_containing((1.5,), 1)
+        cell_containing(unit, 3, (1.5,), 1)
 
 
 def test_cell_containing_matches_materialized_boxes():
     tree = make_tree(Box([0.0], [1.0]), branching=3)
+    stream = stream_of()
     frontier = [tree.root]
     for _ in range(5):
         nxt = []
         for cell in frontier:
-            for cid, _ in tree.open_cell(cell.id, 1, value_fn):
-                nxt.append(tree.cell(cid))
+            for cid, _ in tree.open_cell(cell.id, 1, stream):
+                nxt.append(tree.cells[cid])
         frontier = nxt
     for k in range(101):
         x = k / 100.0
-        cid = tree.cell_containing((x,), 5)
-        box = tree.cell(cid).box
+        cid = cell_containing(tree.domain, 3, (x,), 5)
+        box = tree.cells[cid].box
         assert box.lower[0] <= x <= box.upper[0]
         # open-right: x on an interior right edge belongs to the next cell
         if x < 1.0 and x == box.upper[0]:
@@ -162,21 +161,23 @@ def test_cell_containing_matches_materialized_boxes():
 
 def test_axis_cycling_in_two_dims():
     tree = make_tree(Box([0.0, 0.0], [1.0, 2.0]), branching=2)
-    out0 = tree.open_cell(CellId(0, 0), 1, lambda p: p[0] + p[1])
-    left = tree.cell(out0[0][0])
+    stream = stream_of(lambda p: p[0] + p[1], tree.domain)
+    out0 = tree.open_cell(CellId(0, 0), 1, stream)
+    left = tree.cells[out0[0][0]]
     assert (left.box.lower, left.box.upper) == ((0.0, 0.0), (0.5, 2.0))  # axis 0
-    out1 = tree.open_cell(left.id, 1, lambda p: p[0] + p[1])
-    bottom = tree.cell(out1[0][0])
+    out1 = tree.open_cell(left.id, 1, stream)
+    bottom = tree.cells[out1[0][0]]
     assert (bottom.box.lower, bottom.box.upper) == ((0.0, 0.0), (0.5, 1.0))  # axis 1
     assert bottom.id == CellId(2, 0)
 
 
 def test_child_index_arithmetic_deep():
     tree = make_tree(Box([0.0], [1.0]), branching=4)
+    stream = stream_of()
     cell = tree.root
     for _ in range(3):
-        out = tree.open_cell(cell.id, 1, value_fn)
-        cell = tree.cell(out[-1][0])  # follow the last child
+        out = tree.open_cell(cell.id, 1, stream)
+        cell = tree.cells[out[-1][0]]  # follow the last child
     assert cell.id == CellId(3, 4 ** 3 - 1)
 
 
@@ -188,12 +189,15 @@ def test_open_cell_batch_evaluations():
         return 1.0
 
     tree = make_tree(Box([0.0], [1.0]), branching=3)
-    out = tree.open_cell(CellId(0, 0), 5, recorder)
-    assert len(calls) == 15  # 3 children x 5 evaluations
+    stream = stream_of(recorder)
+    out = tree.open_cell(CellId(0, 0), 5, stream)
+    # 3 children x 5 charged observations, each child's fn called once
+    assert len(calls) == 3
+    assert stream.n_evals == 15
     for cid, mean in out:
-        assert tree.cell(cid).eval_count == 5
+        assert tree.cells[cid].eval_count == 5
+        assert tree.cells[cid].reward_sum == 5.0
         assert mean == 1.0
-    assert tree.opening_ledger == 1  # still one opening however many evals
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +207,14 @@ def test_open_cell_batch_evaluations():
 def _materialise(tree, levels, fn=value_fn):
     """Open every cell of the first `levels` depths; returns all opened
     parents in opening order."""
+    stream = stream_of(fn, tree.domain)
     opened = []
     frontier = [tree.root]
     for _ in range(levels):
         nxt = []
         for cell in frontier:
-            for cid, _ in tree.open_cell(cell.id, 1, fn):
-                nxt.append(tree.cell(cid))
+            for cid, _ in tree.open_cell(cell.id, 1, stream):
+                nxt.append(tree.cells[cid])
             opened.append(cell)
         frontier = nxt
     return opened
@@ -223,8 +228,9 @@ def _check_geometry(tree, opened):
         assert (box.lower, box.upper) == (cell.lower, cell.upper)
     for parent in opened:
         depth, index = parent.id
-        kids = [tree.cell(CellId(depth + 1, index * K + j)) for j in range(K)]
-        assert kids == tree.children_of(parent.id)
+        kids = [tree.cells[CellId(depth + 1, index * K + j)] for j in range(K)]
+        assert [(k.lower, k.upper, k.representative) for k in kids] == split_cell(
+            (parent.lower, parent.upper, parent.representative), depth, K)
         dim = len(parent.lower)
         axis = depth % dim
         assert kids[0].lower[axis] == parent.lower[axis]
@@ -239,8 +245,9 @@ def _check_geometry(tree, opened):
         # unopened cells split into fresh children with the same geometry
         for kid in kids:
             if not kid.opened:
-                for fresh in tree.children_of(kid.id):
-                    assert fresh.representative == fresh.box.center
+                for lower, upper, centre in split_cell(
+                        (kid.lower, kid.upper, kid.representative), depth + 1, K):
+                    assert centre == Box._unchecked(lower, upper).center
 
 
 @pytest.mark.parametrize("domain, K, levels", [
@@ -261,11 +268,13 @@ def test_split_geometry_past_float_resolution():
     # width; bounds and centres stay consistent all the way down
     target = math.pi / 6
     tree = make_tree(Box([0.0, 0.0], [1.0, 1.0]), branching=3)
+    stream = stream_of(lambda p: -abs(p[0] - target) - abs(p[1] - target),
+                       tree.domain)
     cell, opened = tree.root, []
     for _ in range(90):
         opened.append(cell)
-        out = tree.open_cell(cell.id, 1, lambda p: -abs(p[0] - target) - abs(p[1] - target))
-        cell = tree.cell(max(out, key=lambda pair: (pair[1], -pair[0].index))[0])
+        out = tree.open_cell(cell.id, 1, stream)
+        cell = tree.cells[max(out, key=lambda pair: (pair[1], -pair[0].index))[0]]
     assert cell.box.lower == cell.box.upper  # no width left on either axis
     _check_geometry(tree, opened)
 
@@ -274,8 +283,8 @@ def test_split_of_negative_zero_bound_starts_at_positive_zero():
     # the edge formula lo + j*w/K gives 0.0 at j = 0, not the parent's -0.0
     tree = make_tree(Box([-0.0], [1.0]), branching=3)
     assert math.copysign(1.0, tree.root.lower[0]) == -1.0
-    out = tree.open_cell(CellId(0, 0), 1, value_fn)
-    first = tree.cell(out[0][0])
+    out = tree.open_cell(CellId(0, 0), 1, stream_of(domain=tree.domain))
+    first = tree.cells[out[0][0]]
     assert first.lower[0] == 0.0 and math.copysign(1.0, first.lower[0]) == 1.0
     assert first.box.lower == (0.0,)
     assert first.representative == first.box.center == (1.0 / 6.0,)

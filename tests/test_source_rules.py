@@ -91,18 +91,42 @@ def _names_read(path):
             yield from (alias.name for alias in node.names)
 
 
+MODULES = [path for path in sorted(PACKAGE.rglob("*.py"))
+           if path.name != "__init__.py"]
+
+
+def _read_outside_the_tests():
+    """The names the package's modules other than __init__.py, the demos
+    and perfbench read: __init__.py's imports do not count as a reader."""
+    callers = MODULES + sorted((ROOT / "demos").glob("*.py"))
+    callers += sorted((ROOT / "perfbench").rglob("*.py"))
+    return set().union(*map(_names_read, callers))
+
+
 def test_every_exported_name_has_a_caller_outside_the_tests():
     # a public name that only tests read is code kept alive for its tests;
     # read_records reads back the CLI's CSV for users, and __version__ is
     # metadata
-    callers = [path for path in sorted(PACKAGE.rglob("*.py"))
-               if path.name != "__init__.py"]
-    callers += sorted((ROOT / "demos").glob("*.py"))
-    callers += sorted((ROOT / "perfbench").rglob("*.py"))
-    read = set().union(*map(_names_read, callers))
-    unused = sorted(set(zipftree.__all__) - read
+    unused = sorted(set(zipftree.__all__) - _read_outside_the_tests()
                     - {"read_records", "__version__"})
     assert unused == []
+
+
+def test_every_definition_has_a_reader_outside_the_tests():
+    # a function, class or method that only tests read is code kept alive
+    # for its tests; dunders are called by Python itself, and read_records
+    # is exempt as in the rule above
+    read = _read_outside_the_tests() | {"read_records"}
+    unread = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))
+                    and node.name not in read):
+                unread.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unread == []
 
 
 def _integer_rule_uses(tree):

@@ -8,7 +8,9 @@ axis with no width left returns the parent itself K times; those children
 equal the formula's bit for bit, and the split raises exactly when the
 formula's guard fails.  Any other child that equals its parent bit for bit
 -- the straddling child of a one-ulp cell -- is the parent object too, and
-fixed_cell holds exactly when a cell splits into itself on every axis."""
+fixed_cell holds exactly when a cell splits into itself on every axis.
+The cell partition.cell_containing names, rebuilt by descending with
+split_cell, contains the point."""
 
 import math
 import struct
@@ -20,7 +22,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from zipftree.partition import Box, fixed_cell, split_cell  # noqa: E402
+from zipftree.partition import (Box, cell_containing, fixed_cell,  # noqa: E402
+                                split_cell)
 
 
 def axis_rule(depth, dim):
@@ -228,3 +231,38 @@ def test_fixed_cell_is_a_split_into_itself_on_every_axis(drawn):
     assert fixed_cell(cell) == all(into_itself(d) for d in range(dim))
     # the split depends on the depth only through the axis
     assert all(into_itself(d) == into_itself(d + dim) for d in range(dim))
+
+
+@st.composite
+def boxes_and_points(draw):
+    """(domain, point): a 1-D or 2-D box with bounds within 1e6 and a
+    point in it, bounds included."""
+    dims = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        a = draw(st.floats(min_value=-1e6, max_value=1e6))
+        b = draw(st.floats(min_value=-1e6, max_value=1e6))
+        assume(a != b)
+        dims.append((min(a, b), max(a, b)))
+    point = tuple(draw(st.one_of(st.floats(min_value=lo, max_value=hi),
+                                 st.sampled_from([lo, hi])))
+                  for lo, hi in dims)
+    return Box([lo for lo, _ in dims], [hi for _, hi in dims]), point
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(drawn=boxes_and_points(), K=st.integers(min_value=2, max_value=7),
+       depth=st.integers(min_value=0, max_value=80))
+def test_the_cell_containing_a_point_contains_it(drawn, K, depth):
+    # depths up to 80 go past float64 resolution for every K
+    domain, point = drawn
+    cid = cell_containing(domain, K, point, depth)
+    assert cid.depth == depth
+    digits, index = [], cid.index
+    for _ in range(depth):
+        index, j = divmod(index, K)
+        digits.append(j)
+    assert index == 0
+    cell = (domain.lower, domain.upper, domain.center)
+    for h, j in enumerate(reversed(digits)):
+        cell = split_cell(cell, h, K)[j]
+    assert Box._unchecked(cell[0], cell[1]).contains(point), (cid, cell)
