@@ -4,7 +4,8 @@
 #
 # Garland near its optimum drops like a square root, so rho = 3^(-1/2) per
 # ternary depth is the honest decay rate and the per-depth count of
-# near-optimal cells stays bounded (d = 0).
+# near-optimal cells stays bounded (d = 0).  C is the largest count that the
+# profile below prints for depths 0..8: 11, at depth 3.
 
 import math
 
@@ -12,14 +13,15 @@ from zipftree import (BoundInputs, ExperimentSpec, SmoothnessParams,
                       count_near_optimal, emit_bound_overlay, garland_objective,
                       run_experiment, sequool_bound, stroquool_bounds)
 
-params = SmoothnessParams(nu=1.0, rho=3 ** -0.5, C=3.0, d=0.0)
+params = SmoothnessParams(nu=1.0, rho=3 ** -0.5, C=11.0, d=0.0)
 obj = garland_objective()
 
 # empirical sanity check of d = 0: cells within nu*rho^h of the optimum
 profile = [count_near_optimal(obj, 3, h, params.nu * params.rho ** h)
            for h in range(9)]
 print("near-optimal cells per depth (nu rho^h scale):", profile)
-print("counts settle instead of growing geometrically, so d = 0 is the regime")
+print("counts settle instead of growing geometrically, so d = 0 is the regime;")
+print(f"the largest is {max(profile)}, so C = {params.C:g} holds at every depth shown")
 
 budgets = [100, 400, 1600, 6400]
 # sequool only accepts noiseless feedback, so the measured runs are split;
@@ -50,9 +52,9 @@ out = stroquool_bounds(BoundInputs(n=6400, b=0.1), params)
 print(f"\nat n=6400, b=0.1: {out['regime']}-noise regime, "
       f"crossover depth h~ = {out['h_tilde']:.3f}, "
       f"depth budget M = {out['M']}")
-print("bounds are worst case, so at small n they are vacuous (3.0 covers the")
-print("whole range); past n~1000 the noiseless bound dives below the measured")
-print("curve instead, because the bound lives in exact arithmetic while the")
+print("bounds are worst case: the stroquool bound at b = 0.1 stays above 1,")
+print("garland's whole range, at every n shown, so it says nothing yet.  the")
+print("sequool bound sits above the measured regret up to n = 1600 and drops")
+print("below it only at n = 6400: the bound lives in exact arithmetic, while the")
 print("measured regret is pinned at the 1.2e-8 float64 floor of the cusp.")
-print("the shape -- decay in n, growth in b -- is the point, not the constants.")
 print("wrote bound_overlay.csv")

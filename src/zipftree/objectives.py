@@ -185,7 +185,8 @@ class EvaluationStream:
     multiply -- the noiseless fast path that makes full budget sweeps cheap.
     Otherwise every call adds count * f(point) and NoiseModel.total(count),
     the sum of the next `count` draws, which equals summing offsets(count)
-    bit for bit.
+    bit for bit.  On either path a count that is not an integer >= 0 raises
+    ValueError and is not charged.
 
     observe_sum calls the objective's fn unchecked: it is meant for the
     partition's points, which lie in the domain by construction (see
@@ -214,6 +215,8 @@ class EvaluationStream:
             v = float(self._fn(point))
             self._last_point, self._last_value = point, v
         if self._noise is None:
+            if type(count) is not int or count < 0:
+                count = checked_integer(count, "count", 0)
             self.n_evals += count
             return count * v
         # total raises on a count that is not an integer >= 0, so such a

@@ -22,7 +22,6 @@ import decimal
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +33,6 @@ __all__ = [
     "SmoothnessParams", "BoundInputs", "harmonic", "stroquool_h_max",
     "lambert_w", "sequool_bound", "stroquool_bounds", "count_near_optimal",
 ]
-
-_LOG_DBL_MAX = math.log(sys.float_info.max)
-
 
 # ---------------------------------------------------------------------------
 # harmonic numbers
@@ -120,12 +116,12 @@ def _w_exp(y):
 
 
 def lambert_w(x):
-    """Standard-branch Lambert W: the w >= 0 with w * exp(w) = x, for x >= 0.
+    """Standard-branch Lambert W: the w >= 0 with w * exp(w) = x, for x a
+    real number that is finite and >= 0; anything else raises ValueError.
 
     The round trip |W(x) e^{W(x)} - x| stays within 1e-10 * max(1, x).
     """
-    if x < 0:
-        raise ValueError("x must be >= 0")
+    x = checked_range(x, "x")
     return 0.0 if x == 0.0 else _w_exp(math.log(x))
 
 
@@ -174,31 +170,25 @@ class BoundInputs:
 # SequOOL bound (deterministic feedback)
 # ---------------------------------------------------------------------------
 
+def _decay(h, nu, rho, C, d):
+    """The rate both regret bounds share, at depth budget h:
+    nu rho^(h / C) if d = 0, else nu exp(-W(h d log(1/rho) / C) / d)."""
+    if d == 0.0:
+        return nu * rho ** (h / C)
+    return nu * math.exp(-lambert_w(h * d * math.log(1.0 / rho) / C) / d)
+
+
 def sequool_bound(n, params: SmoothnessParams):
     """Worst-case simple regret of SequOOL after n openings, n an integer >= 1.
 
-    Returns a dict with:
-      theorem   -- nu * rho^(h_max / C)                       if d = 0,
-                   nu * exp(-W(h_max d log(1/rho) / C) / d)   if d > 0,
-                   with h_max = floor(n / H(n));
-      corollary -- the readable d > 0 form nu * (n~ / log n~)^(-1/d) with
-                   n~ = h_max d log(1/rho) / C, or None when inapplicable
-                   (d = 0, or n~ <= e -- lower-bounding W needs log n~ > 1);
-      n_tilde, h_max -- the intermediate quantities.
+    Returns {"theorem", "h_max"}: the depth budget h_max = floor(n / H(n))
+    and the bound at it, theorem = nu rho^(h_max / C) if d = 0, else
+    nu exp(-W(h_max d log(1/rho) / C) / d).
     """
     n = checked_integer(n, "n", 1)
-    nu, rho, C, d = params.nu, params.rho, params.C, params.d
     h_max = int(n // harmonic(n))
-    if d == 0.0:
-        return {"theorem": nu * rho ** (h_max / C), "corollary": None,
-                "n_tilde": None, "h_max": h_max}
-    n_tilde = h_max * d * math.log(1.0 / rho) / C
-    theorem = nu * math.exp(-lambert_w(n_tilde) / d)
-    corollary = None
-    if n_tilde > math.e:
-        corollary = nu * (n_tilde / math.log(n_tilde)) ** (-1.0 / d)
-    return {"theorem": theorem, "corollary": corollary,
-            "n_tilde": n_tilde, "h_max": h_max}
+    return {"theorem": _decay(h_max, params.nu, params.rho, params.C, params.d),
+            "h_max": h_max}
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +215,10 @@ def stroquool_bounds(inputs: BoundInputs, params: SmoothnessParams):
 
       high: nu * rho^( W(M (d+2) log(1/rho) nu^2 / (4 C b^2 L))
                        / ((d+2) log(1/rho)) ) + 2 b sqrt(L / M)
-      low:  3 nu rho^(M / (4C))                      if d = 0
-            3 nu exp(-W(M d log(1/rho) / (4C)) / d)  if d > 0
+      low:  three times sequool_bound's theorem at depth budget M / 4 in
+            place of h_max, so 3 nu rho^(M / (4C)) when d = 0
 
-    Returns {"regime", "bound", "h_tilde", "corollary", "n_readable",
-    "M", "L"}; "corollary" is the readable form (None when its n~ <= e or,
-    in the low regime, when d = 0); a high-regime "n_readable" past the
-    float64 range is inf.
+    Returns {"regime", "bound", "h_tilde", "M", "L"}.
     """
     n, b, delta = inputs.n, inputs.b, inputs.delta
     nu, rho, C, d = params.nu, params.rho, params.C, params.d
@@ -253,31 +240,14 @@ def stroquool_bounds(inputs: BoundInputs, params: SmoothnessParams):
 
     if regime == "high":
         if M < 1:
-            raise ValueError(
-                f"n={n} too small for the high-noise bound: "
-                f"floor(n / (2 (log2 n + 1)^2)) = 0")
-        log_n_bar = _log_n_bar(M, nu, rho, C, d, b, L)
-        bound = (nu * math.exp(-_w_exp(log_n_bar) / (d + 2.0))
+            raise ValueError(f"n={n} too small for the high-noise bound: "
+                             f"floor(n / (2 (log2 n + 1)^2)) = 0")
+        bound = (nu * math.exp(-_w_exp(_log_n_bar(M, nu, rho, C, d, b, L)) / (d + 2.0))
                  + 2.0 * b * math.sqrt(L / M))
-        corollary = None
-        if log_n_bar > 1.0:
-            corollary = (nu * math.exp((math.log(log_n_bar) - log_n_bar) / (d + 2.0))
-                         + 2.0 * b * math.sqrt(18.0 * L / (2.0 * M)))
-        n_bar = math.exp(log_n_bar) if log_n_bar <= _LOG_DBL_MAX else math.inf
-        return {"regime": regime, "bound": bound, "h_tilde": h_tilde,
-                "corollary": corollary, "n_readable": n_bar, "M": M, "L": L}
-
-    if d == 0.0:
-        bound = 3.0 * nu * rho ** (M / (4.0 * C))
-        return {"regime": regime, "bound": bound, "h_tilde": h_tilde,
-                "corollary": None, "n_readable": None, "M": M, "L": L}
-    n_low = M * d * math.log(1.0 / rho) / (4.0 * C)
-    bound = 3.0 * nu * math.exp(-lambert_w(n_low) / d)
-    corollary = None
-    if n_low > math.e:
-        corollary = 3.0 * nu * (math.log(n_low) / n_low) ** (1.0 / d)
-    return {"regime": regime, "bound": bound, "h_tilde": h_tilde,
-            "corollary": corollary, "n_readable": n_low, "M": M, "L": L}
+    else:
+        # dividing M by 4 is exact, so this is 3 nu rho^(M / (4C)) bit for bit
+        bound = _decay(M / 4.0, 3.0 * nu, rho, C, d)
+    return {"regime": regime, "bound": bound, "h_tilde": h_tilde, "M": M, "L": L}
 
 
 # ---------------------------------------------------------------------------

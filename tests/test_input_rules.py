@@ -187,6 +187,9 @@ NOW_REJECTED = [
      lambda: stroquool_h_max(1000.7)),
     ("sequool_bound-float-n", "n must be an integer: 100.5",
      lambda: sequool_bound(100.5, PARAMS)),
+    ("lambert_w-nan", "x must be >= 0 and finite: nan", lambda: lambert_w(math.nan)),
+    ("lambert_w-inf", "x must be >= 0 and finite: inf", lambda: lambert_w(math.inf)),
+    ("lambert_w-bool", "x must be >= 0 and finite: True", lambda: lambert_w(True)),
     ("RunConfig-bool-n", "budget_n must be an integer: True",
      lambda: RunConfig(budget_n=True)),
     ("BoundInputs-bool-n", "n must be an integer: True", lambda: BoundInputs(n=True)),

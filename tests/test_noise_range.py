@@ -36,7 +36,6 @@ def test_high_regime_at_tiny_noise():
         out = stroquool_bounds(BoundInputs(10**6, b), params)
         assert out["regime"] == "high"
         assert 0.0 < out["bound"] < 10.0 * b
-        assert b < out["corollary"] < 10.0 * b
 
 
 @pytest.mark.parametrize("b, regime", [(0.1, "high"), (1e-20, "low")])

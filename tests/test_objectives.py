@@ -367,6 +367,19 @@ def test_observe_sum_charges_no_rejected_count():
     assert stream.n_evals == 3
 
 
+def test_noiseless_observe_sum_charges_no_rejected_count():
+    # the noiseless path used to charge any count: 2.5, then -3, then True
+    # left n_evals at 2.5, -0.5 and 0.5
+    stream = EvaluationStream(garland_objective())
+    for count in (2.5, -3, True, 2.0):
+        with pytest.raises(ValueError, match="count must be"):
+            stream.observe_sum((0.5,), count)
+        assert stream.n_evals == 0
+    assert stream.observe_sum((0.5,), np.int64(3)) == 3 * garland(0.5)
+    assert stream.observe_sum((0.5,), 0) == 0.0
+    assert stream.n_evals == 3 and type(stream.n_evals) is int
+
+
 def test_evaluation_stream_counts_and_batches():
     obj = garland_objective()
     stream = EvaluationStream(obj)  # noiseless

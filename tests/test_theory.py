@@ -169,7 +169,6 @@ def test_sequool_bound_zero_dim():
     out = sequool_bound(100, params)
     assert out["h_max"] == 19
     assert out["theorem"] == pytest.approx(2.0 ** -19, rel=1e-14)
-    assert out["corollary"] is None and out["n_tilde"] is None
 
 
 def test_sequool_bound_positive_dim():
@@ -178,24 +177,17 @@ def test_sequool_bound_positive_dim():
     h_max = int(1000 // harmonic(1000))
     n_tilde = h_max * 1.0 * math.log(2.0) / 2.0
     assert out["h_max"] == h_max
-    assert out["n_tilde"] == pytest.approx(n_tilde, rel=1e-15)
     assert out["theorem"] == pytest.approx(2.0 * math.exp(-lambert_w(n_tilde)),
                                            rel=1e-13)
-    # readable form: looser than the theorem once defined
-    assert out["corollary"] == pytest.approx(
-        2.0 * (n_tilde / math.log(n_tilde)) ** -1.0, rel=1e-13)
-    assert out["corollary"] >= out["theorem"]
 
 
 def test_sequool_bound_readable_needs_log_margin():
-    # pick C so that n_tilde lands exactly at e: W(e) = 1 gives nu/e, and the
-    # readable form is inapplicable (it needs n_tilde > e strictly)
+    # pick C so that h_max d log(1/rho) / C lands exactly at e: W(e) = 1
+    # gives nu/e
     C = 19.0 * math.log(2.0) / math.e
     params = SmoothnessParams(nu=1.0, rho=0.5, C=C, d=1.0)
     out = sequool_bound(100, params)
-    assert out["n_tilde"] == pytest.approx(math.e, rel=1e-15)
     assert out["theorem"] == pytest.approx(math.exp(-1.0), rel=1e-13)
-    assert out["corollary"] is None
 
 
 def test_sequool_bound_corollary_dominates_on_sweep():
@@ -203,8 +195,6 @@ def test_sequool_bound_corollary_dominates_on_sweep():
     for n in (50, 100, 1000, 10**4, 10**6):
         out = sequool_bound(n, params)
         assert 0.0 < out["theorem"] <= 1.5
-        if out["corollary"] is not None:
-            assert out["corollary"] >= out["theorem"]
     # bounds shrink with budget
     b1 = sequool_bound(100, params)["theorem"]
     b2 = sequool_bound(10**5, params)["theorem"]
@@ -250,9 +240,6 @@ def test_stroquool_bounds_high_regime_formula():
     expected = (0.5 ** (lambert_w(n_bar) / (2.0 * math.log(2.0)))
                 + 2.0 * b * math.sqrt(L / M))
     assert out["bound"] == pytest.approx(expected, rel=1e-13)
-    assert out["n_readable"] == pytest.approx(n_bar, rel=1e-13)
-    if out["corollary"] is not None:
-        assert out["corollary"] >= out["bound"] * 0.5  # readable, same order
 
 
 def test_stroquool_bounds_high_regime_needs_budget():
@@ -271,8 +258,6 @@ def test_stroquool_bounds_positive_dim_low():
     n_low = M * math.log(2.0) / 8.0
     assert out["bound"] == pytest.approx(3.0 * math.exp(-lambert_w(n_low)),
                                          rel=1e-13)
-    assert out["corollary"] == pytest.approx(
-        3.0 * (math.log(n_low) / n_low), rel=1e-13)
 
 
 def test_h_tilde_exact_matches_closed_form():
@@ -290,6 +275,118 @@ def test_h_tilde_exact_matches_closed_form():
                                  SmoothnessParams(1.0, rho, C, d))["h_tilde"]
         assert exact == pytest.approx(lambert_w(a * math.exp(A)) / a, rel=1e-10)
         assert abs(A - math.log(exact) - a * exact) < 1e-12  # residual
+
+
+# ---------------------------------------------------------------------------
+# frozen bound values
+# ---------------------------------------------------------------------------
+
+# (n, b, delta, nu, rho, C, d, sequool theorem, h_max, regime, stroquool bound,
+# h_tilde, M), the floats as float.hex; a regime of None marks a budget whose
+# M = 0 leaves the high-noise bound undefined
+_FROZEN_BOUNDS = [
+    (1, 0.0, 0.05, 1.0, 0.5, 2.0, 0.0,
+     '0x1.6a09e667f3bcdp-1', 1, 'low', '0x1.8000000000000p+1', 'inf', 0),
+    (1000, 0.0, 0.05, 1.0, 0.5, 2.0, 0.0,
+     '0x1.6a09e667f3bcdp-67', 133, 'low', '0x1.0f876ccdf6cdap+1', 'inf', 4),
+    (1000000000000, 0.0, 0.05, 1.0, 0.5, 2.0, 0.0,
+     '0x0.0p+0', 35450638328, 'low', '0x0.0p+0', 'inf', 299437779),
+    (10000, 1e-300, 0.05, 1.0, 0.5, 2.0, 0.0,
+     '0x1.6a09e667f3bcdp-511', 1021, 'low', '0x1.8000000000000p-2', '0x1.ef4859956e28bp+9', 24),
+    (1000000, 0.001, 0.05, 1.0, 0.5, 2.0, 0.0,
+     '0x0.0p+0', 69479, 'high', '0x1.d04b3540c8a93p-10', '0x1.3b480e1ad3893p+3', 1141),
+    (10000, 0.1, 0.05, 1.0, 0.5, 2.0, 0.0,
+     '0x1.6a09e667f3bcdp-511', 1021, 'high', '0x1.0fe6e70f00562p-1', '0x1.d7f2a017e715ep+0', 24),
+    (1000000, 1.0, 0.05, 1.0, 0.5, 2.0, 0.0,
+     '0x0.0p+0', 69479, 'high', '0x1.a01683204169cp-1', '0x1.54b1fb517983cp+0', 1141),
+    (1000000000000, 0.1, 0.05, 1.0, 0.5, 2.0, 0.0,
+     '0x0.0p+0', 35450638328, 'high', '0x1.0ae28a79704e2p-11', '0x1.7580e2d74d0b6p+3', 299437779),
+    (1, 0.0, 0.05, 1.0, 0.5, 2.0, 1.0,
+     '0x1.888846684f698p-1', 1, 'low', '0x1.8000000000000p+1', 'inf', 0),
+    (1000, 0.0, 0.05, 1.0, 0.5, 2.0, 1.0,
+     '0x1.f1c378a55b377p-5', 133, 'low', '0x1.266634ce3b8f2p+1', 'inf', 4),
+    (1000000000000, 0.0, 0.05, 1.0, 0.5, 2.0, 1.0,
+     '0x1.c47c75c3ca5d8p-30', 35450638328, 'low', '0x1.bf189f5f37a6bp-20', 'inf', 299437779),
+    (10000, 1e-300, 0.05, 1.0, 0.5, 2.0, 1.0,
+     '0x1.967f1e0d0d655p-7', 1021, 'low', '0x1.418d0f6ff1f54p+0', '0x1.4a492c6c92aebp+9', 24),
+    (1000000, 0.001, 0.05, 1.0, 0.5, 2.0, 1.0,
+     '0x1.5cbea7a5b097dp-12', 69479, 'low', '0x1.a3b9307a7f43cp-4', '0x1.b0039265dac91p+2', 1141),
+    (10000, 0.1, 0.05, 1.0, 0.5, 2.0, 1.0,
+     '0x1.967f1e0d0d655p-7', 1021, 'high', '0x1.44df124fe8798p-1', '0x1.5f0fa28daeda1p+0', 24),
+    (1000000, 1.0, 0.05, 1.0, 0.5, 2.0, 1.0,
+     '0x1.5cbea7a5b097dp-12', 69479, 'high', '0x1.cb1bcd80ff956p-1', '0x1.0446d45f3e1f1p+0', 1141),
+    (1000000000000, 0.1, 0.05, 1.0, 0.5, 2.0, 1.0,
+     '0x1.c47c75c3ca5d8p-30', 35450638328, 'high', '0x1.49a7dbb370bbap-8', '0x1.fdc3f30e0bc9ep+2', 299437779),
+    (1, 0.0, 0.05, 1.5, 0.3333333333333333, 1.5, 2.0,
+     '0x1.0c74799ecbb16p+0', 1, 'low', '0x1.2000000000000p+2', 'inf', 0),
+    (1000, 0.0, 0.05, 1.5, 0.3333333333333333, 1.5, 2.0,
+     '0x1.b3237f4e28bcfp-3', 133, 'low', '0x1.92aeb66e318a1p+1', 'inf', 4),
+    (1000000000000, 0.0, 0.05, 1.5, 0.3333333333333333, 1.5, 2.0,
+     '0x1.00a178122a329p-15', 35450638328, 'low', '0x1.bf2710273f8a1p-10', 'inf', 299437779),
+    (10000, 1e-300, 0.05, 1.5, 0.3333333333333333, 1.5, 2.0,
+     '0x1.779a666c779ddp-4', 1021, 'low', '0x1.f5489bf8ff5f1p+0', '0x1.39002e28efc62p+8', 24),
+    (1000000, 0.001, 0.05, 1.5, 0.3333333333333333, 1.5, 2.0,
+     '0x1.d5dde4f8be1dep-7', 69479, 'low', '0x1.df8d6f2fc34e1p-2', '0x1.cb4387b987850p+1', 1141),
+    (10000, 0.1, 0.05, 1.5, 0.3333333333333333, 1.5, 2.0,
+     '0x1.779a666c779ddp-4', 1021, 'low', '0x1.f5489bf8ff5f1p+0', '0x1.f3d5fa0553da0p-1', 24),
+    (1000000, 1.0, 0.05, 1.5, 0.3333333333333333, 1.5, 2.0,
+     '0x1.d5dde4f8be1dep-7', 69479, 'high', '0x1.0a578d9253b6ap+0', '0x1.93e3a434f5d52p-1', 1141),
+    (1000000000000, 0.1, 0.05, 1.5, 0.3333333333333333, 1.5, 2.0,
+     '0x1.00a178122a329p-15', 35450638328, 'high', '0x1.29b341255155ap-6', '0x1.0aa825536fbdfp+2', 299437779),
+    (1, 0.0, 0.05, 1.0, 0.1, 1.0, 0.0,
+     '0x1.999999999999ap-4', 1, 'low', '0x1.8000000000000p+1', 'inf', 0),
+    (1000, 0.0, 0.05, 1.0, 0.1, 1.0, 0.0,
+     '0x1.22bc490dde67fp-442', 133, 'low', '0x1.3333333333334p-2', 'inf', 4),
+    (1000000000000, 0.0, 0.05, 1.0, 0.1, 1.0, 0.0,
+     '0x0.0p+0', 35450638328, 'low', '0x0.0p+0', 'inf', 299437779),
+    (10000, 1e-300, 0.05, 1.0, 0.1, 1.0, 0.0,
+     '0x0.0p+0', 1021, 'low', '0x1.92a737110e456p-19', '0x1.2a99cb59ebedep+8', 24),
+    (1000000, 0.001, 0.05, 1.0, 0.1, 1.0, 0.0,
+     '0x0.0p+0', 69479, 'high', '0x1.e5bb0e7ed8cdcp-11', '0x1.ace1af2331fd0p+1', 1141),
+    (10000, 0.1, 0.05, 1.0, 0.1, 1.0, 0.0,
+     '0x0.0p+0', 1021, 'high', '0x1.715dbec266794p-2', '0x1.bcd80a43c4fd6p-1', 24),
+    (1000000, 1.0, 0.05, 1.0, 0.1, 1.0, 0.0,
+     '0x0.0p+0', 69479, 'high', '0x1.2c50a0e1c6092p-1', '0x1.62c05f46a72fdp-1', 1141),
+    (1000000000000, 0.1, 0.05, 1.0, 0.1, 1.0, 0.0,
+     '0x0.0p+0', 35450638328, 'high', '0x1.1194cf1b28da2p-12', '0x1.f3769f0733b0dp+1', 299437779),
+    (1, 0.0, 0.05, 2.0, 0.9, 11.0, 0.5,
+     '0x1.fb2477f17fec6p+0', 1, 'low', '0x1.8000000000000p+2', 'inf', 0),
+    (1000, 0.0, 0.05, 2.0, 0.9, 11.0, 0.5,
+     '0x1.bb00b2532e8aep-1', 133, 'low', '0x1.7c5b59f51ff14p+2', 'inf', 4),
+    (1000000000000, 0.0, 0.05, 2.0, 0.9, 11.0, 0.5,
+     '0x1.46b3a1e93ae1ap-46', 35450638328, 'low', '0x1.5de50918e924bp-28', 'inf', 299437779),
+    (10000, 1e-300, 0.05, 2.0, 0.9, 11.0, 0.5,
+     '0x1.27ce92f167192p-3', 1021, 'low', '0x1.6b20e671d32a0p+2', '0x1.455e30075ff0dp+12', 24),
+    (1000000, 0.001, 0.05, 2.0, 0.9, 11.0, 0.5,
+     '0x1.64b49b9dafdb6p-12', 69479, 'low', '0x1.84a179499d6f8p+0', '0x1.671b2d83e3742p+5', 1141),
+    (10000, 0.1, 0.05, 2.0, 0.9, 11.0, 0.5,
+     '0x1.27ce92f167192p-3', 1021, 'low', '0x1.6b20e671d32a0p+2', '0x1.355f801f8d125p+2', 24),
+    (1000000, 1.0, 0.05, 2.0, 0.9, 11.0, 0.5,
+     '0x1.64b49b9dafdb6p-12', 69479, 'high', '0x1.f4d3e64a63afep+0', '0x1.6fc868b33af73p+1', 1141),
+    (1000000000000, 0.1, 0.05, 2.0, 0.9, 11.0, 0.5,
+     '0x1.46b3a1e93ae1ap-46', 35450638328, 'high', '0x1.14811ab305884p-7', '0x1.b308aab4b8fd1p+5', 299437779),
+    (100, 1.0, 0.05, 1.0, 0.5, 2.0, 0.0,
+     '0x1.6a09e667f3bcdp-10', 19, None, None, None, None),
+    (100000, 0.5, 0.01, 1.0, 0.5, 2.0, 1.0,
+     '0x1.18fd7f0ef8801p-9', 8271, 'high', '0x1.0aa837754478dp+0', '0x1.b828087d6b6f7p-1', 161),
+    (100000, 1e-20, 0.01, 1.0, 0.5773502691896257, 3.0, 0.0,
+     '0x0.0p+0', 8271, 'low', '0x1.ef6b4b26f794fp-10', '0x1.3ed66ad52b7a5p+6', 161),
+]
+
+
+@pytest.mark.parametrize("row", _FROZEN_BOUNDS, ids=lambda row: "-".join(map(str, row[:7])))
+def test_bound_values_frozen(row):
+    n, b, delta, nu, rho, C, d, theorem, h_max, regime, bound, h_tilde, M = row
+    params = SmoothnessParams(nu, rho, C, d)
+    out = sequool_bound(n, params)
+    assert (out["theorem"].hex(), out["h_max"]) == (theorem, h_max)
+    if regime is None:
+        with pytest.raises(ValueError, match="too small for the high-noise bound"):
+            stroquool_bounds(BoundInputs(n, b, delta), params)
+        return
+    out = stroquool_bounds(BoundInputs(n, b, delta), params)
+    assert (out["regime"], out["bound"].hex(), out["h_tilde"].hex(), out["M"]) == (
+        regime, bound, h_tilde, M)
 
 
 # ---------------------------------------------------------------------------
