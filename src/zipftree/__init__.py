@@ -24,8 +24,7 @@ from .theory import (BoundInputs, SmoothnessParams, count_near_optimal,
                      harmonic, lambert_w, sequool_bound, stroquool_bounds,
                      stroquool_h_max)
 from .harness import (AlgoSpec, ExperimentSpec, RegretRecord, derive_seed,
-                      emit_bound_overlay, read_records, run_experiment,
-                      summarize)
+                      read_records, run_experiment, summarize)
 
 __version__ = "0.1.0"
 
@@ -41,6 +40,6 @@ __all__ = [
     "harmonic", "lambert_w", "stroquool_h_max",
     "sequool_bound", "stroquool_bounds", "count_near_optimal",
     "AlgoSpec", "ExperimentSpec", "RegretRecord", "derive_seed",
-    "run_experiment", "summarize", "emit_bound_overlay", "read_records",
+    "run_experiment", "summarize", "read_records",
     "__version__",
 ]

@@ -28,12 +28,11 @@ from .optimizers import (RunConfig, doo_run, sequool_run, soo_run,
                          stroquool_run, uniform_run)
 from .partition import (checked_delta, checked_integer, checked_range,
                         is_real)
-from .theory import (BoundInputs, SmoothnessParams, check_nu_rho, sequool_bound,
-                     stroquool_bounds)
+from .theory import check_nu_rho
 
 __all__ = [
     "AlgoSpec", "ExperimentSpec", "RegretRecord", "TaskError", "derive_seed",
-    "run_experiment", "summarize", "emit_bound_overlay", "read_records",
+    "run_experiment", "summarize", "read_records",
 ]
 
 # name -> (deterministic feedback only, runner(a, obj, noise, cfg)) with a the
@@ -356,34 +355,3 @@ def format_summary(summary):
         lines.append(f"{algo:24} {n:>7} {b:>6g} {g['median']:>13.6g} "
                      f"{g['q10']:>13.6g} {g['q90']:>13.6g} {g['count']:>5}")
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# bound overlays
-# ---------------------------------------------------------------------------
-
-def emit_bound_overlay(spec: ExperimentSpec, params: SmoothnessParams, out=None):
-    """Theoretical-bound curve for each budget: the deterministic-feedback
-    bound plus, per requested noise level, the noise-adaptive bound in
-    column stroquool_b=<b>, b written as AlgoSpec.label writes doo's
-    settings, so distinct levels keep distinct columns.  Writes CSV to
-    `out` when given (empty field where a bound is undefined)."""
-    rows = []
-    for n in spec.budgets:
-        row = {"n": n, "sequool": sequool_bound(n, params)["theorem"]}
-        for b in spec.noise_b:
-            try:
-                value = stroquool_bounds(BoundInputs(n, b, spec.delta), params)["bound"]
-            except ValueError:
-                value = None  # n too small for the high-noise bound (its only error)
-            row[f"stroquool_b={_exact(b)}"] = value
-        rows.append(row)
-    if out:
-        columns = list(rows[0].keys())
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow(["" if row[c] is None else _fmt(row[c])
-                                 for c in columns])
-    return rows

@@ -170,12 +170,20 @@ class BoundInputs:
 # SequOOL bound (deterministic feedback)
 # ---------------------------------------------------------------------------
 
+def _log_product(*factors):
+    """log of the positive factors' product, finite where the product is not."""
+    return sum(map(math.log, factors))
+
+
 def _decay(h, nu, rho, C, d):
     """The rate both regret bounds share, at depth budget h:
     nu rho^(h / C) if d = 0, else nu exp(-W(h d log(1/rho) / C) / d)."""
     if d == 0.0:
         return nu * rho ** (h / C)
-    return nu * math.exp(-lambert_w(h * d * math.log(1.0 / rho) / C) / d)
+    x = h * d * math.log(1.0 / rho) / C
+    w = (lambert_w(x) if x < math.inf
+         else _w_exp(_log_product(h, d, math.log(1.0 / rho), 1.0 / C)))
+    return nu * math.exp(-w / d)
 
 
 def sequool_bound(n, params: SmoothnessParams):
@@ -198,8 +206,10 @@ def sequool_bound(n, params: SmoothnessParams):
 def _log_n_bar(h, nu, rho, C, d, b, L):
     """log of n_bar = h (d+2) log(1/rho) nu^2 / (4 C b^2 L), formed from
     logs: b^2 underflows below b ~ 1e-162, and n_bar overflows before that."""
-    return (math.log(h * (d + 2.0) * math.log(1.0 / rho) / (4.0 * C * L))
-            + 2.0 * (math.log(nu) - math.log(b)))
+    x = h * (d + 2.0) * math.log(1.0 / rho) / (4.0 * C * L)
+    log_x = (math.log(x) if x < math.inf else _log_product(
+        h, d + 2.0, math.log(1.0 / rho), 1.0 / (4.0 * C * L)))
+    return log_x + 2.0 * (math.log(nu) - math.log(b))
 
 
 def stroquool_bounds(inputs: BoundInputs, params: SmoothnessParams):

@@ -19,10 +19,12 @@ import math
 
 import pytest
 
-from zipftree.objectives import Objective
-from zipftree.optimizers import RunConfig, sequool_run
+from zipftree.harness import derive_seed
+from zipftree.objectives import NoiseModel, Objective
+from zipftree.optimizers import RunConfig, sequool_run, stroquool_run
 from zipftree.partition import Box
-from zipftree.theory import SmoothnessParams, count_near_optimal, sequool_bound
+from zipftree.theory import (BoundInputs, SmoothnessParams, count_near_optimal,
+                             sequool_bound, stroquool_bounds)
 
 X_STAR = math.pi / 10
 
@@ -56,3 +58,37 @@ def test_sequool_regret_stays_within_its_bound(obj, params, depth):
         res = sequool_run(obj, RunConfig(budget_n=n))
         regret = obj.optimum_value - obj.fn(res.recommendation)
         assert 0.0 <= regret <= sequool_bound(n, params)["theorem"], n
+
+
+# StroquOOL's bound holds with probability 1 - delta = 0.95 per run.  Of the
+# 16 (objective, n, b) settings with n in {1e3, 1e4} and b in {0, 0.01, 0.1, 1},
+# 13 have a bound of at least 0.70, above 1 - x* ~ 0.686, the whole range of
+# either objective on its domain, so no run can exceed it there
+NOISY_BUDGETS, NOISE_LEVELS = (10**3, 10**4), (0.0, 0.01, 0.1, 1.0)
+INFORMATIVE = [("vee", 10**4, 0.0), ("vee", 10**4, 0.01), ("vee", 10**4, 0.1)]
+STROQUOOL_SEEDS = 40
+
+
+def test_stroquool_bound_is_informative_only_in_the_checked_settings():
+    informative = [(obj.name, n, b) for obj, params, _ in (VEE, RIDGE)
+                   for n in NOISY_BUDGETS for b in NOISE_LEVELS
+                   if stroquool_bounds(BoundInputs(n, b), params)["bound"] < 1 - X_STAR]
+    assert informative == INFORMATIVE
+
+
+@pytest.mark.parametrize("b", [b for _, _, b in INFORMATIVE])
+def test_stroquool_regret_stays_within_its_bound(b):
+    # the bounds are 0.333, 0.0734 and 0.525 and the worst regrets over the
+    # 40 seeds 0, 0.0014 and 0.013: no run comes near its bound
+    obj, params, _ = VEE
+    n = 10**4
+    bound = stroquool_bounds(BoundInputs(n, b), params)["bound"]
+    over = 0
+    for rep in range(STROQUOOL_SEEDS):
+        seed = derive_seed(0, "test_bounds_hold:stroquool", n, b, rep)
+        res = stroquool_run(obj, NoiseModel(b, seed=seed),
+                            RunConfig(budget_n=n, seed=seed))
+        regret = obj.optimum_value - obj.fn(res.recommendation)
+        assert regret >= 0.0, rep
+        over += regret > bound
+    assert over <= math.ceil(0.05 * STROQUOOL_SEEDS)

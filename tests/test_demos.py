@@ -1,7 +1,7 @@
 """Smoke test for the demos: each one runs to completion and prints something.
 
 Each demo runs in its own interpreter with a temporary working directory,
-since 02 and 05 write files (a figure and the bound-overlay CSV) there."""
+since 02 writes a figure there when matplotlib is installed."""
 
 import os
 import subprocess

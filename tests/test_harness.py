@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 import math
 import re
@@ -8,10 +7,8 @@ import pytest
 
 from zipftree import harness
 from zipftree.harness import (AlgoSpec, ExperimentSpec, RegretRecord,
-                              TaskError, derive_seed, emit_bound_overlay,
-                              parse_algo, read_records, run_experiment,
-                              summarize)
-from zipftree.theory import BoundInputs, SmoothnessParams, stroquool_bounds
+                              TaskError, derive_seed, parse_algo,
+                              read_records, run_experiment, summarize)
 
 
 def small_spec(**overrides):
@@ -411,63 +408,6 @@ def test_summarize_groups_and_quantiles():
                                       "q90": 0.05, "count": 1}
     with pytest.raises(ValueError, match="no records"):
         summarize([])
-
-
-# ---------------------------------------------------------------------------
-# bound overlay
-# ---------------------------------------------------------------------------
-
-def test_emit_bound_overlay(tmp_path):
-    spec = small_spec(budgets=[100, 1000], noise_b=[0.0, 1.0])
-    params = SmoothnessParams(nu=1.0, rho=0.5, C=2.0)
-    rows = emit_bound_overlay(spec, params)
-    assert [row["n"] for row in rows] == [100, 1000]
-    assert rows[0]["sequool"] > rows[1]["sequool"]
-    assert rows[0]["stroquool_b=0"] == 3.0
-    # n = 100 is too small for the heavy-noise display: empty cell
-    assert rows[0]["stroquool_b=1"] is None
-    assert rows[1]["stroquool_b=1"] > 0.0
-    out = tmp_path / "overlay.csv"
-    emit_bound_overlay(spec, params, out=str(out))
-    with open(out) as fh:
-        table = list(csv.reader(fh))
-    assert table[0] == ["n", "sequool", "stroquool_b=0", "stroquool_b=1"]
-    assert table[1][3] == ""
-    assert float(table[2][3]) == rows[1]["stroquool_b=1"]
-
-
-def test_emit_bound_overlay_fills_tiny_noise_cells():
-    # a cell stays blank only where n is too small for the high-noise bound;
-    # b = 1e-160 is a valid noise level at every budget
-    spec = small_spec(budgets=[100, 10**5], noise_b=[1e-160, 1.0])
-    params = SmoothnessParams(nu=1.0, rho=0.5, C=2.0)
-    rows = emit_bound_overlay(spec, params)
-    for row in rows:
-        assert row["stroquool_b=1e-160"] == stroquool_bounds(
-            BoundInputs(row["n"], 1e-160, spec.delta), params)["bound"] > 0.0
-    assert rows[0]["stroquool_b=1"] is None
-    with pytest.raises(ValueError, match="n=100 too small for the high-noise"):
-        stroquool_bounds(BoundInputs(100, 1.0, spec.delta), params)
-    assert rows[1]["stroquool_b=1"] > 0.0
-
-
-def test_emit_bound_overlay_keeps_a_column_per_noise_level(tmp_path):
-    # b = 0.1 and 0.1000001 both read 0.1 under :g, so the second level's
-    # bound used to overwrite the first's in one column
-    spec = small_spec(budgets=[10**4], noise_b=[0.1, 0.1000001])
-    params = SmoothnessParams(nu=1.0, rho=0.5, C=2.0)
-    (row,) = emit_bound_overlay(spec, params)
-    assert list(row) == ["n", "sequool", "stroquool_b=0.1",
-                         "stroquool_b=0.1000001"]
-    for b in spec.noise_b:
-        assert row[f"stroquool_b={harness._exact(b)}"] == stroquool_bounds(
-            BoundInputs(10**4, b, spec.delta), params)["bound"]
-    assert row["stroquool_b=0.1"] != row["stroquool_b=0.1000001"]
-    out = tmp_path / "overlay.csv"
-    emit_bound_overlay(spec, params, out=str(out))
-    with open(out) as fh:
-        header = next(csv.reader(fh))
-    assert header == list(row)
 
 
 def test_a_noisy_deterministic_grid_runs_no_task(tmp_path, monkeypatch):

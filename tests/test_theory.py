@@ -260,6 +260,32 @@ def test_stroquool_bounds_positive_dim_low():
                                          rel=1e-13)
 
 
+def test_stroquool_bounds_at_tiny_noise_and_a_large_budget():
+    # b = 1e-160 squares to a subnormal, yet its bound is defined at every
+    # budget; b = 1 is defined from n = 1e3 (n = 100 is rejected, see
+    # test_stroquool_bounds_high_regime_needs_budget)
+    params = SmoothnessParams(nu=1.0, rho=0.5, C=2.0)
+    for n in (100, 10**3, 10**5):
+        assert 0.0 < stroquool_bounds(BoundInputs(n, 1e-160), params)["bound"] < math.inf
+    for n in (10**3, 10**5):
+        assert stroquool_bounds(BoundInputs(n, 1.0), params)["bound"] > 0.0
+
+
+def test_bounds_take_a_d_that_overflows_their_w_argument():
+    # h d log(1/rho) / C overflows at d = 1e308; W grows like a log and is
+    # then divided by d, so the rate is nu and the low-noise bound 3 nu
+    params = SmoothnessParams(nu=1.0, rho=0.5, C=1.0, d=1e308)
+    assert sequool_bound(100, params)["theorem"] == 1.0
+    for b in (0.0, 1e-12, 0.1):
+        out = stroquool_bounds(BoundInputs(10**4, b), params)
+        assert (out["regime"], out["bound"]) == ("low", 3.0)
+    out = stroquool_bounds(BoundInputs(10**4, 1.0), params)
+    assert out["regime"] == "high"
+    # nu exp(-W / (d + 2)) rounds to nu, leaving 1 + 2 b sqrt(L / M)
+    assert out["bound"] == pytest.approx(1.0 + 2.0 * math.sqrt(out["L"] / out["M"]),
+                                         rel=1e-15)
+
+
 def test_h_tilde_exact_matches_closed_form():
     # the crossover depth solves A - log h - a h = 0; the closed form is
     # W(a e^A) / a
