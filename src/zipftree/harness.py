@@ -24,8 +24,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .objectives import NoiseModel, get_objective
-from .optimizers import (RunConfig, doo_run, sequool_run, soo_run,
-                         stroquool_run, uniform_run)
+from .optimizers import (RunConfig, check_stroquool_budget, doo_run,
+                         sequool_run, soo_run, stroquool_run, uniform_run)
 from .partition import (checked_delta, checked_integer, checked_range,
                         is_real)
 from .theory import check_nu_rho
@@ -247,7 +247,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1):
     jobs > 1 fans the runs over min(jobs, tasks) worker processes (results
     are merged back in grid order, so parallel output equals serial output).
     A grid that pairs a deterministic-feedback algorithm with a noise level
-    b != 0 is rejected before spec.out is opened.
+    b != 0, or StroquOOL with a budget below 8, is rejected before spec.out
+    is opened.
     """
     jobs = checked_integer(jobs, "jobs", 1)
     obj = get_objective(spec.objective)
@@ -258,6 +259,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1):
     if exact and max(spec.noise_b) != 0.0:
         raise ValueError(f"{exact.name} is a deterministic-feedback algorithm; "
                          f"run it with b=0 (got b={max(spec.noise_b)})")
+    if any(a.name == "stroquool" for a in spec.algorithms):
+        check_stroquool_budget(spec.budgets[0])  # budgets increase
     tasks = _tasks(spec)
     jobs = min(jobs, len(tasks))  # the pool forks every worker up front
     records = []

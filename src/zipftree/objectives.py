@@ -196,8 +196,16 @@ class EvaluationStream:
     fn is taken to be pure, so observe_sum keeps the last point object it
     evaluated with its value and reuses the value when the same object comes
     again -- as it does for a cell split with no width left, whose children
-    are the parent itself.  The match is on identity, not equality, so
-    (0.0,) and (-0.0,) never share a value and a NaN point needs no care.
+    are the parent itself, and for a child that carries its parent's centre
+    object (see partition.split_cell) when the parent was evaluated last.
+    The match is on identity, not equality, so (0.0,) and (-0.0,) never
+    share a value and a NaN point needs no care.
+
+    A caller that observes many points in one loop, as uniform_run's depth
+    step does, reads what the stream settled: `noise`, the model each
+    observation draws from (None when observations carry no noise), and
+    `last_value`, fn's value at the last point evaluated.  It then adds its
+    observations to n_evals itself.
     """
 
     def __init__(self, objective: Objective, noise: NoiseModel | None = None):
@@ -205,6 +213,14 @@ class EvaluationStream:
         self.n_evals = 0
         self._fn = objective.fn
         self._last_point, self._last_value = _NO_POINT, None
+
+    @property
+    def noise(self):
+        return self._noise
+
+    @property
+    def last_value(self):
+        return self._last_value
 
     def observe_sum(self, point, count):
         if point is self._last_point:

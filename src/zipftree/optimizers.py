@@ -22,13 +22,17 @@ evaluation stream, the optional event trace, the running best, the counts
 of openings, budget units and depth, and the RunResult.  SequOOL, StroquOOL
 and uniform open a whole depth at a time from lists kept in index order,
 and each keeps only what its next step reads: uniform the cells its next
-depth opens, StroquOOL the depth it explores plus, per evaluation count,
-the best cell made so far, from which cross-validation nominates.  SOO and
-DOO hold their unopened leaves in heaps, where one entry can stand for a
-run of consecutive copies of a fixed cell, opened without a split (see
-soo_run and doo_run).  An untraced SequOOL run stops
-opening cells once float64 leaves its level no new point, and adds up the
-openings it has left (see sequool_run).
+depth opens with the objective's value at their centres, StroquOOL the
+depth it explores plus, per evaluation count, the best cell made so far,
+from which cross-validation nominates.  The other four split and observe
+every cell they open through _Run.open.  uniform, whose schedule reads no
+values, books a whole depth at once and observes its children in one
+loop, calling the objective once per distinct centre (see uniform_run).
+SOO and DOO hold their unopened leaves in heaps, where one entry can stand
+for a run of consecutive copies of a fixed cell, opened without a split
+(see soo_run and doo_run).  An untraced SequOOL run stops opening cells
+once float64 leaves its level no new point, and adds up the openings it
+has left (see sequool_run).
 No schedule has a tuning option: a run reads the budget n, the branching
 K and the trace switch from RunConfig, and DOO also takes the smoothness
 (nu, rho) it assumes.
@@ -103,12 +107,13 @@ class _Run:
     a position in a list kept in index order); the running best keeps the
     highest value, ties going to the lowest (depth, key).
 
-    SequOOL, StroquOOL and uniform key ties on list positions and build
-    CellId indices only for a trace, on purpose: a depth-h index is an
-    integer below K^h, and SequOOL at n = 1e5 on garland reaches depth
-    8,272, where a K = 3 index has 13,111 bits.  Carrying the indices on
-    every run cost about 12% more wall time on perfbench's `deterministic`
-    workload and 2 MB more peak memory.
+    SequOOL and StroquOOL key ties on list positions and build CellId
+    indices only for a trace, on purpose: a depth-h index is an integer
+    below K^h, and SequOOL at n = 1e5 on garland reaches depth 8,272, where
+    a K = 3 index has 13,111 bits.  Carrying the indices on every run cost
+    about 12% more wall time on perfbench's `deterministic` workload and
+    2 MB more peak memory.  uniform keeps its own running best, which
+    needs no key (see uniform_run).
 
     SOO and DOO open a run of copies of a fixed cell (partition.fixed_cell)
     through open_copies(depth, index, count), which performs no split and no
@@ -167,7 +172,8 @@ class _Run:
         indices index .. index + count - 1 (None without a trace), one
         evaluation per child, without a split or an evaluation.  The running
         best stays, since a copy's children tie with it one depth deeper and
-        lose."""
+        lose.  uniform_run books each depth through it as well, then makes
+        and observes the children itself."""
         if self.trace is not None:
             self.trace += [("open", depth, i, 1)
                            for i in range(index, index + count)]
@@ -280,6 +286,12 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
 # StroquOOL
 # ---------------------------------------------------------------------------
 
+def check_stroquool_budget(n):
+    """Raise ValueError unless StroquOOL runs on budget n: n >= 8."""
+    if n < 8:
+        raise ValueError(f"budget n={n} too small: StroquOOL needs n >= 8")
+
+
 def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> RunResult:
     """Noise-adaptive search: harmonic schedule over (depth, evaluation count).
 
@@ -296,8 +308,7 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
     M uses log2 n (42 against 24 at n = 1e4); source not recorded.
     """
     n = cfg.budget_n
-    if n < 8:
-        raise ValueError(f"budget n={n} too small: StroquOOL needs n >= 8")
+    check_stroquool_budget(n)
     h_max = stroquool_h_max(n)
     p_max = h_max.bit_length() - 1  # floor(log2 h_max)
     run = _Run(obj, noise, cfg)
@@ -503,30 +514,53 @@ def doo_run(obj: Objective, cfg: RunConfig, nu: float, rho: float) -> RunResult:
 def uniform_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> RunResult:
     """Breadth-first openings in CellId order; recommends the best observed
     mean.  The root's representative is observed once up front so depth 0
-    participates (n openings cost K*n + 1 observations)."""
+    participates (n openings cost K*n + 1 observations).
+
+    The schedule reads no values, so each depth is one step: open_copies
+    books its openings, and one loop splits its cells and observes their
+    children in index order, one evaluation each.  A child that carries
+    its parent's centre object (partition.split_cell) takes the parent's
+    value instead of a new objective call; noise is still drawn for every
+    observation, in the same order.  The running best takes a mean only if
+    it is strictly higher: the root comes first and positions only grow,
+    so that is the lowest-CellId rule.
+    """
     n = cfg.budget_n
     run = _Run(obj, noise, cfg)
+    stream, K = run.stream, run.K
+    fn = obj.fn
+    draw = None if stream.noise is None else stream.noise.total
 
     # the root's one observation is the first candidate for the running
     # best; like every added evaluation it is summed onto 0.0 (-0.0 reads
     # 0.0), and a NaN reads -inf, so it loses to every later value
-    value = 0.0 + run.observe(run.root[2], 1)
-    run.best_value = value if value == value else -math.inf
-    run.best_key, run.best_point = (0, 0), run.root[2]
+    best = 0.0 + run.observe(run.root[2], 1)
+    if best != best:
+        best = -math.inf
+    point = run.root[2]
     run.log("evaluate", 0, 0, 1)
 
     # the depth-h cells that will be opened, in index order, so a cell's
-    # position is its CellId index.  A depth keeps only as many children as
-    # the budget left after it can open; the rest only compete for the
-    # running best
-    level, h = [run.root], 0
+    # position is its CellId index, with the objective's value at each
+    # centre.  A depth keeps only the `room` children that the budget left
+    # after it can open; the rest only compete for the running best
+    level, values, h = [run.root], [stream.last_value], 0
     while level:
-        need = n - run.units - len(level)
-        nxt = []
-        for t, cell in enumerate(level):
-            children = run.open(cell, h, t * run.K, 1, t)
-            if len(nxt) < need:
-                nxt += [child for _, child in children[:need - len(nxt)]]
-        level, h = nxt, h + 1
+        room = n - run.units - len(level)
+        run.open_copies(h, 0, len(level))
+        nxt, nxt_values = [], []
+        for cell, parent_value in zip(level, values):
+            centre = cell[2]
+            for child in split_cell(cell, h, K):
+                x = child[2]
+                v = parent_value if x is centre else float(fn(x))
+                mean = v if draw is None else v + draw(1)
+                if mean > best:
+                    best, point = mean, x
+                if room > 0:
+                    room -= 1
+                    nxt.append(child)
+                    nxt_values.append(v)
+        level, values, h = nxt, nxt_values, h + 1
 
-    return run.result()
+    return run.result(point, best)

@@ -25,6 +25,11 @@ EvaluationStream.observe_sum, which remembers the last point object it
 evaluated, calls the objective once for repeats of it.  `fixed_cell` tells a
 cell with no width left on any axis, which splits into itself K times at
 every depth.
+
+A child whose centre alone equals its parent's -- with odd K, the middle
+child of nearly every split -- carries the parent's centre object, so a
+caller can tell that repeated point by identity as well: uniform_run gives
+such a child its parent's value instead of calling the objective again.
 """
 
 from __future__ import annotations
@@ -139,6 +144,15 @@ def split_cell(cell, depth, K):
     zero (lo + 0*w/K turns -0.0 into +0.0), |lo| > DBL_MAX/2 (the centre
     overflows, so the guard raises), an infinite bound (the width is NaN)
     and a centre off its bounds.
+
+    Any other child whose centre equals the parent's bit for bit
+    (0.5*(a + b) == centre[axis] != 0.0) -- the middle child of an odd K,
+    as a rule -- gets the parent's centre object, so callers tell the
+    repeated point by identity: observe_sum's memo, and uniform_run, which
+    gives the child its parent's value instead of calling the objective.
+    A 1-D cell's children are built as (a,), (b,) and (mid,) directly; the
+    general path splices the split coordinate into slices of the parent's
+    tuples, which gives the same bits.
     """
     lower, upper, centre = cell
     axis = depth % len(lower)
@@ -151,21 +165,36 @@ def split_cell(cell, depth, K):
         return [cell] * K
     children = []
     a = lo + 0 * w / K
-    # the children differ from the parent only on `axis`
-    lo_head, lo_tail = lower[:axis], lower[axis + 1:]
-    up_head, up_tail = upper[:axis], upper[axis + 1:]
-    c_head, c_tail = centre[:axis], centre[axis + 1:]
-    for j in range(1, K + 1):
-        b = lo + j * w / K if j < K else hi
-        mid = 0.5 * (a + b)
-        if (a == lo and b == hi and mid == c != 0.0 and lo != 0.0
-                and hi != 0.0):
-            children.append(cell)
-        else:
-            children.append((lo_head + (a,) + lo_tail,
-                             up_head + (b,) + up_tail,
-                             c_head + (mid,) + c_tail))
-        a = b
+    if len(lower) == 1:
+        # the same children as below, built without slicing the parent
+        for j in range(1, K + 1):
+            b = lo + j * w / K if j < K else hi
+            mid = 0.5 * (a + b)
+            if mid != c or c == 0.0:
+                children.append(((a,), (b,), (mid,)))
+            elif a == lo and b == hi and lo != 0.0 and hi != 0.0:
+                children.append(cell)
+            else:
+                children.append(((a,), (b,), centre))
+            a = b
+    else:
+        # the children differ from the parent only on `axis`
+        lo_head, lo_tail = lower[:axis], lower[axis + 1:]
+        up_head, up_tail = upper[:axis], upper[axis + 1:]
+        c_head, c_tail = centre[:axis], centre[axis + 1:]
+        for j in range(1, K + 1):
+            b = lo + j * w / K if j < K else hi
+            mid = 0.5 * (a + b)
+            if mid != c or c == 0.0:
+                children.append((lo_head + (a,) + lo_tail,
+                                 up_head + (b,) + up_tail,
+                                 c_head + (mid,) + c_tail))
+            elif a == lo and b == hi and lo != 0.0 and hi != 0.0:
+                children.append(cell)
+            else:
+                children.append((lo_head + (a,) + lo_tail,
+                                 up_head + (b,) + up_tail, centre))
+            a = b
     if not (lo <= children[0][2][axis] and children[-1][2][axis] <= hi):
         raise ValueError(f"split of [{lo!r}, {hi!r}] on axis {axis} puts a "
                          f"child's centre outside the cell")

@@ -205,10 +205,14 @@ def sequool_bound(n, params: SmoothnessParams):
 
 def _log_n_bar(h, nu, rho, C, d, b, L):
     """log of n_bar = h (d+2) log(1/rho) nu^2 / (4 C b^2 L), formed from
-    logs: b^2 underflows below b ~ 1e-162, and n_bar overflows before that."""
+    logs: b^2 underflows below b ~ 1e-162, and n_bar overflows before that.
+    x = h (d+2) log(1/rho) / (4 C L) is logged whole unless it is 0 or not
+    finite (4 C L overflows for a huge C, and so can the numerator); then
+    its log is taken from its factors' logs."""
     x = h * (d + 2.0) * math.log(1.0 / rho) / (4.0 * C * L)
-    log_x = (math.log(x) if x < math.inf else _log_product(
-        h, d + 2.0, math.log(1.0 / rho), 1.0 / (4.0 * C * L)))
+    log_x = (math.log(x) if 0.0 < x < math.inf
+             else _log_product(h, d + 2.0, math.log(1.0 / rho))
+             - _log_product(4.0, C, L))
     return log_x + 2.0 * (math.log(nu) - math.log(b))
 
 

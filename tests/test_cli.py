@@ -3,6 +3,7 @@ import tempfile
 
 import pytest
 
+from test_harness import refuse_uniform_at
 from zipftree import harness
 from zipftree.cli import main
 from zipftree.harness import TaskError, read_records
@@ -104,17 +105,28 @@ def test_cli_rejects_a_non_finite_noise_level(tmp_path, capsys, b):
     assert not out.exists()
 
 
-def test_cli_names_a_failing_task(capsys):
-    assert main(["--algo", "stroquool", "--objective", "garland",
+def test_cli_names_a_failing_task(capsys, monkeypatch):
+    refuse_uniform_at(monkeypatch, 5)
+    assert main(["--algo", "uniform", "--objective", "garland",
                  "--budget", "5,20", "--seeds", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: task (algo=stroquool, objective=garland, "
+    assert err.startswith("error: task (algo=uniform, objective=garland, "
                           "n=5, b=0.0, rep=0) failed: ")
-    assert "StroquOOL needs n >= 8" in err
+    assert "refused n=5" in err
     # the same from a pool worker
-    assert main(["--algo", "stroquool", "--objective", "garland",
+    assert main(["--algo", "uniform", "--objective", "garland",
                  "--budget", "5,20", "--seeds", "1", "--jobs", "2"]) == 1
-    assert "StroquOOL needs n >= 8" in capsys.readouterr().err
+    assert "refused n=5" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_small_stroquool_budget_before_opening_out(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert main(["--algo", "stroquool", "--objective", "garland",
+                 "--budget", "5,100", "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == "error: budget n=5 too small: StroquOOL needs n >= 8\n"
+    assert not out.exists()
 
 
 def test_cli_rejects_jobs_below_one(tmp_path, capsys):

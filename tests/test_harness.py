@@ -307,27 +307,58 @@ def test_deterministic_algorithms_reject_noise():
         run_experiment(spec)
 
 
-def test_failing_task_is_named_with_its_cause(tmp_path):
-    # StroquOOL rejects n < 8, so exactly one task of this grid fails: the
-    # error names it and chains the runner's own exception
+def refuse_uniform_at(monkeypatch, n):
+    """Make harness's uniform runs raise ValueError at budget n; the runners
+    look uniform_run up at call time, and forked pool workers inherit it."""
+    run = harness.uniform_run
+
+    def refusing(obj, noise, cfg):
+        if cfg.budget_n == n:
+            raise ValueError(f"refused n={n}")
+        return run(obj, noise, cfg)
+
+    monkeypatch.setattr(harness, "uniform_run", refusing)
+
+
+def test_failing_task_is_named_with_its_cause(tmp_path, monkeypatch):
+    # exactly one task of this grid fails: the error names it and chains the
+    # runner's own exception
+    refuse_uniform_at(monkeypatch, 8)
     out = tmp_path / "grid.csv"
-    spec = small_spec(algorithms=["uniform", "stroquool"], budgets=[5, 50],
+    spec = small_spec(algorithms=["stroquool", "uniform"], budgets=[8, 50],
                       seeds=1, out=str(out))
     with pytest.raises(TaskError) as info:
         run_experiment(spec)
     assert str(info.value).startswith(
-        "task (algo=stroquool, objective=garland, n=5, b=0.0, rep=0) failed: ")
+        "task (algo=uniform, objective=garland, n=8, b=0.0, rep=0) failed: ")
     assert isinstance(info.value.__cause__, ValueError)
-    assert "StroquOOL needs n >= 8" in str(info.value.__cause__)
+    assert "refused n=8" in str(info.value.__cause__)
     # the rows of the tasks before it stay written
     assert [(r.algo, r.n) for r in read_records(str(out))] == [
-        ("uniform", 5), ("uniform", 50)]
+        ("stroquool", 8), ("stroquool", 50)]
     # a pool worker's failure names the same task and keeps its cause
-    with pytest.raises(TaskError, match=r"task \(algo=stroquool, objective="
-                       r"garland, n=5, b=0\.0, rep=0\) failed") as info:
-        run_experiment(small_spec(algorithms=["uniform", "stroquool"],
-                                  budgets=[5, 50], seeds=1), jobs=2)
+    with pytest.raises(TaskError, match=r"task \(algo=uniform, objective="
+                       r"garland, n=8, b=0\.0, rep=0\) failed") as info:
+        run_experiment(small_spec(algorithms=["stroquool", "uniform"],
+                                  budgets=[8, 50], seeds=1), jobs=2)
     assert isinstance(info.value.cause, ValueError)
+
+
+def test_a_stroquool_grid_below_budget_8_runs_no_task(tmp_path, monkeypatch):
+    # StroquOOL's n >= 8 is checked over the whole grid before spec.out is
+    # opened and before the first task
+    calls = []
+    monkeypatch.setattr(harness, "_run_one", calls.append)
+    out = tmp_path / "r.csv"
+    spec = small_spec(algorithms=["uniform", "stroquool"], budgets=[5, 100],
+                      out=str(out))
+    with pytest.raises(ValueError, match="budget n=5 too small: StroquOOL "
+                                         "needs n >= 8"):
+        run_experiment(spec)
+    assert calls == [] and not out.exists()
+    # the rule holds for StroquOOL only: a uniform grid runs both tasks
+    run_experiment(small_spec(algorithms=["uniform"], budgets=[1, 5], seeds=1))
+    assert len(calls) == 2
 
 
 def test_run_experiment_regret_scored_on_true_objective():

@@ -1,7 +1,8 @@
 """Peak Python heap of one run of each level-wise schedule that holds many
 cells, measured with tracemalloc.
 
-uniform keeps only the cells its next depth opens, and StroquOOL folds each
+uniform keeps only the cells its next depth opens, with the objective's
+value at each centre, and StroquOOL folds each
 depth into its per-count bests as soon as the depth is made, so both hold
 one depth at a time.  Holding every depth's (sum, cell) pairs instead took
 about 19 MB for uniform at n = 2e4 and 7 MB for StroquOOL at n = 1e6; the
@@ -30,6 +31,13 @@ def peak_mb(run):
 def test_uniform_holds_one_depth():
     peak = peak_mb(lambda: uniform_run(GARLAND, None, RunConfig(budget_n=20_000)))
     assert peak <= 10.0, f"uniform n=2e4 peaked at {peak:.2f} MB"
+
+
+def test_noisy_uniform_holds_one_depth():
+    # the same bound with noise: the draws come from a block of 4096
+    peak = peak_mb(lambda: uniform_run(GARLAND, NoiseModel(1.0, seed=0),
+                                       RunConfig(budget_n=20_000)))
+    assert peak <= 10.0, f"uniform b=1 n=2e4 peaked at {peak:.2f} MB"
 
 
 def test_stroquool_holds_one_depth():

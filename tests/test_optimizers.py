@@ -359,6 +359,27 @@ def test_uniform_matches_exhaustive_lattice_argmax():
         GARLAND.eval(best), abs=1e-15)
 
 
+@pytest.mark.parametrize("K,calls", [(2, 40_001), (3, 40_011), (5, 80_005)])
+def test_uniform_calls_the_objective_once_per_distinct_centre(K, calls):
+    # with odd K each opening's middle child shares its parent's centre and
+    # takes its value: at n = 2e4, K = 3 calls fn 40,011 times for 60,001
+    # observations (one call per distinct point) and K = 5 80,005 times for
+    # 100,001; an even K shares no centre
+    seen = []
+
+    def fn(p):
+        seen.append(p)
+        return GARLAND.fn(p)
+
+    obj = Objective("garland", GARLAND.domain, fn,
+                    optimum_value=GARLAND.optimum_value)
+    res = uniform_run(obj, None, RunConfig(budget_n=20_000, branching=K))
+    assert res.evaluations_used == K * 20_000 + 1
+    assert len(seen) == calls
+    assert res == uniform_run(GARLAND, None,
+                              RunConfig(budget_n=20_000, branching=K))
+
+
 def test_uniform_noise_reproducible():
     a = uniform_run(GARLAND, NoiseModel(0.2, seed=8), RunConfig(budget_n=50))
     b = uniform_run(GARLAND, NoiseModel(0.2, seed=8), RunConfig(budget_n=50))

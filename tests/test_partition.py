@@ -54,6 +54,30 @@ def test_root_children_centers_are_thirds():
     assert centers[2] == pytest.approx(5.0 / 6.0, abs=1e-15)
 
 
+def test_a_middle_child_carries_its_parents_centre_object():
+    # with odd K the middle child's centre equals its parent's bit for bit,
+    # so split_cell hands back the parent's centre object; no other child,
+    # and no child of an even K, shares it
+    cell = ((0.0,), (1.0,), (0.5,))
+    for K in (3, 5, 7):
+        kids = split_cell(cell, 0, K)
+        assert [k[2] is cell[2] for k in kids] == [j == K // 2 for j in range(K)]
+        assert kids[K // 2] is not cell
+    assert not any(k[2] is cell[2] for k in split_cell(cell, 0, 4))
+    # in 2-D the whole centre tuple is shared, whichever axis is split
+    square = ((0.0, 0.0), (1.0, 2.0), (0.5, 1.0))
+    for depth in (0, 1):
+        kids = split_cell(square, depth, 3)
+        assert [k[2] is square[2] for k in kids] == [False, True, False]
+    # a centre of 0.0 is not shared: 0.0 and -0.0 compare equal but differ
+    # in bits, so the rule asks for a nonzero centre
+    for bound, K in ((1.0, 5), (3.0, 3)):
+        zero = ((-bound,), (bound,), (0.0,))
+        kids = split_cell(zero, 0, K)
+        assert kids[K // 2][2] == (0.0,)
+        assert not any(k[2] is zero[2] for k in kids)
+
+
 def test_open_cell_bookkeeping():
     tree = make_tree(Box([0.0], [1.0]), branching=3)
     stream = stream_of()

@@ -143,6 +143,39 @@ def test_every_imported_name_is_read_in_its_module():
     assert dead == []
 
 
+def _defined_names(tree):
+    """The names a module defines: its functions, methods and classes, and
+    every variable or attribute it assigns."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            yield node.attr
+
+
+def test_no_module_reads_another_modules_private_names():
+    # x._name where x is not self or cls reads a private name; it must be
+    # one its own module defines (partition's Box._unchecked, say), so a
+    # module reaches another's state only through its public names
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined = set(_defined_names(tree))
+        found += [f"{path.name}:{node.lineno} {node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)
+                  and node.attr.startswith("_")
+                  and not node.attr.endswith("__")
+                  and not (isinstance(node.value, ast.Name)
+                           and node.value.id in ("self", "cls"))
+                  and node.attr not in defined]
+    assert found == []
+
+
 def _integer_rule_uses(tree):
     """Line numbers that state the integer rule: operator.index, `index`
     imported from operator, or the name "__index__"."""

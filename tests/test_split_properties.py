@@ -9,7 +9,9 @@ equal the formula's bit for bit, and the split raises exactly when the
 formula's guard fails.  Any other child that equals its parent bit for bit
 -- the straddling child of a one-ulp cell -- is the parent object too, and
 fixed_cell holds exactly when a cell splits into itself on every axis.
-The cell partition.cell_containing names, rebuilt by descending with
+A 1-D cell's split, which builds its tuples directly, equals the general
+path's split of the same cell with a second axis bit for bit and in which
+objects it shares with the parent.  The cell partition.cell_containing names, rebuilt by descending with
 split_cell, contains the point."""
 
 import math
@@ -266,3 +268,42 @@ def test_the_cell_containing_a_point_contains_it(drawn, K, depth):
     for h, j in enumerate(reversed(digits)):
         cell = split_cell(cell, h, K)[j]
     assert Box._unchecked(cell[0], cell[1]).contains(point), (cid, cell)
+
+
+@st.composite
+def one_d_cells(draw):
+    """(cell, K): a 1-D cell with bounds from bounds() or no width, and a
+    centre that is the formula's, a bound or any value."""
+    lo, hi = draw(st.one_of(bounds(), zero_width_bound().map(lambda v: (v, v))))
+    c = draw(st.sampled_from(["formula", "lo", "hi", "other"]))
+    mid = {"formula": 0.5 * (lo + hi), "lo": lo, "hi": hi}.get(c)
+    if mid is None:
+        mid = draw(st.one_of(finite, st.just(math.nan)))
+    return ((lo,), (hi,), (mid,)), draw(st.integers(min_value=2, max_value=7))
+
+
+def axis_0(children):
+    """The bits of each child's axis-0 bound and centre values."""
+    return [tuple(float.hex(part[0]) for part in child) for child in children]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(one_d_cells())
+def test_one_d_split_equals_the_general_path(drawn):
+    cell, K = drawn
+    (lo,), (hi,), (c,) = cell
+    wide = ((lo, 0.0), (hi, 1.0), (c, 0.5))  # axis 1 is never split at depth 0
+    try:
+        children = split_cell(cell, 0, K)
+    except ValueError:
+        with pytest.raises(ValueError):
+            split_cell(wide, 0, K)
+        return
+    general = split_cell(wide, 0, K)
+    assert axis_0(children) == axis_0(general)
+    assert [child is cell for child in children] == [child is wide for child in general]
+    # a child whose centre equals the parent's, other than a signed zero,
+    # carries the parent's centre object
+    shared = [child[2][0] == c != 0.0 for child in children]
+    assert [child[2] is cell[2] for child in children] == shared
+    assert [child[2] is wide[2] for child in general] == shared

@@ -286,6 +286,24 @@ def test_bounds_take_a_d_that_overflows_their_w_argument():
                                          rel=1e-15)
 
 
+def test_bounds_take_a_C_whose_product_with_L_overflows():
+    # 4 C L overflows at C = 1e308, so n_bar's x = h (d+2) log(1/rho) / (4 C L)
+    # reads 0 and is logged from its factors: the bounds are those of the
+    # largest C that does not overflow, and h_tilde keeps scaling as 1 / C
+    for nu, b in ((1.0, 0.1), (0.1, 1.0)):
+        big = stroquool_bounds(BoundInputs(10**4, b),
+                               SmoothnessParams(nu, 0.5, 1e308, 0.0))
+        ref = stroquool_bounds(BoundInputs(10**4, b),
+                               SmoothnessParams(nu, 0.5, 1e300, 0.0))
+        assert (big["regime"], big["bound"]) == (ref["regime"], ref["bound"])
+        assert big["h_tilde"] * 1e8 == pytest.approx(ref["h_tilde"], rel=1e-12)
+    # the low-noise bound is the noiseless one
+    assert stroquool_bounds(BoundInputs(10**4, 0.1),
+                            SmoothnessParams(1.0, 0.5, 1e308, 0.0))["bound"] == \
+        stroquool_bounds(BoundInputs(10**4, 0.0),
+                         SmoothnessParams(1.0, 0.5, 1e308, 0.0))["bound"] == 3.0
+
+
 def test_h_tilde_exact_matches_closed_form():
     # the crossover depth solves A - log h - a h = 0; the closed form is
     # W(a e^A) / a
