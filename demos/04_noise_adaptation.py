@@ -9,20 +9,19 @@
 import statistics
 
 from zipftree import (ExperimentSpec, NoiseModel, RunConfig, run_experiment,
-                      garland_objective, stroquool_run, uniform_run)
+                      garland_objective, stroquool_run, summarize, uniform_run)
 
 spec = ExperimentSpec(algorithms=["stroquool", "uniform"],
                       objective="garland", budgets=[10000],
                       noise_b=[0.0, 0.05, 0.2, 1.0], seeds=10)
-records = run_experiment(spec)
+# per (algo, n, b): the median and 90% quantile that --summary prints
+summary = summarize(run_experiment(spec))
 
 print(f"{'algo':>10} {'b':>6} {'median regret':>15} {'q90':>12}")
 for algo in ("stroquool", "uniform"):
     for b in spec.noise_b:
-        regs = sorted(r.regret for r in records
-                      if r.algo == algo and r.b == b)
-        q90 = regs[int(0.9 * (len(regs) - 1))]
-        print(f"{algo:>10} {b:>6g} {statistics.median(regs):>15.3e} {q90:>12.3e}")
+        g = summary[(algo, 10000, b)]
+        print(f"{algo:>10} {b:>6g} {g['median']:>15.3e} {g['q90']:>12.3e}")
 
 obj = garland_objective()
 print("\nvalue-estimate bias at b=1 (estimate - true value at the pick):")

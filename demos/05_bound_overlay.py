@@ -11,7 +11,7 @@ import math
 
 from zipftree import (BoundInputs, ExperimentSpec, SmoothnessParams,
                       count_near_optimal, garland_objective, run_experiment,
-                      sequool_bound, stroquool_bounds)
+                      sequool_bound, stroquool_bounds, summarize)
 
 params = SmoothnessParams(nu=1.0, rho=3 ** -0.5, C=11.0, d=0.0)
 obj = garland_objective()
@@ -33,15 +33,15 @@ records += run_experiment(ExperimentSpec(
 
 print(f"\n{'n':>6} {'seq bound':>11} {'seq regret':>11} "
       f"{'stro bound b=.1':>16} {'stro regret b=.1':>17}")
+median = {key: g["median"] for key, g in summarize(records).items()}
 for n in budgets:
-    seq = sorted(r.regret for r in records if r.algo == "sequool" and r.n == n)
-    stro = sorted(r.regret for r in records if r.algo == "stroquool" and r.n == n)
     try:
         sb = format(stroquool_bounds(BoundInputs(n, 0.1), params)["bound"], ">16.3e")
     except ValueError:
         sb = "n/a"  # n too small for the high-noise bound (its only error)
     print(f"{n:>6} {sequool_bound(n, params)['theorem']:>11.3e} "
-          f"{seq[len(seq) // 2]:>11.3e} {sb} {stro[len(stro) // 2]:>17.3e}")
+          f"{median[('sequool', n, 0.0)]:>11.3e} {sb} "
+          f"{median[('stroquool', n, 0.1)]:>17.3e}")
 
 out = stroquool_bounds(BoundInputs(n=6400, b=0.1), params)
 print(f"\nat n=6400, b=0.1: {out['regime']}-noise regime, "

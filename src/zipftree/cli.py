@@ -33,7 +33,8 @@ def build_parser():
     p.add_argument("--seeds", type=int, metavar="COUNT",
                    help="number of repeats per grid point (default 20)")
     p.add_argument("--delta", type=float, metavar="D",
-                   help="confidence parameter in (0, 1) (default 0.05)")
+                   help="confidence level in (0, 1), only written into the "
+                        "records header (default 0.05)")
     p.add_argument("--branching", type=int, metavar="K",
                    help="children per split (default 3)")
     p.add_argument("--out", metavar="PATH",

@@ -23,17 +23,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .objectives import NoiseModel, get_objective
+from .objectives import NoiseModel, checked_noise_range, get_objective
 from .optimizers import (RunConfig, check_stroquool_budget, doo_run,
                          sequool_run, soo_run, stroquool_run, uniform_run)
-from .partition import (checked_delta, checked_integer, checked_range,
-                        is_real)
+from .partition import checked_delta, checked_integer
 from .theory import check_nu_rho
-
-__all__ = [
-    "AlgoSpec", "ExperimentSpec", "RegretRecord", "TaskError", "derive_seed",
-    "run_experiment", "summarize", "read_records",
-]
 
 # name -> (deterministic feedback only, runner(a, obj, noise, cfg)) with a the
 # AlgoSpec; runners look the *_run functions up as module globals at call time
@@ -48,9 +42,23 @@ _ALGOS = {
 
 @dataclass(frozen=True)
 class AlgoSpec:
+    """One algorithm of a grid.  name is one of _ALGOS; doo, and only doo,
+    takes nu and rho, which pass check_nu_rho and are stored as floats."""
+
     name: str
     nu: float | None = None
     rho: float | None = None
+
+    def __post_init__(self):
+        if not (isinstance(self.name, str) and self.name in _ALGOS):
+            raise ValueError(f"unknown algorithm {self.name!r} "
+                             f"(known: {', '.join(sorted(_ALGOS))})")
+        if self.name == "doo":
+            check_nu_rho(self.nu, self.rho)
+            object.__setattr__(self, "nu", float(self.nu))
+            object.__setattr__(self, "rho", float(self.rho))
+        elif self.nu is not None or self.rho is not None:
+            raise ValueError(f"{self.name} takes no parameters")
 
     @property
     def label(self):
@@ -60,9 +68,8 @@ class AlgoSpec:
 
 
 def _exact(x):
-    """float(x) as `:g` writes it where that reads back as the same float,
-    else its repr, so distinct settings keep distinct labels."""
-    x = float(x)
+    """The float x as `:g` writes it where that reads back as x, else its
+    repr, so distinct settings keep distinct labels."""
     short = f"{x:g}"
     return short if float(short) == x else repr(x)
 
@@ -87,38 +94,25 @@ def _check_unique(values, name):
 
 
 def parse_algo(token) -> AlgoSpec:
-    """"sequool" | "doo:1.0:0.5" | {"name": "doo", "nu": 1, "rho": 0.5}"""
+    """The AlgoSpec of "sequool", "doo:1.0:0.5" or {"name": "doo", "nu": 1,
+    "rho": 0.5}; an AlgoSpec passes through.  AlgoSpec checks the setting,
+    and its ValueError comes back naming the token."""
     if isinstance(token, AlgoSpec):
         return token
-    if isinstance(token, dict):
-        spec = AlgoSpec(token.get("name"), token.get("nu"), token.get("rho"))
-        if not (isinstance(spec.name, str) and all(
-                v is None or is_real(v) for v in (spec.nu, spec.rho))):
-            raise ValueError(f"algorithm {token!r} invalid: name must be a "
-                             "string, nu and rho numbers")
-    else:
-        name, *rest = str(token).split(":")
-        if name == "doo":
-            if len(rest) != 2:
-                raise ValueError(
-                    f"algorithm token {token!r} invalid: doo needs nu and rho, "
-                    "e.g. doo:1.0:0.5")
-            spec = AlgoSpec("doo", float(rest[0]), float(rest[1]))
-        else:
-            if rest:
-                raise ValueError(f"algorithm {name!r} takes no parameters")
-            spec = AlgoSpec(name)
-    if spec.name not in _ALGOS:
-        raise ValueError(f"unknown algorithm {spec.name!r} "
-                         f"(known: {', '.join(sorted(_ALGOS))})")
-    if spec.name == "doo":
-        if spec.nu is None or spec.rho is None:
-            raise ValueError("doo requires nu and rho")
-        try:
-            check_nu_rho(spec.nu, spec.rho)
-        except ValueError as exc:
-            raise ValueError(f"algorithm {token!r} invalid: {exc}") from None
-    return spec
+    try:
+        if isinstance(token, dict):
+            unknown = token.keys() - {"name", "nu", "rho"}
+            if unknown:
+                raise ValueError("unknown settings: "
+                                 + ", ".join(sorted(map(str, unknown))))
+            return AlgoSpec(token.get("name"), token.get("nu"), token.get("rho"))
+        name, *params = str(token).split(":")
+        if len(params) != (2 if name == "doo" else 0):
+            raise ValueError("doo needs nu and rho, e.g. doo:1.0:0.5"
+                             if name == "doo" else f"{name} takes no parameters")
+        return AlgoSpec(name, *map(float, params))
+    except ValueError as exc:
+        raise ValueError(f"algorithm {token!r} invalid: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -130,7 +124,10 @@ class ExperimentSpec:
     a repeat count >= 1 or a nonempty list of repeat indices (so a later
     spec can extend an earlier run without recomputing it), stored as the
     tuple of repeat indices: a count c gives 0..c-1.  No axis repeats an
-    entry (algorithms by label).  The spec is frozen.
+    entry (algorithms by label).  The objective must be known and have an
+    optimum; sequool, soo and doo run only with b = 0, and stroquool only
+    with n >= 8.  delta is only written into the records header: no run
+    reads it.  The spec is frozen.
     """
 
     algorithms: tuple
@@ -151,13 +148,16 @@ class ExperimentSpec:
             _checked_axis(self.algorithms, "algorithms", parse_algo))
         if not isinstance(self.objective, str):
             raise ValueError(f"objective must be a name: {self.objective!r}")
+        if get_objective(self.objective).optimum_value is None:
+            raise ValueError(f"objective {self.objective!r} has no "
+                             "optimum_value; cannot score regret")
         put("budgets", _checked_axis(self.budgets, "budgets",
                                      lambda v: checked_integer(v, "budgets", 1)))
         if any(b >= a for a, b in zip(self.budgets[1:], self.budgets)):
             raise ValueError("budgets must be strictly increasing")
         noise_b = (0.0,) if self.noise_b is None else self.noise_b
-        put("noise_b", _checked_axis(noise_b, "noise_b",
-                                     lambda v: checked_range(v, "noise_b")))
+        put("noise_b", _checked_axis(
+            noise_b, "noise_b", lambda v: checked_noise_range(v, "noise_b")))
         put("delta", checked_delta(self.delta))
         put("branching", checked_integer(self.branching, "branching", 2))
         if not (self.out is None or isinstance(self.out, (str, os.PathLike))):
@@ -175,6 +175,13 @@ class ExperimentSpec:
         _check_unique([a.label for a in self.algorithms], "algorithms")
         _check_unique(self.noise_b, "noise_b")
         _check_unique(self.seeds, "seeds")
+        exact = next((a for a in self.algorithms if _ALGOS[a.name][0]), None)
+        if exact and max(self.noise_b) != 0.0:
+            raise ValueError(f"{exact.name} is a deterministic-feedback "
+                             "algorithm; run it with b=0 "
+                             f"(got b={max(self.noise_b)})")
+        if any(a.name == "stroquool" for a in self.algorithms):
+            check_stroquool_budget(self.budgets[0])  # budgets increase
 
 
 @dataclass
@@ -246,21 +253,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1):
     Records are written incrementally to spec.out (CSV) as runs finish;
     jobs > 1 fans the runs over min(jobs, tasks) worker processes (results
     are merged back in grid order, so parallel output equals serial output).
-    A grid that pairs a deterministic-feedback algorithm with a noise level
-    b != 0, or StroquOOL with a budget below 8, is rejected before spec.out
-    is opened.
+    The spec checked its grid when it was built; jobs, an integer >= 1, is
+    checked before spec.out is opened.
     """
     jobs = checked_integer(jobs, "jobs", 1)
-    obj = get_objective(spec.objective)
-    if obj.optimum_value is None:
-        raise ValueError(f"objective {spec.objective!r} has no optimum_value; "
-                         "cannot score regret")
-    exact = next((a for a in spec.algorithms if _ALGOS[a.name][0]), None)
-    if exact and max(spec.noise_b) != 0.0:
-        raise ValueError(f"{exact.name} is a deterministic-feedback algorithm; "
-                         f"run it with b=0 (got b={max(spec.noise_b)})")
-    if any(a.name == "stroquool" for a in spec.algorithms):
-        check_stroquool_budget(spec.budgets[0])  # budgets increase
     tasks = _tasks(spec)
     jobs = min(jobs, len(tasks))  # the pool forks every worker up front
     records = []

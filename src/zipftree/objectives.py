@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -108,11 +109,22 @@ class Objective:
 _NOISE_BLOCK = 4096  # draws taken from the generator at a time
 
 
+def checked_noise_range(value, name) -> float:
+    """checked_range(value, name) of a noise range b whose width 2b is
+    finite, as numpy's uniform(-b, b) requires: b <= DBL_MAX/2."""
+    b = checked_range(value, name)
+    if b > sys.float_info.max / 2:
+        raise ValueError(f"{name} must be <= DBL_MAX/2, so that its width 2b "
+                         f"is finite: {value!r}")
+    return b
+
+
 class NoiseModel:
     """Bounded zero-mean observation noise: y = f(x) + eps with eps uniform
-    on [-b, b], b being range_b, a real number that is finite and >= 0,
-    fixed at construction.  Each instance owns a private stream, seeded by
-    the integer seed >= 0; use one instance per run.
+    on [-b, b], b being range_b, a real number >= 0 whose width 2b is
+    finite (checked_noise_range), fixed at construction.  Each instance
+    owns a private stream, seeded by the integer seed >= 0; use one
+    instance per run.
 
     Draws are read from a block drawn ahead (rng.random, 4096 at a time)
     and scaled as each block is drawn, with the operations numpy's
@@ -128,7 +140,7 @@ class NoiseModel:
     """
 
     def __init__(self, range_b, seed=0):
-        self._range_b = checked_range(range_b, "range_b")
+        self._range_b = checked_noise_range(range_b, "range_b")
         self.seed = checked_integer(seed, "seed", 0)
         self._rng = np.random.default_rng(self.seed)
         self._block = np.empty(0)  # scaled draws; those before _pos are spent

@@ -53,11 +53,6 @@ from .objectives import EvaluationStream, NoiseModel, Objective
 from .partition import checked_integer, fixed_cell, make_tree, split_cell
 from .theory import check_nu_rho, harmonic, stroquool_h_max
 
-__all__ = [
-    "RunConfig", "RunResult",
-    "sequool_run", "stroquool_run", "soo_run", "doo_run", "uniform_run",
-]
-
 
 @dataclass(frozen=True)
 class RunConfig:

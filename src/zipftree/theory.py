@@ -29,11 +29,6 @@ import numpy as np
 from .partition import (checked_delta, checked_integer, checked_range,
                         is_finite, is_real, split_cell)
 
-__all__ = [
-    "SmoothnessParams", "BoundInputs", "harmonic", "stroquool_h_max",
-    "lambert_w", "sequool_bound", "stroquool_bounds", "count_near_optimal",
-]
-
 # ---------------------------------------------------------------------------
 # harmonic numbers
 # ---------------------------------------------------------------------------

@@ -39,20 +39,29 @@ def test_parse_algo_forms():
         parse_algo("doo:1.0")
     with pytest.raises(ValueError, match="takes no parameters"):
         parse_algo("soo:1.0")
-    with pytest.raises(ValueError, match="doo requires nu and rho"):
+    with pytest.raises(ValueError, match="invalid: nu must be > 0 and finite"):
         parse_algo({"name": "doo"})
-    # DOO's own range checks, before any task of a grid runs
+    # AlgoSpec's checks, before any task of a grid runs, naming the token
     for token, message in (("doo:-1:0.5", "nu must be > 0"),
                            ("doo:1:2", r"rho must be in \(0, 1\)"),
                            ("doo:1:nan", r"rho must be in \(0, 1\)"),
-                           ({"name": "doo", "nu": 0, "rho": 0.5}, "nu must be > 0")):
+                           ("doo:x:0.5", "could not convert string to float"),
+                           ({"name": "doo", "nu": 0, "rho": 0.5}, "nu must be > 0"),
+                           ({"name": ["doo"]}, r"unknown algorithm \['doo'\]"),
+                           ({"name": "doo", "nu": "1", "rho": 0.5},
+                            "nu must be > 0 and finite"),
+                           ({"name": "doo", "nu": 1, "rho": True},
+                            r"rho must be in \(0, 1\)")):
         with pytest.raises(ValueError, match=f"algorithm .* invalid: {message}"):
             parse_algo(token)
-    for token in ({"name": ["doo"]}, {"name": "doo", "nu": "1", "rho": 0.5},
-                  {"name": "doo", "nu": 1, "rho": True}):
-        with pytest.raises(ValueError, match="name must be a string, nu and "
-                           "rho numbers"):
-            parse_algo(token)
+
+
+def test_algo_spec_stores_doo_settings_as_floats():
+    # the floats doo runs with, as its label writes them
+    doo = AlgoSpec("doo", 1, np.float32(0.6))
+    assert (type(doo.nu), type(doo.rho)) == (float, float)
+    assert (doo.nu, doo.rho) == (1.0, float(np.float32(0.6)))
+    assert AlgoSpec("doo", 1, 0.5) == parse_algo("doo:1:0.5")
 
 
 @pytest.mark.parametrize("b", [math.nan, math.inf])
@@ -117,8 +126,9 @@ def test_spec_rejects_a_field_of_another_type(field, value, message):
 
 
 def test_spec_takes_any_integer_type():
-    spec = small_spec(budgets=(np.int64(50), 150), branching=np.int64(2),
-                      master_seed=np.int32(7), noise_b=[0, np.float32(0.5)])
+    spec = small_spec(algorithms=["stroquool"], budgets=(np.int64(50), 150),
+                      branching=np.int64(2), master_seed=np.int32(7),
+                      noise_b=[0, np.float32(0.5)])
     assert spec.budgets == (50, 150) and spec.noise_b == (0.0, 0.5)
     assert (type(spec.branching), type(spec.master_seed)) == (int, int)
 
@@ -156,12 +166,13 @@ def test_spec_rejects_a_repeated_axis_entry(tmp_path, overrides, message):
 def test_spec_keeps_distinct_axis_entries():
     # a DOO label writes nu and rho exactly, so distinct settings never clash
     spec = small_spec(algorithms=["doo:1:0.6", "doo:1.0000001:0.6",
-                                  "doo:1:0.5", "soo"],
-                      noise_b=[0.0, 0.1], seeds=[2, 0])
+                                  "doo:1:0.5", "soo"], seeds=[2, 0])
     assert [a.label for a in spec.algorithms] == [
         "doo:nu=1:rho=0.6", "doo:nu=1.0000001:rho=0.6", "doo:nu=1:rho=0.5",
         "soo"]
-    assert spec.noise_b == (0.0, 0.1) and spec.seeds == (2, 0)
+    assert spec.seeds == (2, 0)
+    spec = small_spec(algorithms=["stroquool"], noise_b=[0.0, 0.1])
+    assert spec.noise_b == (0.0, 0.1)
 
 
 def test_doo_settings_that_print_alike_write_distinct_rows(tmp_path):
@@ -299,12 +310,10 @@ def test_run_experiment_subgrid_consistency():
 
 
 def test_deterministic_algorithms_reject_noise():
-    spec = small_spec(algorithms=["sequool"], noise_b=[0.1])
     with pytest.raises(ValueError, match="deterministic-feedback"):
-        run_experiment(spec)
-    spec = small_spec(algorithms=["doo:1.0:0.5"], noise_b=[0.1], budgets=[20])
+        small_spec(algorithms=["sequool"], noise_b=[0.1])
     with pytest.raises(ValueError, match="deterministic-feedback"):
-        run_experiment(spec)
+        small_spec(algorithms=["doo:1.0:0.5"], noise_b=[0.1], budgets=[20])
 
 
 def refuse_uniform_at(monkeypatch, n):
@@ -345,16 +354,15 @@ def test_failing_task_is_named_with_its_cause(tmp_path, monkeypatch):
 
 
 def test_a_stroquool_grid_below_budget_8_runs_no_task(tmp_path, monkeypatch):
-    # StroquOOL's n >= 8 is checked over the whole grid before spec.out is
-    # opened and before the first task
+    # StroquOOL's n >= 8 is checked over the whole grid when the spec is
+    # built, before spec.out is opened and before the first task
     calls = []
     monkeypatch.setattr(harness, "_run_one", calls.append)
     out = tmp_path / "r.csv"
-    spec = small_spec(algorithms=["uniform", "stroquool"], budgets=[5, 100],
-                      out=str(out))
     with pytest.raises(ValueError, match="budget n=5 too small: StroquOOL "
                                          "needs n >= 8"):
-        run_experiment(spec)
+        small_spec(algorithms=["uniform", "stroquool"], budgets=[5, 100],
+                   out=str(out))
     assert calls == [] and not out.exists()
     # the rule holds for StroquOOL only: a uniform grid runs both tasks
     run_experiment(small_spec(algorithms=["uniform"], budgets=[1, 5], seeds=1))
@@ -442,15 +450,31 @@ def test_summarize_groups_and_quantiles():
 
 
 def test_a_noisy_deterministic_grid_runs_no_task(tmp_path, monkeypatch):
-    # the feedback rule is checked over the whole grid before spec.out is
-    # opened and before the first task, wherever the noise level sits
+    # the feedback rule is checked over the whole grid when the spec is
+    # built, before spec.out is opened and before the first task, wherever
+    # the noise level sits
     calls = []
     monkeypatch.setattr(harness, "_run_one", calls.append)
     out = tmp_path / "r.csv"
     for algorithms in (["stroquool", "sequool"], ["uniform", "doo:1:0.5"]):
-        spec = small_spec(algorithms=algorithms, noise_b=[0.0, 0.2],
-                          out=str(out))
         with pytest.raises(ValueError, match=r"deterministic-feedback "
                            r"algorithm; run it with b=0 \(got b=0\.2\)"):
-            run_experiment(spec)
+            small_spec(algorithms=algorithms, noise_b=[0.0, 0.2], out=str(out))
     assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(algorithms=[AlgoSpec("soo")], noise_b=[0.1]),
+     "soo is a deterministic-feedback algorithm; run it with b=0 (got b=0.1)"),
+    (dict(algorithms=["stroquool"], budgets=[7, 50]),
+     "budget n=7 too small: StroquOOL needs n >= 8"),
+    (dict(objective="nope"), "unknown objective 'nope' (known: garland, "
+     "wrapped-sine)"),
+], ids=["noisy-soo", "small-stroquool-budget", "unknown-objective"])
+def test_the_spec_checks_its_grid_when_it_is_built(tmp_path, overrides,
+                                                    message):
+    # these rules used to wait for run_experiment
+    out = tmp_path / "r.csv"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        small_spec(out=str(out), **overrides)
+    assert not out.exists()

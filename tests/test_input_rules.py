@@ -6,13 +6,16 @@ rejected input raises ValueError, and the message names the setting as the
 caller passed it.  A checked bundle cannot be reassigned afterwards."""
 
 import dataclasses
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from zipftree.cli import main
-from zipftree.harness import ExperimentSpec, parse_algo, run_experiment
+from zipftree.harness import (AlgoSpec, ExperimentSpec, parse_algo,
+                              run_experiment)
 from zipftree.objectives import (EvaluationStream, NoiseModel, Objective,
                                  garland_objective)
 from zipftree.optimizers import RunConfig, doo_run, stroquool_run
@@ -122,7 +125,7 @@ REJECTED = [
     ("SmoothnessParams-d", "d must be >= 0", lambda: SmoothnessParams(1.0, 0.5, 2.0, -1.0)),
     ("parse_algo-doo-nu", "nu must be > 0", lambda: parse_algo("doo:-1:0.5")),
     ("parse_algo-doo-rho", r"rho must be in \(0, 1\)", lambda: parse_algo("doo:1:2")),
-    ("parse_algo-str-nu", "nu and rho numbers",
+    ("parse_algo-str-nu", "nu must be > 0 and finite",
      lambda: parse_algo({"name": "doo", "nu": "1", "rho": 0.5})),
     ("stroquool_run-n7", "StroquOOL needs n >= 8",
      lambda: stroquool_run(const(), None, RunConfig(budget_n=7))),
@@ -243,6 +246,22 @@ NOW_REJECTED = [
      lambda: doo_run(garland_objective(), RunConfig(budget_n=50), True, 0.5)),
     ("parse_algo-doo-inf-nu", "nu must be > 0 and finite",
      lambda: parse_algo("doo:inf:0.5")),
+    # each used to build, then fail in run_experiment or inside a task
+    ("AlgoSpec-unknown", "unknown algorithm 'bogus'", lambda: AlgoSpec("bogus")),
+    ("AlgoSpec-doo-bare", "nu must be > 0 and finite", lambda: AlgoSpec("doo")),
+    ("AlgoSpec-doo-range", "nu must be > 0 and finite",
+     lambda: AlgoSpec("doo", -1.0, 5.0)),
+    ("AlgoSpec-uniform-nu", "uniform takes no parameters",
+     lambda: AlgoSpec("uniform", 5.0)),
+    ("parse_algo-uniform-nu-rho", "invalid: uniform takes no parameters",
+     lambda: parse_algo({"name": "uniform", "nu": 5, "rho": 0.5})),
+    ("parse_algo-unknown-setting", "invalid: unknown settings: typo_rho",
+     lambda: parse_algo({"name": "doo", "nu": 1, "rho": 0.5, "typo_rho": 0.9})),
+    # 2b overflowed, and every draw was +-inf
+    ("NoiseModel-width-overflow", "range_b must be <= DBL_MAX/2",
+     lambda: NoiseModel(1e308)),
+    ("ExperimentSpec-width-overflow", "noise_b must be <= DBL_MAX/2",
+     lambda: spec(noise_b=[1e308])),
 ]
 
 
@@ -296,6 +315,32 @@ def test_a_range_too_large_for_a_float_raises_value_error(value):
             call()
 
 
+def test_the_widest_noise_range_draws_finite_values():
+    # 2b is DBL_MAX itself; a bound keeps taking any finite b
+    b = sys.float_info.max / 2
+    draws = NoiseModel(b, seed=3).offsets(10_000)
+    assert np.all(np.isfinite(draws)) and np.all(np.abs(draws) <= b)
+    assert BoundInputs(100, 1e308).b == 1e308
+
+
+@pytest.mark.parametrize("algorithm", [
+    {"name": "uniform", "nu": 5, "rho": 0.5},
+    {"name": "doo", "nu": 1, "rho": 0.5, "typo_rho": 0.9},
+    {"name": "doo", "nu": -1, "rho": 5},
+], ids=["uniform-with-nu-rho", "doo-typo", "doo-range"])
+def test_a_config_with_a_bad_algorithm_prints_one_error_line(
+        tmp_path, capsys, algorithm):
+    path, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+    path.write_text(json.dumps({"algorithms": [algorithm], "objective": "garland",
+                                "budgets": [10], "out": str(out)}))
+    assert main(["--config", str(path)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith(f"error: algorithm {algorithm!r} invalid: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_a_config_with_a_range_too_large_for_a_float_prints_one_error_line(
         tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -322,7 +367,7 @@ def test_seeds_take_numpy_integers():
 
 @pytest.mark.parametrize("bundle", [
     RunConfig(100), SmoothnessParams(1.0, 0.5, 2.0), BoundInputs(100, 0.1),
-    spec()], ids=lambda b: type(b).__name__)
+    spec(), AlgoSpec("doo", 1.0, 0.5)], ids=lambda b: type(b).__name__)
 def test_a_checked_bundle_cannot_be_reassigned(bundle):
     # p.nu = math.inf used to make sequool_bound's theorem inf, and
     # cfg.budget_n = 50.5 let SOO run 51 openings

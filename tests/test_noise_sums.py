@@ -76,6 +76,11 @@ def test_numpy_sums_fewer_than_8_values_one_at_a_time_from_zero():
             assert bits(sequential_sum(signs)) == bits(float(np.array(signs).sum()))
 
 
+def total_through_offsets(self, count):
+    """NoiseModel.total by its definition."""
+    return float(self.offsets(count).sum())
+
+
 def observe_sum_through_offsets(self, point, count):
     """EvaluationStream.observe_sum as it was before NoiseModel.total."""
     if point is self._last_point:
@@ -109,7 +114,10 @@ def test_noisy_runs_equal_the_runs_that_sum_through_offsets(monkeypatch, run):
         return out
 
     new = runs()
+    # uniform's depth step draws through stream.noise.total itself, so the
+    # reference path replaces that too
     monkeypatch.setattr(EvaluationStream, "observe_sum", observe_sum_through_offsets)
+    monkeypatch.setattr(NoiseModel, "total", total_through_offsets)
     old = runs()
     for (obj, k, b, n), got, want in zip(grid, new, old):
         assert got == want, (obj.name, k, b, n)

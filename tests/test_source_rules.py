@@ -242,3 +242,27 @@ def test_random_draws_live_only_in_objectives_noise_model():
     inside, outside = _uses_inside_and_outside(
         _random_uses, "objectives.py", "NoiseModel")
     assert inside and outside == []
+
+
+def _is_frozen_dataclass(decorator):
+    """True for the decorator `@dataclass(frozen=True)`."""
+    return (isinstance(decorator, ast.Call)
+            and getattr(decorator.func, "id", None) == "dataclass"
+            and any(k.arg == "frozen" and getattr(k.value, "value", False)
+                    for k in decorator.keywords))
+
+
+def test_every_frozen_dataclass_checks_itself():
+    # a frozen bundle is checked state: it checks its fields in
+    # __post_init__, so no caller has to check them again
+    found, unchecked = [], []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ClassDef)
+                    and any(map(_is_frozen_dataclass, node.decorator_list))):
+                found.append(node.name)
+                if not any(isinstance(item, ast.FunctionDef)
+                           and item.name == "__post_init__"
+                           for item in node.body):
+                    unchecked.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found and unchecked == []
