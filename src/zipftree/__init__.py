@@ -2,7 +2,7 @@
 
 Global optimization of a function observed point-by-point (optionally through
 bounded noise), using only a recursive partitioning of the domain and the
-total evaluation budget n -- no smoothness parameters, no step sizes.  The
+total opening budget n -- no smoothness parameters, no step sizes.  The
 two main algorithms spread openings across tree depths in inverse proportion
 to depth; the stochastic variant additionally doubles per-cell evaluation
 counts to adapt to the (unknown) noise range.

@@ -12,23 +12,38 @@ from .harness import (ExperimentSpec, TaskError, format_summary,
                       record_writer, run_experiment, summarize)
 
 
+def _comma_list(convert):
+    """An argparse type: "100,,250" -> [convert("100"), convert("250")]."""
+    def entry(text):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+    return lambda text: [entry(t) for t in text.split(",") if t]
+
+
 def build_parser():
+    # every dest but config, jobs and summary is an ExperimentSpec field
     p = argparse.ArgumentParser(
-        prog="zipftree",
+        prog="zipftree", exit_on_error=False,
         description="Run hierarchical-partitioning optimizer experiments and "
                     "emit simple-regret records as CSV.")
     p.add_argument("--config", metavar="PATH",
                    help="JSON file with ExperimentSpec fields; "
                         "flags below override it")
-    p.add_argument("--algo", action="append", metavar="NAME",
+    p.add_argument("--algo", dest="algorithms", action="extend",
+                   type=_comma_list(str), metavar="NAME",
                    help="algorithm to run: sequool, stroquool, soo, uniform, "
                         "or doo:NU:RHO (repeatable)")
     p.add_argument("--objective", metavar="NAME",
                    help="benchmark objective: garland or wrapped-sine")
-    p.add_argument("--budget", action="append", metavar="N",
-                   help="evaluation budget(s); repeatable, commas allowed "
+    p.add_argument("--budget", dest="budgets", action="extend",
+                   type=_comma_list(int), metavar="N",
+                   help="opening budget(s) n; repeatable, commas allowed "
                         "(e.g. --budget 100,1000)")
-    p.add_argument("--noise-b", action="append", metavar="B",
+    p.add_argument("--noise-b", action="extend", type=_comma_list(float),
+                   metavar="B",
                    help="noise half-range(s) b >= 0; repeatable, commas allowed")
     p.add_argument("--seeds", type=int, metavar="COUNT",
                    help="number of repeats per grid point (default 20)")
@@ -48,39 +63,21 @@ def build_parser():
     return p
 
 
-def _split_multi(values):
-    """["100,1000", "250"] -> ["100", "1000", "250"]"""
-    out = []
-    for v in values:
-        out.extend(tok for tok in str(v).split(",") if tok)
-    return out
-
-
 def spec_from_args(args) -> ExperimentSpec:
+    names = [f.name for f in dataclasses.fields(ExperimentSpec)]
     fields = {}
     if args.config:
         with open(args.config) as fh:
             fields = json.load(fh)
         if not isinstance(fields, dict):
             raise ValueError(f"--config {args.config}: not a JSON object")
-        unknown = fields.keys() - {f.name for f in
-                                   dataclasses.fields(ExperimentSpec)}
+        unknown = fields.keys() - set(names)
         if unknown:
             raise ValueError(f"--config {args.config}: unknown settings: "
                              + ", ".join(sorted(unknown)))
-    if args.algo:
-        fields["algorithms"] = _split_multi(args.algo)
-    if args.objective:
-        fields["objective"] = args.objective
-    if args.budget:
-        fields["budgets"] = [int(v) for v in _split_multi(args.budget)]
-    if args.noise_b:
-        fields["noise_b"] = [float(v) for v in _split_multi(args.noise_b)]
-    for key in ("seeds", "delta", "branching", "out", "master_seed"):
-        if getattr(args, key) is not None:
-            fields[key] = getattr(args, key)
-    missing = [k for k in ("algorithms", "objective", "budgets")
-               if not fields.get(k)]
+    fields.update((name, getattr(args, name)) for name in names
+                  if getattr(args, name) is not None)
+    missing = [k for k in ("algorithms", "objective", "budgets") if not fields.get(k)]
     if missing:
         raise ValueError("missing required settings: " + ", ".join(missing)
                          + " (pass --algo/--objective/--budget or --config)")
@@ -88,8 +85,8 @@ def spec_from_args(args) -> ExperimentSpec:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         spec = spec_from_args(args)
         records = run_experiment(spec, jobs=args.jobs)
         if spec.out is None:
@@ -98,7 +95,7 @@ def main(argv=None) -> int:
                 write(rec)
         if args.summary:
             print(format_summary(summarize(records)))
-    except (ValueError, OSError, TaskError) as exc:
+    except (argparse.ArgumentError, ValueError, OSError, TaskError) as exc:
         if isinstance(exc, TaskError) and not isinstance(exc.cause, ValueError):
             raise  # not a rejected input but a fault: keep the traceback
         print(f"error: {exc}", file=sys.stderr)

@@ -120,14 +120,14 @@ class ExperimentSpec:
     """One experimental grid.
 
     algorithms, budgets and noise_b are nonempty lists or tuples, stored as
-    tuples of their checked entries; noise_b None means (0.0,).  seeds is
-    a repeat count >= 1 or a nonempty list of repeat indices (so a later
-    spec can extend an earlier run without recomputing it), stored as the
-    tuple of repeat indices: a count c gives 0..c-1.  No axis repeats an
-    entry (algorithms by label).  The objective must be known and have an
-    optimum; sequool, soo and doo run only with b = 0, and stroquool only
-    with n >= 8.  delta is only written into the records header: no run
-    reads it.  The spec is frozen.
+    tuples of their checked entries (noise_b None means (0.0,), and -0.0 is
+    0.0).  seeds is a repeat count >= 1 or a nonempty list of repeat indices
+    (so a later spec can extend an earlier run), stored as the tuple of
+    repeat indices: a count c gives 0..c-1.  No axis repeats an entry
+    (algorithms by label).  out is None (print) or a nonempty path.  The
+    objective must be known and have an optimum; sequool, soo and doo run
+    only with b = 0, and stroquool only with n >= 8.  delta is only written
+    into the records header: no run reads it.  The spec is frozen.
     """
 
     algorithms: tuple
@@ -160,7 +160,8 @@ class ExperimentSpec:
             noise_b, "noise_b", lambda v: checked_noise_range(v, "noise_b")))
         put("delta", checked_delta(self.delta))
         put("branching", checked_integer(self.branching, "branching", 2))
-        if not (self.out is None or isinstance(self.out, (str, os.PathLike))):
+        if not (self.out is None or (isinstance(self.out, (str, os.PathLike))
+                                     and self.out != "")):
             raise ValueError(f"out must be a path: {self.out!r}")
         put("master_seed", checked_integer(self.master_seed, "master_seed"))
         try:
@@ -174,6 +175,7 @@ class ExperimentSpec:
             raise ValueError("seeds must be a count >= 1 or a nonempty list")
         _check_unique([a.label for a in self.algorithms], "algorithms")
         _check_unique(self.noise_b, "noise_b")
+        put("noise_b", tuple(b + 0.0 for b in self.noise_b))  # -0.0 labels as 0
         _check_unique(self.seeds, "seeds")
         exact = next((a for a in self.algorithms if _ALGOS[a.name][0]), None)
         if exact and max(self.noise_b) != 0.0:
@@ -260,7 +262,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1):
     tasks = _tasks(spec)
     jobs = min(jobs, len(tasks))  # the pool forks every worker up front
     records = []
-    with (open(spec.out, "w", newline="") if spec.out else nullcontext()) as fh:
+    with (nullcontext() if spec.out is None
+          else open(spec.out, "w", newline="")) as fh:
         if fh:
             write = record_writer(fh, spec)
             fh.flush()

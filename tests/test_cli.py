@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import json
 import tempfile
 
@@ -5,8 +7,8 @@ import pytest
 
 from test_harness import refuse_uniform_at
 from zipftree import harness
-from zipftree.cli import main
-from zipftree.harness import TaskError, read_records
+from zipftree.cli import build_parser, main
+from zipftree.harness import ExperimentSpec, TaskError, read_records
 
 HEADER = "algo,objective,n,b,seed,regret,openings,evaluations,wall_ms"
 
@@ -229,10 +231,12 @@ def test_cli_parallel_jobs(tmp_path):
      "objective must be a name: ['garland']"),
     ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
      '"out": ["a.csv"]}', "out must be a path: ['a.csv']"),
+    ('{"algorithms": ["sequool"], "objective": "garland", "budgets": [10], '
+     '"out": ""}', "out must be a path: ''"),
 ], ids=["not-an-object", "unknown-settings", "float-seeds", "string-seeds",
         "float-branching", "int-budgets", "string-budgets", "float-noise-b",
         "string-noise-b", "string-delta",
-        "string-master-seed", "list-objective", "list-out"])
+        "string-master-seed", "list-objective", "list-out", "empty-out"])
 def test_cli_rejects_a_bad_config_document(tmp_path, capsys, document, message):
     path = tmp_path / "cfg.json"
     path.write_text(document)
@@ -266,3 +270,89 @@ def test_cli_rejects_a_repeated_noise_level_before_opening_out(tmp_path, capsys)
     assert stdout == ""
     assert err == "error: noise_b must not repeat: 0.1\n"
     assert not out.exists()
+
+
+def test_every_spec_field_is_the_dest_of_one_flag():
+    # spec_from_args lays every ExperimentSpec field's flag over the config
+    dests = collections.Counter(action.dest for action in build_parser()._actions
+                                if action.dest != "help")
+    fields = [f.name for f in dataclasses.fields(ExperimentSpec)]
+    assert dests == collections.Counter([*fields, "config", "jobs", "summary"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--budget", "1e3"], "argument --budget: invalid int value: '1e3'"),
+    (["--budget", "10,x"], "argument --budget: invalid int value: 'x'"),
+    (["--budget", "100.0"], "argument --budget: invalid int value: '100.0'"),
+    (["--noise-b", "x"], "argument --noise-b: invalid float value: 'x'"),
+    (["--seeds", "x"], "argument --seeds: invalid int value: 'x'"),
+    (["--branching", "2.5"], "argument --branching: invalid int value: '2.5'"),
+    (["--delta", "x"], "argument --delta: invalid float value: 'x'"),
+    (["--master-seed", "x"], "argument --master-seed: invalid int value: 'x'"),
+    (["--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
+    (["--budget"], "argument --budget: expected one argument"),
+], ids=["float-budget", "bad-budget-entry", "decimal-budget", "string-noise-b",
+        "string-seeds", "float-branching", "string-delta", "string-master-seed",
+        "string-jobs", "budget-without-value"])
+def test_cli_names_the_flag_of_a_malformed_value(tmp_path, capsys, argv,
+                                                 message):
+    # --budget 1e3 used to print int()'s message, naming no flag, and
+    # --branching 2.5 argparse's usage with exit status 2
+    out = tmp_path / "r.csv"
+    assert main(["--algo", "uniform", "--objective", "garland",
+                 "--budget", "10", "--seeds", "1", "--out", str(out),
+                 *argv]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_unknown_flag_exits_with_usage(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--algo", "uniform", "--objective", "garland", "--budget", "10",
+              "--bogus", "1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: zipftree")
+    assert "unrecognized arguments: --bogus 1" in err
+
+
+def test_cli_comma_lists_extend_like_a_config_list(tmp_path):
+    # empty entries are dropped and repeated flags extend one list
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"algorithms": ["uniform"], "objective": "garland",
+                                "budgets": [100, 250, 1000], "seeds": 1}))
+    flags, config = tmp_path / "flags.csv", tmp_path / "config.csv"
+    assert main(["--algo", "uniform", "--objective", "garland",
+                 "--budget", "100,,250", "--budget", "1000", "--seeds", "1",
+                 "--out", str(flags)]) == 0
+    assert main(["--config", str(path), "--out", str(config)]) == 0
+
+    def records(out):
+        return [dataclasses.replace(r, wall_ms=0.0)
+                for r in read_records(str(out))]
+
+    assert [r.n for r in records(flags)] == [100, 250, 1000]
+    assert records(flags) == records(config)
+
+
+def test_cli_rejects_an_empty_out_path(capsys):
+    # run_experiment read out="" as no file and main as a file, so the
+    # records were written nowhere and the exit status was 0
+    assert main(["--algo", "uniform", "--objective", "garland",
+                 "--budget", "10", "--seeds", "1", "--out", ""]) == 1
+    assert capsys.readouterr() == ("", "error: out must be a path: ''\n")
+
+
+def test_cli_negative_zero_noise_level_is_noise_level_zero(capsys):
+    # -0 used to be written as b=-0 and to derive other seeds than 0, so
+    # summarize counted two grid points for one setting
+    rows = []
+    for flag in ("--noise-b=0", "--noise-b=-0"):
+        assert main(["--algo", "uniform", "--objective", "garland",
+                     "--budget", "10", "--seeds", "2", flag]) == 0
+        rows.append([line.rsplit(",", 1)[0] for line in
+                     capsys.readouterr().out.splitlines()])
+    assert rows[0] == rows[1]
+    assert rows[0][-1].startswith("uniform,garland,10,0,")

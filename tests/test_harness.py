@@ -115,11 +115,13 @@ def test_spec_rejects_empty_grid_axes():
     ("objective", ["garland"], "objective must be a name"),
     ("algorithms", 5, "algorithms must be a list: 5"),
     ("out", 1, "out must be a path: 1"),
+    ("out", "", "out must be a path: ''"),
 ], ids=["float-branching", "string-branching", "int-budgets",
         "string-budgets", "float-budget", "string-budget", "float-noise-b",
         "string-noise-b-axis", "string-noise-b", "bool-noise-b",
         "string-delta", "none-delta", "string-master-seed",
-        "float-master-seed", "list-objective", "int-algorithms", "int-out"])
+        "float-master-seed", "list-objective", "int-algorithms", "int-out",
+        "empty-out"])
 def test_spec_rejects_a_field_of_another_type(field, value, message):
     with pytest.raises(ValueError, match=message):
         small_spec(**{field: value})
