@@ -14,20 +14,21 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import importlib
+import math
 import os
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .objectives import NoiseModel, checked_noise_range, get_objective
 from .optimizers import (RunConfig, check_stroquool_budget, doo_run,
                          sequool_run, soo_run, stroquool_run, uniform_run)
 from .partition import checked_delta, checked_integer
 from .theory import check_nu_rho
+
+ProcessPoolExecutor = None  # concurrent.futures', imported by the first pool
 
 # name -> (deterministic feedback only, runner(a, obj, noise, cfg)) with a the
 # AlgoSpec; runners look the *_run functions up as module globals at call time
@@ -255,12 +256,20 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1):
     Records are written incrementally to spec.out (CSV) as runs finish;
     jobs > 1 fans the runs over min(jobs, tasks) worker processes (results
     are merged back in grid order, so parallel output equals serial output).
-    The spec checked its grid when it was built; jobs, an integer >= 1, is
-    checked before spec.out is opened.
+    When a pool runs a grid with some b > 0, numpy is imported here, before
+    the workers fork, so they share it rather than each importing it; a
+    noiseless grid never imports it.  The spec checked its grid when it was
+    built; jobs, an integer >= 1, is checked before spec.out is opened.
     """
     jobs = checked_integer(jobs, "jobs", 1)
     tasks = _tasks(spec)
     jobs = min(jobs, len(tasks))  # the pool forks every worker up front
+    if jobs > 1:
+        global ProcessPoolExecutor
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
+        if max(spec.noise_b) > 0.0:
+            importlib.import_module("numpy")
     records = []
     with (nullcontext() if spec.out is None
           else open(spec.out, "w", newline="")) as fh:
@@ -334,19 +343,40 @@ def read_records(path):
 # summaries
 # ---------------------------------------------------------------------------
 
+def _quantile(ordered, q):
+    """np.quantile(ordered, q) of a sorted list without NaN, bit for bit:
+    numpy's linear index and fraction, clamped at the last entry, and lerp."""
+    vi = (len(ordered) - 1) * q
+    i = math.floor(vi) if vi < len(ordered) - 1 else -1
+    a, b = ordered[i], ordered[i + 1 if i >= 0 else -1]
+    g = vi - i
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+
 def summarize(records):
-    """Group records by (algo, n, b): returns
-    {(algo, n, b): {median, q10, q90, count}} of their regrets."""
+    """Group records by (algo, n, b): returns {(algo, n, b): {median, q10,
+    q90, count}} of their regrets, np.median and np.quantile bit for bit (a
+    NaN regret makes all three NaN; numpy's mean adds from 0.0; only where
+    0.0 and -0.0 tie, as numpy sorts them its own way, can a zero's sign
+    differ)."""
     if not records:
         raise ValueError("no records")
     groups = {}
     for rec in records:
         groups.setdefault((rec.algo, rec.n, rec.b), []).append(rec.regret)
-    return {key: {"median": float(np.median(vals)),
-                  "q10": float(np.quantile(vals, 0.10)),
-                  "q90": float(np.quantile(vals, 0.90)),
-                  "count": len(vals)}
-            for key, vals in groups.items()}
+    out = {}
+    for key, vals in groups.items():
+        if any(map(math.isnan, vals)):
+            median = q10 = q90 = math.nan
+        else:
+            vals.sort()
+            mid = len(vals) // 2
+            median = (0.0 + vals[mid] if len(vals) % 2
+                      else (0.0 + vals[mid - 1] + vals[mid]) / 2)
+            q10, q90 = _quantile(vals, 0.10), _quantile(vals, 0.90)
+        out[key] = {"median": median, "q10": q10, "q90": q90,
+                    "count": len(vals)}
+    return out
 
 
 def format_summary(summary):

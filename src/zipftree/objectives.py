@@ -7,8 +7,6 @@ import math
 import numbers
 import sys
 
-import numpy as np
-
 from .partition import Box, checked_integer, checked_range
 
 # ---------------------------------------------------------------------------
@@ -107,6 +105,7 @@ class Objective:
 
 
 _NOISE_BLOCK = 4096  # draws taken from the generator at a time
+np = None  # numpy, imported by the first NoiseModel that draws (b > 0)
 
 
 def checked_noise_range(value, name) -> float:
@@ -129,9 +128,10 @@ class NoiseModel:
     Draws are read from a block drawn ahead (rng.random, 4096 at a time)
     and scaled as each block is drawn, with the operations numpy's
     uniform(-b, b) applies, so every offsets() call returns the same
-    values, bit for bit, as drawing it on its own would.  With b = 0 the
-    generator is never read.  A count that is not an integer >= 0 raises
-    ValueError and draws nothing.
+    values, bit for bit, as drawing it on its own would.  Only a model with
+    b > 0 imports numpy and builds a generator and a block: with b = 0,
+    `_rng` is None, and only offsets() (an array of zeros) imports numpy.
+    A count that is not an integer >= 0 raises ValueError and draws nothing.
 
     total(count) is float(offsets(count).sum()) bit for bit.  For an int
     count below 8 it adds the draws from a memoryview of the block one at a
@@ -142,10 +142,13 @@ class NoiseModel:
     def __init__(self, range_b, seed=0):
         self._range_b = checked_noise_range(range_b, "range_b")
         self.seed = checked_integer(seed, "seed", 0)
-        self._rng = np.random.default_rng(self.seed)
-        self._block = np.empty(0)  # scaled draws; those before _pos are spent
-        self._view = memoryview(self._block)  # the block, read as floats
-        self._pos = 0
+        self._rng, self._view, self._pos = None, memoryview(b""), 0
+        if self._range_b > 0.0:
+            global np
+            import numpy as np
+            self._rng = np.random.default_rng(self.seed)
+            self._block = np.empty(0)  # scaled draws; before _pos are spent
+            self._view = memoryview(self._block)  # the block, read as floats
 
     @property
     def range_b(self):
@@ -156,7 +159,8 @@ class NoiseModel:
         count = checked_integer(count, "count", 0)
         b = self._range_b
         if b == 0.0:
-            return np.zeros(count)
+            import numpy  # a b = 0 model holds no numpy state
+            return numpy.zeros(count)
         pos = self._pos
         if pos + count > len(self._block):
             # keep the unread tail and draw whole blocks after it

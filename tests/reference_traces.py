@@ -12,7 +12,9 @@ verbatim.  Everything about *scheduling* (which cell is opened when, with
 how many evaluations, and what gets recommended) is re-derived from scratch.
 
 1-D domains only; deterministic feedback (the b = 0 case), except for
-uniform_reference, which adds one noise draw per observation.
+uniform_reference, which adds one noise draw per observation, and
+stroquool_reference given a NoiseModel, which adds the sum of m draws to a
+batch of m observations, as numpy sums them.
 """
 
 import math
@@ -22,8 +24,15 @@ def harmonic_ref(n):
     return math.fsum(1.0 / k for k in range(1, n + 1))
 
 
-def _open(cell, m, f, bounds, sums, counts, opened, trace, K):
-    """Split `cell`, evaluate each child's midpoint m times (noiselessly)."""
+def _observe(f, x, m, noise):
+    """The sum of m observations of f at x: m * f(x), plus the sum of the
+    next m draws of `noise` (a NoiseModel or None)."""
+    total = m * f(x)
+    return total if noise is None else total + float(noise.offsets(m).sum())
+
+
+def _open(cell, m, f, bounds, sums, counts, opened, trace, K, noise=None):
+    """Split `cell`, evaluate each child's midpoint m times, in child order."""
     h, i = cell
     opened.add(cell)
     trace.append(("open", h, i, m))
@@ -35,7 +44,7 @@ def _open(cell, m, f, bounds, sums, counts, opened, trace, K):
         cb = b if j == K - 1 else a + (j + 1) * w / K
         kid = (h + 1, i * K + j)
         bounds[kid] = (ca, cb)
-        sums[kid] = m * f(0.5 * (ca + cb))
+        sums[kid] = _observe(f, 0.5 * (ca + cb), m, noise)
         counts[kid] = m
         kids.append(kid)
     return kids
@@ -64,7 +73,7 @@ def sequool_reference(f, n, lo=0.0, hi=1.0, K=3):
     return trace, (0.5 * (bounds[rec][0] + bounds[rec][1]),), h_max
 
 
-def stroquool_reference(f, n, lo=0.0, hi=1.0, K=3):
+def stroquool_reference(f, n, lo=0.0, hi=1.0, K=3, noise=None):
     """Returns (trace, recommended point, h_max).
 
     Phases: open the root at h_max = max(1, floor(n / (2 (H(n)+1)^2)))
@@ -73,7 +82,8 @@ def stroquool_reference(f, n, lo=0.0, hi=1.0, K=3):
     q = floor(h_max/(h m)) times, at q evaluations per child; nominate the
     best cell at each doubling threshold 2^p, p = 0..floor(log2 h_max);
     re-evaluate each distinct nominee max(1, floor(h_max/2)) times and
-    recommend the best fresh mean.
+    recommend the best fresh mean.  `noise`, a NoiseModel or None, is drawn
+    in opening order, child by child, then nominee by nominee.
     """
     if n < 8:
         raise ValueError("n < 8")
@@ -85,7 +95,8 @@ def stroquool_reference(f, n, lo=0.0, hi=1.0, K=3):
     def mean(c):
         return sums[c] / counts[c]
 
-    frontier = {1: _open((0, 0), h_max, f, bounds, sums, counts, opened, trace, K)}
+    frontier = {1: _open((0, 0), h_max, f, bounds, sums, counts, opened,
+                         trace, K, noise)}
     for h in range(1, h_max + 1):
         cells = frontier.get(h)
         if not cells:
@@ -97,7 +108,8 @@ def stroquool_reference(f, n, lo=0.0, hi=1.0, K=3):
             pick = next((c for c in ranked
                          if c not in opened and counts[c] >= q), None)
             if pick is not None:
-                grown += _open(pick, q, f, bounds, sums, counts, opened, trace, K)
+                grown += _open(pick, q, f, bounds, sums, counts, opened,
+                               trace, K, noise)
         frontier[h + 1] = grown
 
     nominees = []
@@ -115,7 +127,7 @@ def stroquool_reference(f, n, lo=0.0, hi=1.0, K=3):
     for cell in sorted(nominees):
         before = sums[cell]
         x = 0.5 * (bounds[cell][0] + bounds[cell][1])
-        sums[cell] = sums[cell] + v * f(x)
+        sums[cell] = sums[cell] + _observe(f, x, v, noise)
         counts[cell] += v
         fresh[cell] = (sums[cell] - before) / v
         trace.append(("validate", cell[0], cell[1], v))

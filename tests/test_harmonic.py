@@ -51,6 +51,14 @@ def test_harmonic_is_the_fsum_of_the_float_terms():
     assert got == want
 
 
+def test_harmonic_on_both_sides_of_the_fsum_range():
+    # math.fsum sums up to 2^20 and numpy's int64 blocks past it; both give
+    # the correctly rounded sum of the float terms
+    terms = [1.0 / k for k in range(1, 2**20 + 2)]
+    for n in (2**20, 2**20 + 1):
+        assert harmonic(n).hex() == math.fsum(terms[:n]).hex(), n
+
+
 def test_harmonic_holds_no_table():
     # the Kahan table of H(1..1e6) it replaced kept 8 MB after the call
     out = run_fresh(

@@ -71,6 +71,54 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.splitlines() == [f"high {out['h_tilde']!r} {out['bound']!r}"]
 
 
+_NUMPY_BLOCKED_SCRIPT = """
+import contextlib, io, sys
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+import zipftree, zipftree.cli
+from zipftree import (ExperimentSpec, NoiseModel, RunConfig, doo_run,
+                      garland_objective, harmonic, run_experiment, sequool_run,
+                      soo_run, stroquool_run, summarize, uniform_run)
+obj, cfg = garland_objective(), RunConfig(budget_n=300)
+noise = NoiseModel(0.0, seed=1)
+for res in (sequool_run(obj, cfg), soo_run(obj, cfg),
+            doo_run(obj, cfg, 1.0, 0.6), stroquool_run(obj, noise, cfg),
+            uniform_run(obj, noise, cfg)):
+    print(repr(res.recommendation), repr(res.recommendation_value_estimate))
+print(harmonic(2**20).hex())
+spec = ExperimentSpec(["stroquool", "uniform"], "garland", [50, 200], seeds=5)
+print(sorted(summarize(run_experiment(spec)).items()))
+for jobs in ("1", "2"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = zipftree.cli.main(["--algo", "stroquool,uniform", "--objective",
+                                  "garland", "--budget", "50,200", "--seeds",
+                                  "5", "--summary", "--jobs", jobs])
+    print(code, out.getvalue().splitlines()[-5:])
+"""
+
+
+def test_noiseless_runs_and_the_cli_do_not_load_numpy():
+    # numpy is imported only to draw noise (b > 0) and to sum harmonic past
+    # 2^20; with every numpy import blocked, the five runners at b = 0,
+    # harmonic(2^20), summarize and the CLI, serial and with a pool, give
+    # what they give with numpy loaded
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_BLOCKED_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the same script with numpy loaded gives the expected lines
+    want = subprocess.run([sys.executable, "-c", _NUMPY_BLOCKED_SCRIPT.replace(
+        'sys.modules["numpy"] = None', "import numpy")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert want.returncode == 0, want.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 9 and lines[-2:] == [lines[-1]] * 2
+    assert lines[-1].startswith("0 ['algo ")
+    assert lines == want.stdout.splitlines()
+
+
 def _names_read(path):
     """The names the module at `path` loads as a variable, reads as an
     attribute or imports."""
