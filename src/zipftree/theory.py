@@ -9,12 +9,9 @@ C*rho^(-d*h); b is the noise half-width and delta the failure probability.
 Every Lambert W that depends on b takes the log of its argument, so no b > 0
 makes it underflow or overflow.
 
-harmonic(n) keeps no table of H(1..n).  Up to n = 2^26 it sums the float64
-terms 1/k exactly: math.fsum adds them up to 2^20; past that numpy, imported
-on first use, adds them as integers in int64 blocks (each such term is a
-whole number of 2^-92 units) and the total is rounded to float once.  Past
-2^26 (where that sum would take seconds) it rounds the Euler-Maclaurin
-series of the true H(n), evaluated to 40 digits.
+harmonic(n) keeps no table of H(1..n).  Up to n = 2^26 math.fsum sums the
+float64 terms 1/k exactly.  Past 2^26 (where that sum would take seconds) it
+rounds the Euler-Maclaurin series of the true H(n), evaluated to 40 digits.
 """
 
 from __future__ import annotations
@@ -32,9 +29,7 @@ from .partition import (checked_delta, checked_integer, checked_range,
 # harmonic numbers
 # ---------------------------------------------------------------------------
 
-_FSUM_MAX = 2 ** 20    # largest n math.fsum sums; numpy is quicker past it
 _EXACT_MAX = 2 ** 26   # largest n summed term by term
-_BLOCK = 2 ** 16        # terms per numpy block of the exact sum
 _EULER_GAMMA = decimal.Decimal(
     "0.57721566490153286060651209008240243104215933593992")
 _DEC40 = decimal.Context(prec=40)
@@ -45,12 +40,7 @@ def harmonic(n):
     """Partial harmonic sum H(n) = 1 + 1/2 + ... + 1/n, exact up to 2^26.
 
     For n <= 2^26 this is the correctly rounded sum of the float64 terms
-    1/k, the value math.fsum returns, computed in O(1) memory.  Up to 2^20
-    it is math.fsum of the terms.  Past 2^20 numpy sums them: every float64
-    1/k with k <= 2^40 is a whole number of 2^-92 units, so each term splits
-    into two integers of at most 46 bits (its units above and below 2^-46),
-    which numpy sums exactly in int64 blocks of 2^16 terms.  The blocks
-    carry into one Python int, rounded once to float.
+    1/k: math.fsum of the terms, drawn one at a time, in O(1) memory.
 
     For n > 2^26 it is the correctly rounded true H(n), from the
     Euler-Maclaurin series ln n + gamma + 1/(2n) - 1/(12n^2) + 1/(120n^4)
@@ -66,20 +56,7 @@ def harmonic(n):
             h = (x.ln() + _EULER_GAMMA + 1 / (2 * x)
                  - y / 12 + y * y / 120 - y * y * y / 252)
         return float(h)
-    if n <= _FSUM_MAX:
-        return math.fsum(map((1.0).__truediv__, range(1, n + 1)))
-    import numpy as np  # only n > 2^20 needs it
-    units = 0  # the sum in units of 2^-92
-    for a in range(1, n + 1, _BLOCK):
-        t = np.arange(a, min(a + _BLOCK, n + 1), dtype=float)
-        np.divide(1.0, t, out=t)
-        np.ldexp(t, 46, out=t)
-        hi = np.floor(t)
-        t -= hi
-        np.ldexp(t, 46, out=t)
-        units += ((int(hi.astype(np.int64).sum()) << 46)
-                  + int(t.astype(np.int64).sum()))
-    return math.ldexp(float(units), -92)
+    return math.fsum(map((1.0).__truediv__, range(1, n + 1)))
 
 
 def stroquool_h_max(n):

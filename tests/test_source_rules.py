@@ -77,7 +77,7 @@ sys.modules["numpy"] = None  # every import of numpy now raises ImportError
 import zipftree, zipftree.cli
 from zipftree import (ExperimentSpec, NoiseModel, RunConfig, doo_run,
                       garland_objective, harmonic, run_experiment, sequool_run,
-                      soo_run, stroquool_run, summarize, uniform_run)
+                      soo_run, stroquool_run, uniform_run)
 obj, cfg = garland_objective(), RunConfig(budget_n=300)
 noise = NoiseModel(0.0, seed=1)
 for res in (sequool_run(obj, cfg), soo_run(obj, cfg),
@@ -86,22 +86,24 @@ for res in (sequool_run(obj, cfg), soo_run(obj, cfg),
     print(repr(res.recommendation), repr(res.recommendation_value_estimate))
 print(harmonic(2**20).hex())
 spec = ExperimentSpec(["stroquool", "uniform"], "garland", [50, 200], seeds=5)
-print(sorted(summarize(run_experiment(spec)).items()))
+print([(r.algo, r.n, r.seed, r.regret) for r in run_experiment(spec)])
 for jobs in ("1", "2"):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = zipftree.cli.main(["--algo", "stroquool,uniform", "--objective",
                                   "garland", "--budget", "50,200", "--seeds",
-                                  "5", "--summary", "--jobs", jobs])
-    print(code, out.getvalue().splitlines()[-5:])
+                                  "5", "--jobs", jobs])
+    # each row without its last column, wall_ms
+    print(code, [line if line.startswith("#") else line.rpartition(",")[0]
+                 for line in out.getvalue().splitlines()])
 """
 
 
 def test_noiseless_runs_and_the_cli_do_not_load_numpy():
-    # numpy is imported only to draw noise (b > 0) and to sum harmonic past
-    # 2^20; with every numpy import blocked, the five runners at b = 0,
-    # harmonic(2^20), summarize and the CLI, serial and with a pool, give
-    # what they give with numpy loaded
+    # numpy is imported only to draw noise (b > 0) and in summarize; with
+    # every numpy import blocked, the five runners at b = 0, harmonic(2^20),
+    # a grid and the CLI, serial and with a pool, give what they give with
+    # numpy loaded
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
@@ -115,7 +117,8 @@ def test_noiseless_runs_and_the_cli_do_not_load_numpy():
     assert want.returncode == 0, want.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 9 and lines[-2:] == [lines[-1]] * 2
-    assert lines[-1].startswith("0 ['algo ")
+    assert lines[-1].startswith("0 ['# zipftree regret records'")
+    assert lines[-1].count("'stroquool,garland,") == 10
     assert lines == want.stdout.splitlines()
 
 
