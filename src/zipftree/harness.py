@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
+import math
 import os
 import time
 import typing
@@ -212,7 +212,12 @@ class TaskError(RuntimeError):
 
 
 def derive_seed(master_seed, algo_label, n, b, rep):
-    """Per-run seed: SHA-256 of the identifying tuple, top 8 bytes."""
+    """Per-run seed: SHA-256 of the identifying tuple, top 8 bytes.
+
+    hashlib is imported here, by the process that runs the task: in a
+    pooled grid only the workers derive seeds, so the parent never loads
+    hashlib's OpenSSL backend (about 3.6 MB)."""
+    import hashlib
     msg = f"{master_seed}|{algo_label}|{n}|{b!r}|{rep}".encode()
     return int.from_bytes(hashlib.sha256(msg).digest()[:8], "big")
 
@@ -261,8 +266,12 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1):
     are merged back in grid order, so parallel output equals serial output).
     When a pool runs a grid with some b > 0, numpy is imported here, before
     the workers fork, so they share it rather than each importing it; a
-    noiseless grid never imports it.  The spec checked its grid when it was
-    built; jobs, an integer >= 1, is checked before spec.out is opened.
+    noiseless grid never imports it.  numpy.random stays per worker: only
+    the workers draw noise, and importing it before the fork would add
+    about 6 MB here to save each worker about 11 ms.  With a pool this
+    process loads neither hashlib (only the workers derive seeds) nor
+    numpy.ma (summarize needs no numpy).  The spec checked its grid when it
+    was built; jobs, an integer >= 1, is checked before spec.out is opened.
     """
     jobs = checked_integer(jobs, "jobs", 1)
     tasks = _tasks(spec)
@@ -342,20 +351,42 @@ def read_records(path):
 # summaries
 # ---------------------------------------------------------------------------
 
+def _quantile(ordered, q):
+    """np.quantile(ordered, q) of a sorted list without NaN, bit for bit:
+    numpy's linear index and fraction, clamped at the last entry, and lerp."""
+    vi = (len(ordered) - 1) * q
+    i = math.floor(vi) if vi < len(ordered) - 1 else -1
+    a, b = ordered[i], ordered[i + 1 if i >= 0 else -1]
+    g = vi - i
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+
 def summarize(records):
-    """Group records by (algo, n, b): returns
-    {(algo, n, b): {median, q10, q90, count}} of their regrets."""
-    import numpy as np  # here, so that importing the harness loads no numpy
+    """Group records by (algo, n, b): returns {(algo, n, b): {median, q10,
+    q90, count}} of their regrets, np.median and np.quantile (linear) bit
+    for bit without loading numpy, whose first median or quantile call
+    imports numpy.ma (about 2 MB).  numpy's rules: a NaN regret makes all
+    three NaN, and the mean of the middle pair adds from 0.0.  Only where
+    0.0 and -0.0 tie, as numpy sorts them its own way, can a zero's sign
+    differ."""
     if not records:
         raise ValueError("no records")
     groups = {}
     for rec in records:
         groups.setdefault((rec.algo, rec.n, rec.b), []).append(rec.regret)
-    return {key: {"median": float(np.median(vals)),
-                  "q10": float(np.quantile(vals, 0.10)),
-                  "q90": float(np.quantile(vals, 0.90)),
-                  "count": len(vals)}
-            for key, vals in groups.items()}
+    out = {}
+    for key, vals in groups.items():
+        if any(map(math.isnan, vals)):
+            median = q10 = q90 = math.nan
+        else:
+            vals.sort()
+            mid = len(vals) // 2
+            median = (0.0 + vals[mid] if len(vals) % 2
+                      else (0.0 + vals[mid - 1] + vals[mid]) / 2)
+            q10, q90 = _quantile(vals, 0.10), _quantile(vals, 0.90)
+        out[key] = {"median": median, "q10": q10, "q90": q90,
+                    "count": len(vals)}
+    return out
 
 
 def format_summary(summary):

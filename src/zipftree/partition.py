@@ -150,9 +150,13 @@ def split_cell(cell, depth, K):
     as a rule -- gets the parent's centre object, so callers tell the
     repeated point by identity: observe_sum's memo, and uniform_run, which
     gives the child its parent's value instead of calling the objective.
-    A 1-D cell's children are built as (a,), (b,) and (mid,) directly; the
-    general path splices the split coordinate into slices of the parent's
-    tuples, which gives the same bits.
+    A 1-D cell's children are built as (a,), (b,) and (mid,) directly, and
+    neighbours share their common edge tuple: child j's upper is child
+    j+1's lower, the last child's upper is the parent's `upper`, and the
+    first child's lower is the parent's `lower` where the first edge equals
+    lo and is not 0.0, so their bits match (a +-0.0 or NaN first edge gets
+    a new tuple).  The general path splices the split coordinate into
+    slices of the parent's tuples, which gives the same bits.
     """
     lower, upper, centre = cell
     axis = depth % len(lower)
@@ -167,16 +171,21 @@ def split_cell(cell, depth, K):
     a = lo + 0 * w / K
     if len(lower) == 1:
         # the same children as below, built without slicing the parent
+        a_edge = lower if a == lo != 0.0 else (a,)
         for j in range(1, K + 1):
-            b = lo + j * w / K if j < K else hi
+            if j < K:
+                b = lo + j * w / K
+                b_edge = (b,)
+            else:
+                b, b_edge = hi, upper
             mid = 0.5 * (a + b)
             if mid != c or c == 0.0:
-                children.append(((a,), (b,), (mid,)))
+                children.append((a_edge, b_edge, (mid,)))
             elif a == lo and b == hi and lo != 0.0 and hi != 0.0:
                 children.append(cell)
             else:
-                children.append(((a,), (b,), centre))
-            a = b
+                children.append((a_edge, b_edge, centre))
+            a, a_edge = b, b_edge
     else:
         # the children differ from the parent only on `axis`
         lo_head, lo_tail = lower[:axis], lower[axis + 1:]

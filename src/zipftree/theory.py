@@ -16,10 +16,10 @@ rounds the Euler-Maclaurin series of the true H(n), evaluated to 40 digits.
 
 from __future__ import annotations
 
-import decimal
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .partition import (checked_delta, checked_integer, checked_range,
@@ -30,9 +30,7 @@ from .partition import (checked_delta, checked_integer, checked_range,
 # ---------------------------------------------------------------------------
 
 _EXACT_MAX = 2 ** 26   # largest n summed term by term
-_EULER_GAMMA = decimal.Decimal(
-    "0.57721566490153286060651209008240243104215933593992")
-_DEC40 = decimal.Context(prec=40)
+_EULER_GAMMA = "0.57721566490153286060651209008240243104215933593992"
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -45,18 +43,22 @@ def harmonic(n):
     For n > 2^26 it is the correctly rounded true H(n), from the
     Euler-Maclaurin series ln n + gamma + 1/(2n) - 1/(12n^2) + 1/(120n^4)
     - 1/(252n^6) evaluated to 40 digits; that can differ from the sum of
-    the rounded terms by 1 ulp.  n is an integer >= 1; the last 64 answers
-    are cached per argument type, so 2.0 and True are checked too.
+    the rounded terms by 1 ulp; decimal is imported only there.  n is an
+    integer >= 1; the last 64 answers are cached per argument type, so 2.0
+    and True are checked too.
     """
     n = checked_integer(n, "n", 1)
     if n > _EXACT_MAX:
-        with decimal.localcontext(_DEC40):
+        import decimal
+        with decimal.localcontext(decimal.Context(prec=40)):
             x = decimal.Decimal(n)
             y = 1 / (x * x)
-            h = (x.ln() + _EULER_GAMMA + 1 / (2 * x)
+            h = (x.ln() + decimal.Decimal(_EULER_GAMMA) + 1 / (2 * x)
                  - y / 12 + y * y / 120 - y * y * y / 252)
         return float(h)
-    return math.fsum(map((1.0).__truediv__, range(1, n + 1)))
+    # each term is 1.0 / float(k), the same bits as 1.0 / k
+    return math.fsum(map(operator.truediv, itertools.repeat(1.0),
+                         range(1, n + 1)))
 
 
 def stroquool_h_max(n):

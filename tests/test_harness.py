@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import re
 
 import numpy as np
@@ -449,6 +450,34 @@ def test_summarize_groups_and_quantiles():
                                       "q90": 0.05, "count": 1}
     with pytest.raises(ValueError, match="no records"):
         summarize([])
+
+
+def test_summarize_equals_numpy_bit_for_bit():
+    # summarize computes np.median and np.quantile (linear method) without
+    # numpy.  Lists of 1-60 regrets with 0.0, +-inf, NaN and ties, compared
+    # by hex.  0.0 and -0.0 are not mixed: numpy's sort orders those ties
+    # its own way, and a regret, optimum - value, is never -0.0
+    rng = random.Random(32)
+    special = [0.0, math.inf, -math.inf, math.nan, 1.0]
+    for trial in range(4000):
+        regrets = []
+        for _ in range(rng.randint(1, 60)):
+            r = rng.random()
+            if r < 0.1:
+                regrets.append(rng.choice(special))
+            elif r < 0.3 and regrets:
+                regrets.append(rng.choice(regrets))
+            else:
+                regrets.append(rng.uniform(-1.0, 1.0)
+                               * 10.0 ** rng.randint(-9, 9))
+        got = summarize([synthetic("soo", 10, r) for r in regrets])
+        with np.errstate(invalid="ignore"):
+            want = [np.median(regrets), np.quantile(regrets, 0.10),
+                    np.quantile(regrets, 0.90)]
+        g = got[("soo", 10, 0.0)]
+        assert [g["median"].hex(), g["q10"].hex(), g["q90"].hex()] == [
+            float(w).hex() for w in want], regrets
+        assert g["count"] == len(regrets)
 
 
 def test_a_noisy_deterministic_grid_runs_no_task(tmp_path, monkeypatch):

@@ -78,6 +78,24 @@ def test_a_middle_child_carries_its_parents_centre_object():
         assert not any(k[2] is zero[2] for k in kids)
 
 
+def test_one_dimensional_children_share_their_edge_tuples():
+    # in 1-D child j's upper is child j+1's lower object, the last child's
+    # upper is the parent's, and so is the first child's lower where the
+    # first edge has lo's bits
+    for cell in (((1.0,), (4.0,), (2.5,)), ((-3.0,), (0.0,), (-1.5,))):
+        for K in (2, 3, 5):
+            kids = split_cell(cell, 0, K)
+            assert all(left[1] is right[0] for left, right in zip(kids, kids[1:]))
+            assert kids[0][0] is cell[0] and kids[-1][1] is cell[1]
+    # a +-0.0 first edge gets a tuple of its own: -0.0 splits to +0.0
+    for lo in (0.0, -0.0):
+        cell = ((lo,), (1.0,), (0.5,))
+        kids = split_cell(cell, 0, 3)
+        assert kids[0][0] is not cell[0] and kids[0][0] == (0.0,)
+        assert math.copysign(1.0, kids[0][0][0]) == 1.0
+        assert kids[-1][1] is cell[1]
+
+
 def test_open_cell_bookkeeping():
     tree = make_tree(Box([0.0], [1.0]), branching=3)
     stream = stream_of()

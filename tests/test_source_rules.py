@@ -92,18 +92,19 @@ for jobs in ("1", "2"):
     with contextlib.redirect_stdout(out):
         code = zipftree.cli.main(["--algo", "stroquool,uniform", "--objective",
                                   "garland", "--budget", "50,200", "--seeds",
-                                  "5", "--jobs", jobs])
-    # each row without its last column, wall_ms
+                                  "5", "--summary", "--jobs", jobs])
+    lines = out.getvalue().splitlines()
+    # each row without its last column, wall_ms, then the summary table
     print(code, [line if line.startswith("#") else line.rpartition(",")[0]
-                 for line in out.getvalue().splitlines()])
+                 for line in lines[:-5]], lines[-5:])
 """
 
 
 def test_noiseless_runs_and_the_cli_do_not_load_numpy():
-    # numpy is imported only to draw noise (b > 0) and in summarize; with
-    # every numpy import blocked, the five runners at b = 0, harmonic(2^20),
-    # a grid and the CLI, serial and with a pool, give what they give with
-    # numpy loaded
+    # numpy is imported only to draw noise (b > 0); with every numpy import
+    # blocked, the five runners at b = 0, harmonic(2^20), a grid and the CLI
+    # with --summary, serial and with a pool, give what they give with numpy
+    # loaded
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
@@ -119,7 +120,42 @@ def test_noiseless_runs_and_the_cli_do_not_load_numpy():
     assert len(lines) == 9 and lines[-2:] == [lines[-1]] * 2
     assert lines[-1].startswith("0 ['# zipftree regret records'")
     assert lines[-1].count("'stroquool,garland,") == 10
+    assert lines[-1].count("'stroquool ") == 2 and "['algo " in lines[-1]
     assert lines == want.stdout.splitlines()
+
+
+_POOLED_GRID_SCRIPT = """
+import contextlib, io, sys
+import zipftree.cli
+print(sorted({"hashlib", "decimal", "numpy"} & sys.modules.keys()))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = zipftree.cli.main(["--algo", "stroquool,uniform", "--objective",
+                              "garland", "--budget", "50,200", "--noise-b",
+                              "0,0.1", "--seeds", "3", "--jobs", "2",
+                              "--summary"])
+lines = out.getvalue().splitlines()
+print(code, len(lines), lines[-9].split())
+print(sorted({"numpy", "numpy.ma", "_hashlib", "decimal"} & sys.modules.keys()))
+"""
+
+
+def test_a_pooled_cli_grid_loads_only_what_its_parent_runs():
+    # importing the CLI loads neither hashlib nor decimal (harmonic imports
+    # it only past 2^26); after a noisy --jobs 2 --summary grid the parent
+    # holds numpy, imported before the fork, but not numpy.ma, which
+    # np.median would load, nor hashlib's OpenSSL backend: only the workers
+    # derive seeds
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _POOLED_GRID_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # 5 comment lines, the field row, 24 records and a 9-line summary
+    assert proc.stdout.splitlines() == [
+        "[]", "0 39 ['algo', 'n', 'b', 'median', 'q10', 'q90', 'runs']",
+        "['numpy']"]
 
 
 def _names_read(path):
