@@ -188,64 +188,34 @@ class NoiseModel:
         return float(self.offsets(count).sum())
 
 
-_NO_POINT = object()  # matches no point: an EvaluationStream's empty memo
-
-
 class EvaluationStream:
     """Binds an objective to a noise stream and counts charged observations.
 
     observe_sum(point, count) returns the sum of `count` observations at
-    `point`, each counted in n_evals.  Whether it adds noise is settled
-    once, at construction: with no noise model or b = 0 the RNG is never
-    consumed and the sum is computed as count * f(point) in a single
-    multiply -- the noiseless fast path that makes full budget sweeps cheap.
-    Otherwise every call adds count * f(point) and NoiseModel.total(count),
-    the sum of the next `count` draws, which equals summing offsets(count)
-    bit for bit.  On either path a count that is not an integer >= 0 raises
-    ValueError and is not charged.
+    `point`, each counted in n_evals, and calls fn once.  Whether it adds
+    noise is settled once, at construction: with no noise model or b = 0
+    the RNG is never consumed and the sum is count * f(point), one
+    multiply.  Otherwise every call adds count * f(point) and
+    NoiseModel.total(count), the sum of the next `count` draws, which equals
+    summing offsets(count) bit for bit.  The optimizers compute the same two
+    expressions in optimizers._Run without a stream.  On either path a
+    count that is not an integer >= 0 raises ValueError and is not charged.
 
     observe_sum calls the objective's fn unchecked: it is meant for the
     partition's points, which lie in the domain by construction (see
     partition.split_cell).  A point that is not a tuple is still converted
     to a tuple of floats.  Objective.eval stays checked for other callers.
-
-    fn is taken to be pure, so observe_sum keeps the last point object it
-    evaluated with its value and reuses the value when the same object comes
-    again -- as it does for a cell split with no width left, whose children
-    are the parent itself, and for a child that carries its parent's centre
-    object (see partition.split_cell) when the parent was evaluated last.
-    The match is on identity, not equality, so (0.0,) and (-0.0,) never
-    share a value and a NaN point needs no care.
-
-    A caller that observes many points in one loop, as uniform_run's depth
-    step does, reads what the stream settled: `noise`, the model each
-    observation draws from (None when observations carry no noise), and
-    `last_value`, fn's value at the last point evaluated.  It then adds its
-    observations to n_evals itself.
     """
 
     def __init__(self, objective: Objective, noise: NoiseModel | None = None):
         self._noise = None if noise is None or noise.range_b == 0.0 else noise
         self.n_evals = 0
         self._fn = objective.fn
-        self._last_point, self._last_value = _NO_POINT, None
-
-    @property
-    def noise(self):
-        return self._noise
-
-    @property
-    def last_value(self):
-        return self._last_value
 
     def observe_sum(self, point, count):
-        if point is self._last_point:
-            v = self._last_value
-        else:
-            if type(point) is not tuple:
-                point = _as_point(point)
-            v = float(self._fn(point))
-            self._last_point, self._last_value = point, v
+        if type(point) is not tuple:
+            point = _as_point(point)
+        v = float(self._fn(point))
         if self._noise is None:
             if type(count) is not int or count < 0:
                 count = checked_integer(count, "count", 0)

@@ -18,21 +18,28 @@ x(n) they recommend:
 Each *_run is only a schedule -- which cell to open next, and with how many
 evaluations per child -- over one shared driver, _Run, which opens plain
 (lower, upper, centre) cell tuples with partition.split_cell and keeps the
-evaluation stream, the optional event trace, the running best, the counts
-of openings, budget units and depth, and the RunResult.  SequOOL, StroquOOL
-and uniform open a whole depth at a time from lists kept in index order,
-and each keeps only what its next step reads: uniform the cells its next
-depth opens with the objective's value at their centres, StroquOOL the
-depth it explores plus, per evaluation count, the best cell made so far,
-from which cross-validation nominates.  The other four split and observe
-every cell they open through _Run.open.  uniform, whose schedule reads no
-values, books a whole depth at once and observes its children in one
-loop, calling the objective once per distinct centre (see uniform_run).
-SOO and DOO hold their unopened leaves in heaps, where one entry can stand
-for a run of consecutive copies of a fixed cell, opened without a split
-(see soo_run and doo_run).  An untraced SequOOL run stops opening cells
-once float64 leaves its level no new point, and adds up the openings it
-has left (see sequool_run).
+objective and its noise, the optional event trace, the running best, the
+counts of openings, charged evaluations, budget units and depth, and the
+RunResult.  SequOOL, StroquOOL and uniform open a whole depth at a time
+from lists kept in index order, and each keeps only what its next step
+reads: uniform the cells its next depth opens with the objective's value
+at their centres, StroquOOL the depth it explores plus, per evaluation
+count, the best cell made so far, from which cross-validation nominates.
+The other four split and observe every cell they open through _Run.open.
+uniform, whose schedule reads no values, books a whole depth at once and
+observes its children in one loop (see uniform_run).  SOO and DOO hold
+their unopened leaves in heaps, where one entry can stand for a run of
+consecutive copies of a fixed cell, opened without a split (see soo_run
+and doo_run).  An untraced SequOOL run stops opening cells once float64
+leaves its level no new point, and adds up the openings it has left (see
+sequool_run).
+
+Every schedule hands _Run.open the value of the cell it opens, where it
+holds one (not the root's, nor, in SOO, a NaN or -inf one), and a child
+that carries its parent's centre object (partition.split_cell) takes that
+value instead of a new call.  Noise is still drawn for every observation,
+in opening order.
+
 No schedule has a tuning option: a run reads the budget n, the branching
 K and the trace switch from RunConfig, and DOO also takes the smoothness
 (nu, rho) it assumes.
@@ -49,7 +56,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .objectives import EvaluationStream, NoiseModel, Objective
+from .objectives import NoiseModel, Objective
 from .partition import checked_integer, fixed_cell, make_tree, split_cell
 from .theory import check_nu_rho, harmonic, stroquool_h_max
 
@@ -115,6 +122,12 @@ class _Run:
     evaluation: it moves the counts as `count` openings would and, with a
     trace, logs one `open` event per copy, so traced and untraced runs take
     the same path and the trace is the one opening each copy would log.
+
+    The run calls the objective's fn unchecked, as its points lie in the
+    domain (see __init__), and `evaluations` counts charged observations,
+    not calls.  `draw` is the noise model's total, or None when observations
+    carry no noise (no model, or b = 0): m observations of a point whose
+    value is v sum to m * v, or to m * v + draw(m).
     """
 
     def __init__(self, obj: Objective, noise: NoiseModel | None, cfg: RunConfig):
@@ -126,10 +139,11 @@ class _Run:
             raise ValueError(f"point {self.root[2]!r} outside domain of "
                              f"{obj.name}")
         self.K = tree.branching
-        self.stream = EvaluationStream(obj, noise)
-        self.observe = self.stream.observe_sum
+        self.fn = obj.fn
+        self.draw = (None if noise is None or noise.range_b == 0.0
+                     else noise.total)
         self.trace = [] if cfg.record_trace else None
-        self.openings = self.units = self.deepest = 0
+        self.openings = self.units = self.deepest = self.evaluations = 0
         self.best_value = -math.inf
         self.best_key = self.best_point = None
 
@@ -137,28 +151,34 @@ class _Run:
         if self.trace is not None:
             self.trace.append(event)
 
-    def open(self, cell, depth, base, evals=1, index=None):
+    def open(self, cell, depth, base, evals=1, index=None, value=None):
         """Open `cell` at `depth` with `evals` evaluations per child and log
         the opening under its CellId index `index`; returns [(sum of
-        evaluations, child)], child j keyed (depth + 1, base + j)."""
+        evaluations, value, child)], child j keyed (depth + 1, base + j).
+        `value` is fn's value at the cell's centre, or None when the caller
+        has none; a child that carries that centre object takes it."""
         self.log("open", depth, index, evals)
         self.openings += 1
         self.units += evals
+        self.evaluations += self.K * evals
         if depth >= self.deepest:
             self.deepest = depth + 1
-        observe = self.observe
+        fn, draw = self.fn, self.draw
+        centre = None if value is None else cell[2]
         out = []
         best = self.best_value
         key = base
         for child in split_cell(cell, depth, self.K):
-            total = observe(child[2], evals)
-            out.append((total, child))
+            x = child[2]
+            v = value if x is centre else float(fn(x))
+            total = evals * v if draw is None else evals * v + draw(evals)
+            out.append((total, v, child))
             mean = total / evals
             if mean >= best and (mean > best or self.best_key is None
                                  or (depth + 1, key) < self.best_key):
                 best = self.best_value = mean
                 self.best_key = (depth + 1, key)
-                self.best_point = child[2]
+                self.best_point = x
             key += 1
         return out
 
@@ -174,24 +194,26 @@ class _Run:
                            for i in range(index, index + count)]
         self.openings += count
         self.units += count
-        self.stream.n_evals += self.K * count
+        self.evaluations += self.K * count
         if depth >= self.deepest:
             self.deepest = depth + 1
 
     def open_level(self, cells, index, depth, chosen):
         """Open, in the order of `chosen` (position -> evaluations per child),
-        cells of one depth, given as (sum, cell) pairs in index order with
-        their CellId indices (`index`, None without a trace).  Returns the
-        next depth's pairs and indices in index order; the children of the
-        cell at the t-th lowest chosen position sit at t*K .. t*K + K-1."""
+        cells of one depth, given as (sum, value, cell) triples in index
+        order with their CellId indices (`index`, None without a trace).
+        Returns the next depth's triples and indices in index order; the
+        children of the cell at the t-th lowest chosen position sit at
+        t*K .. t*K + K-1."""
         K = self.K
         in_order = sorted(chosen)
         slot = {i: t * K for t, i in enumerate(in_order)}
         nxt = [None] * (K * len(chosen))
         for i, evals in chosen.items():
+            _, value, cell = cells[i]
             nxt[slot[i]:slot[i] + K] = self.open(
-                cells[i][1], depth, slot[i], evals,
-                None if index is None else index[i])
+                cell, depth, slot[i], evals,
+                None if index is None else index[i], value)
         if index is not None:
             index = [index[i] * K + j for i in in_order for j in range(K)]
         return nxt, index
@@ -203,7 +225,7 @@ class _Run:
         if point is None:
             point = self.best_point or split_cell(self.root, 0, self.K)[0][2]
             value = self.best_value
-        return RunResult(point, value, self.openings, self.stream.n_evals,
+        return RunResult(point, value, self.openings, self.evaluations,
                          self.deepest, self.units, self.trace)
 
 
@@ -242,9 +264,9 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
     dim = len(run.root[0])
     tracing = run.trace is not None
 
-    # the depth-h cells in index order as (value, cell) pairs -- each child
-    # holds one evaluation, so its sum is its value -- and, with a trace,
-    # their CellId indices
+    # the depth-h cells in index order as (sum, value, cell) triples -- each
+    # child holds one evaluation, so its sum is its value -- and, with a
+    # trace, their CellId indices
     level = run.open(run.root, 0, 0, index=0)
     index = list(range(K)) if tracing else None
     closed = 0  # consecutive closed depths, counted without a trace
@@ -252,15 +274,15 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
     for h in range(1, h_max + 1):
         # the h_max // h best cells open in order of value, ties to the
         # lowest position (the sort is stable) and NaN last
-        keys = [_rank_key(v) for v, _ in level]
+        keys = [_rank_key(v) for v, _, _ in level]
         best = sorted(range(len(level)), key=keys.__getitem__)
         chosen = dict.fromkeys(best[:h_max // h], 1)
         # open_level puts the children of the t-th parent in index order
         # at t*K .. t*K + K-1
-        parents = [level[i][1] for i in sorted(chosen)]
+        parents = [level[i][2] for i in sorted(chosen)]
         level, index = run.open_level(level, index, h, chosen)
         if not tracing and all(child is parents[t // K] or fixed_cell(child)
-                               for t, (_, child) in enumerate(level)):
+                               for t, (_, _, child) in enumerate(level)):
             closed += 1
         else:
             closed = 0
@@ -309,16 +331,18 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
     run = _Run(obj, noise, cfg)
     tracing = run.trace is not None
 
-    # the depth-h (sum, cell) pairs in index order, the evaluations each of
-    # them got and, with a trace, their CellId indices (see open_level)
+    # the depth-h (sum, value, cell) triples in index order, the evaluations
+    # each of them got and, with a trace, their CellId indices (see
+    # open_level)
     cells = run.open(run.root, 0, 0, h_max, 0)
     counts = [h_max] * run.K
     index = list(range(run.K)) if tracing else None
 
-    # evaluation count -> ((rank key, depth, position), (sum, cell), CellId
-    # index) of the best cell with that many evaluations on the depths made
-    # so far.  Cross-validation reads nothing else, so each depth is folded
-    # in once it is made, and only the depth being explored stays alive
+    # evaluation count -> ((rank key, depth, position), (sum, value, cell),
+    # CellId index) of the best cell with that many evaluations on the
+    # depths made so far.  Cross-validation reads nothing else, so each
+    # depth is folded in once it is made, and only the depth being explored
+    # stays alive
     top = {}
 
     # exploration: a depth's statistics are final before its loop starts, so
@@ -326,7 +350,8 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
     # position, NaN last) before any of them runs.  Depth h_max + 1 opens
     # nothing and is only folded
     for h in range(1, h_max + 2):
-        keys = [_rank_key(s / count) for (s, _), count in zip(cells, counts)]
+        keys = [_rank_key(s / count)
+                for (s, _, _), count in zip(cells, counts)]
         ranked = [(i, counts[i])
                   for i in sorted(range(len(cells)), key=keys.__getitem__)]
         # the first cell of each count in the ranking is the depth's best
@@ -357,22 +382,26 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
     # at least that many evaluations, the best of the counts it admits; the
     # distinct candidates are re-evaluated in (depth, position) order.  Rank
     # keys are unique, so no comparison below reaches a cell
-    candidates = {}  # (depth, position) -> ((sum, cell), CellId index)
+    candidates = {}  # (depth, position) -> ((sum, value, cell), CellId index)
     for p in range(p_max + 1):
         admitted = [best for count, best in top.items() if count >= 1 << p]
         if not admitted:
             break  # thresholds only grow, so no later one finds a cell
-        (_, h, i), pair, idx = min(admitted)
+        (_, h, i), entry, idx = min(admitted)
         run.log("candidate", p, h, idx)
-        candidates[h, i] = pair, idx
+        candidates[h, i] = entry, idx
 
+    # fresh observations of a candidate's centre reuse its value
     v_evals = max(1, h_max // 2)
+    draw = run.draw
     fresh = []
-    for (h, i), ((before, cell), idx) in sorted(candidates.items()):
-        after = before + run.observe(cell[2], v_evals)
+    for (h, i), ((before, v, cell), idx) in sorted(candidates.items()):
+        total = v_evals * v if draw is None else v_evals * v + draw(v_evals)
+        after = before + total
         mean = (after - before) / v_evals
         fresh.append((_rank_key(mean), h, i, idx, mean, cell[2]))
         run.units += v_evals
+        run.evaluations += v_evals
         run.log("validate", h, idx, v_evals)
 
     _, h, _, idx, value, point = min(fresh)
@@ -443,8 +472,10 @@ def soo_run(obj: Objective, cfg: RunConfig) -> RunResult:
                     run.open_copies(h, index, 1)
                     heapq.heappush(nxt, (key, base, cell, K))
                 else:
-                    children = run.open(cell, h, base, 1, index)
-                    for j, (value, child) in enumerate(children):
+                    # a finite key is the cell's negated value
+                    children = run.open(cell, h, base, 1, index,
+                                        None if key == math.inf else -key)
+                    for j, (value, _, child) in enumerate(children):
                         heapq.heappush(nxt, (_rank_key(value), base + j,
                                              child, 1))
                 while not heaps[shallowest]:
@@ -494,8 +525,8 @@ def doo_run(obj: Objective, cfg: RunConfig, nu: float, rho: float) -> RunResult:
             heapq.heappush(heap, (_rank_key(value + bonus), depth + 1, base,
                                   value, cell, K * m))
             continue
-        children = run.open(cell, depth, base, 1, index)
-        for j, (value, child) in enumerate(children):
+        children = run.open(cell, depth, base, 1, index, value)
+        for j, (value, _, child) in enumerate(children):
             heapq.heappush(heap, (_rank_key(value + bonus), depth + 1,
                                   base + j, value, child, 1))
 
@@ -513,33 +544,31 @@ def uniform_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> Run
 
     The schedule reads no values, so each depth is one step: open_copies
     books its openings, and one loop splits its cells and observes their
-    children in index order, one evaluation each.  A child that carries
-    its parent's centre object (partition.split_cell) takes the parent's
-    value instead of a new objective call; noise is still drawn for every
-    observation, in the same order.  The running best takes a mean only if
-    it is strictly higher: the root comes first and positions only grow,
-    so that is the lowest-CellId rule.
+    children in index order, one evaluation each, a child that carries its
+    parent's centre object taking the parent's value.  The running best
+    takes a mean only if it is strictly higher: the root comes first and
+    positions only grow, so that is the lowest-CellId rule.
     """
     n = cfg.budget_n
     run = _Run(obj, noise, cfg)
-    stream, K = run.stream, run.K
-    fn = obj.fn
-    draw = None if stream.noise is None else stream.noise.total
+    K, fn, draw = run.K, run.fn, run.draw
 
     # the root's one observation is the first candidate for the running
     # best; like every added evaluation it is summed onto 0.0 (-0.0 reads
     # 0.0), and a NaN reads -inf, so it loses to every later value
-    best = 0.0 + run.observe(run.root[2], 1)
+    point = run.root[2]
+    root_value = float(fn(point))
+    best = 0.0 + (root_value if draw is None else root_value + draw(1))
     if best != best:
         best = -math.inf
-    point = run.root[2]
+    run.evaluations += 1
     run.log("evaluate", 0, 0, 1)
 
     # the depth-h cells that will be opened, in index order, so a cell's
     # position is its CellId index, with the objective's value at each
     # centre.  A depth keeps only the `room` children that the budget left
     # after it can open; the rest only compete for the running best
-    level, values, h = [run.root], [stream.last_value], 0
+    level, values, h = [run.root], [root_value], 0
     while level:
         room = n - run.units - len(level)
         run.open_copies(h, 0, len(level))

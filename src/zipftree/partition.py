@@ -8,27 +8,24 @@ representative; the optimizers open such tuples and take only the root,
 with the domain and branching checks, from `make_tree`.
 `cell_containing` names the cell of a point at any depth.  `PartitionTree`
 keeps the root and any cells opened through it as `Cell` objects, and sums
-their observations through objectives.EvaluationStream.observe_sum, as the
-runs do.
+their observations through objectives.EvaluationStream.observe_sum.
 
 Points are checked against the domain once, not per evaluation: split_cell
 raises unless its children's centres lie inside the parent, so when the
 root's centre lies in the domain every point of the partition does, and
-objectives.EvaluationStream.observe_sum evaluates them unchecked
-(Objective.eval stays checked).
+the optimizers and objectives.EvaluationStream.observe_sum evaluate them
+unchecked (Objective.eval stays checked).
 
 Cells stop shrinking once float64 runs out of width (K = 3 on [0, 1] does
 at depth 34).  A child that equals its parent bit for bit -- every child of
 a split axis with no width left, and the child of a one-ulp cell that
-straddles both its bounds -- comes back as the parent object itself, and
-EvaluationStream.observe_sum, which remembers the last point object it
-evaluated, calls the objective once for repeats of it.  `fixed_cell` tells a
-cell with no width left on any axis, which splits into itself K times at
-every depth.
+straddles both its bounds -- comes back as the parent object itself.
+`fixed_cell` tells a cell with no width left on any axis, which splits into
+itself K times at every depth.
 
 A child whose centre alone equals its parent's -- with odd K, the middle
-child of nearly every split -- carries the parent's centre object, so a
-caller can tell that repeated point by identity as well: uniform_run gives
+child of nearly every split -- carries the parent's centre object.  So a
+caller tells every repeated centre by identity, and the optimizers give
 such a child its parent's value instead of calling the objective again.
 """
 
@@ -129,8 +126,8 @@ def split_cell(cell, depth, K):
     the parent's [lo, hi] on the split axis (a NaN fails).  The centres are
     monotone in the child index, so then every child's centre lies in the
     parent, and the children of a cell inside the domain stay inside it:
-    EvaluationStream.observe_sum evaluates them unchecked, while
-    Objective.eval stays checked.
+    the optimizers evaluate them unchecked, while Objective.eval stays
+    checked.
 
     A child that equals the parent bit for bit is the parent object itself.
     That is a child with edges (a, b) == (lo, hi) and centre 0.5*(a + b) ==
@@ -148,8 +145,8 @@ def split_cell(cell, depth, K):
     Any other child whose centre equals the parent's bit for bit
     (0.5*(a + b) == centre[axis] != 0.0) -- the middle child of an odd K,
     as a rule -- gets the parent's centre object, so callers tell the
-    repeated point by identity: observe_sum's memo, and uniform_run, which
-    gives the child its parent's value instead of calling the objective.
+    repeated point by identity: the optimizers give such a child its
+    parent's value instead of calling the objective.
     A 1-D cell's children are built as (a,), (b,) and (mid,) directly, and
     neighbours share their common edge tuple: child j's upper is child
     j+1's lower, the last child's upper is the parent's `upper`, and the

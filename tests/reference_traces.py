@@ -1,6 +1,6 @@
 """Straight-line re-derivations of the two harmonic-schedule optimizers and
-of the uniform baseline, written over plain dicts and tuples, independently
-of the package internals.
+of the SOO, DOO and uniform baselines, written over plain dicts and tuples,
+independently of the package internals.
 
 The trace-equality tests replay these against the library and require the
 event logs to match exactly.  Cell geometry is the shared interface contract
@@ -179,6 +179,94 @@ def uniform_reference(f, n, lo=0.0, hi=1.0, K=3, noise=None):
     rec = min(values, key=lambda c: (-read(c), c))
     point = (0.5 * (bounds[rec][0] + bounds[rec][1]),)
     return trace, point, read(rec), n, len(values), deepest, n
+
+
+def _best(sums):
+    """The recommendation of a noiseless run from its evaluated cells: the
+    highest value, ties to the lowest CellId, a NaN below every value (-inf
+    included) and reading -inf."""
+    def read(c):
+        return -math.inf if sums[c] != sums[c] else sums[c]
+
+    rec = min(sums, key=lambda c: (-read(c), sums[c] != sums[c], c))
+    return rec, read(rec)
+
+
+def soo_reference(f, n, lo=0.0, hi=1.0, K=3):
+    """Returns (trace, recommended point, its value, openings, observations,
+    deepest depth, budget units): the trace and the six RunResult fields.
+
+    soo_run's docstring: each sweep visits depths h = 0, 1, ... while
+    h <= min(deepest, max(floor(sqrt(t)), shallowest)), with t the
+    openings so far, deepest the deepest depth evaluated and shallowest the
+    shallowest depth holding an unopened cell; at each depth the best
+    unopened cell (ties to the lowest index) is opened, with one evaluation
+    per child, if its value is >= every value opened earlier in the sweep.
+    A NaN value ranks as -inf, and so does the root, which has no value.
+    The run stops after n openings.  A cell with no width left is opened
+    like any other, copy by copy.
+    """
+    trace, bounds = [], {(0, 0): (lo, hi)}
+    sums, counts, opened = {}, {}, set()
+    # depth -> {index: (negated value, index)} of the unopened cells
+    leaves = {0: {0: (math.inf, 0)}}
+    t = deepest = 0
+    while t < n:
+        vmax = -math.inf
+        h = 0
+        while t < n:
+            shallowest = min(d for d, cells in leaves.items() if cells)
+            if h > min(deepest, max(math.isqrt(t), shallowest)):
+                break
+            if leaves.get(h):
+                rank, i = min(leaves[h].values())
+                if -rank >= vmax:
+                    vmax = -rank
+                    del leaves[h][i]
+                    kids = leaves.setdefault(h + 1, {})
+                    for kid in _open((h, i), 1, f, bounds, sums, counts,
+                                     opened, trace, K):
+                        v = sums[kid]
+                        kids[kid[1]] = (math.inf if v != v else -v, kid[1])
+                    t += 1
+                    deepest = max(deepest, h + 1)
+            h += 1
+
+    rec, value = _best(sums)
+    point = (0.5 * (bounds[rec][0] + bounds[rec][1]),)
+    return trace, point, value, t, K * t, deepest, t
+
+
+def doo_reference(f, n, nu, rho, lo=0.0, hi=1.0, K=3):
+    """Returns (trace, recommended point, its value, openings, observations,
+    deepest depth, budget units): the trace and the six RunResult fields.
+
+    doo_run's docstring: open the root, then n - 1 times the unopened cell
+    maximizing value + nu * rho^depth, ties to the lowest CellId (depth,
+    then index), with one evaluation per child; a NaN score ranks last, as
+    -inf does.  A cell with no width left is opened like any other, copy by
+    copy.
+    """
+    trace, bounds = [], {(0, 0): (lo, hi)}
+    sums, counts, opened = {}, {}, set()
+    leaves = {}  # unopened cell -> (negated score, cell)
+
+    def grow(cell):
+        for kid in _open(cell, 1, f, bounds, sums, counts, opened, trace, K):
+            score = sums[kid] + nu * rho ** kid[0]
+            leaves[kid] = (math.inf if score != score else -score, kid)
+
+    grow((0, 0))
+    deepest = 1
+    for _ in range(n - 1):
+        _, cell = min(leaves.values())
+        del leaves[cell]
+        grow(cell)
+        deepest = max(deepest, cell[0] + 1)
+
+    rec, value = _best(sums)
+    point = (0.5 * (bounds[rec][0] + bounds[rec][1]),)
+    return trace, point, value, n, K * n, deepest, n
 
 
 def trace_budget_units(trace):

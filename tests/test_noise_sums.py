@@ -10,8 +10,8 @@ import struct
 import numpy as np
 import pytest
 
-from zipftree.objectives import (EvaluationStream, NoiseModel, _as_point,
-                                 garland_objective, wrapped_sine_objective)
+from zipftree.objectives import (NoiseModel, garland_objective,
+                                 wrapped_sine_objective)
 from zipftree.optimizers import RunConfig, stroquool_run, uniform_run
 
 
@@ -81,24 +81,6 @@ def total_through_offsets(self, count):
     return float(self.offsets(count).sum())
 
 
-def observe_sum_through_offsets(self, point, count):
-    """EvaluationStream.observe_sum as it was before NoiseModel.total."""
-    if point is self._last_point:
-        v = self._last_value
-    else:
-        if type(point) is not tuple:
-            point = _as_point(point)
-        v = float(self._fn(point))
-        self._last_point, self._last_value = point, v
-    self.n_evals += count
-    if self._noise is None:
-        return count * v
-    eps = self._noise.offsets(count)
-    if count == 1:
-        return v + float(eps[0])
-    return count * v + float(eps.sum())
-
-
 @pytest.mark.parametrize("run", [stroquool_run, uniform_run])
 def test_noisy_runs_equal_the_runs_that_sum_through_offsets(monkeypatch, run):
     objectives = [garland_objective(), wrapped_sine_objective()]
@@ -114,9 +96,7 @@ def test_noisy_runs_equal_the_runs_that_sum_through_offsets(monkeypatch, run):
         return out
 
     new = runs()
-    # uniform's depth step draws through stream.noise.total itself, so the
-    # reference path replaces that too
-    monkeypatch.setattr(EvaluationStream, "observe_sum", observe_sum_through_offsets)
+    # every run draws its noise through NoiseModel.total
     monkeypatch.setattr(NoiseModel, "total", total_through_offsets)
     old = runs()
     for (obj, k, b, n), got, want in zip(grid, new, old):

@@ -308,10 +308,10 @@ def test_doo_with_tight_smoothness_stalls_at_second_peak():
 
 
 def test_doo_calls_the_objective_once_per_zero_width_run():
-    # past depth 34 DOO keeps opening one cell with no float64 width left:
-    # split_cell returns it as its own children and the stream reuses the
-    # value of the point object it just evaluated, while every observation
-    # is still charged (the result itself is pinned by the frozen baselines)
+    # past depth 34 DOO keeps opening copies of one cell with no float64
+    # width left, which open_copies books without a split or a call, while
+    # every observation is still charged (the result itself is pinned by
+    # the frozen baselines)
     calls = []
 
     def fn(p):
@@ -378,6 +378,33 @@ def test_uniform_calls_the_objective_once_per_distinct_centre(K, calls):
     assert len(seen) == calls
     assert res == uniform_run(GARLAND, None,
                               RunConfig(budget_n=20_000, branching=K))
+
+
+@pytest.mark.parametrize("run,calls", [
+    (lambda obj: sequool_run(obj, RunConfig(budget_n=100_000)), 29_150),
+    (lambda obj: soo_run(obj, RunConfig(budget_n=20_000)), 15_514),
+    (lambda obj: doo_run(obj, RunConfig(budget_n=20_000), 1.0, 0.6), 252),
+    (lambda obj: stroquool_run(obj, NoiseModel(0.1, seed=0),
+                               RunConfig(budget_n=1_000_000)), 8_359),
+], ids=["sequool", "soo", "doo", "stroquool"])
+def test_runs_call_the_objective_once_per_centre_object(run, calls):
+    # every opening hands its cell's value to a child that carries the
+    # cell's centre object, and StroquOOL's cross-validation reuses its
+    # candidates' values, so no centre object reaches fn twice.  Equal
+    # centres made by different splits are still separate calls (SequOOL's
+    # 29,150 calls hold 28,904 distinct points)
+    seen = []
+
+    def fn(p):
+        seen.append(p)
+        return GARLAND.fn(p)
+
+    obj = Objective("garland", GARLAND.domain, fn,
+                    optimum_value=GARLAND.optimum_value)
+    res = run(obj)
+    assert len(seen) == calls
+    assert len(set(map(id, seen))) == calls  # `seen` keeps every id alive
+    assert res == run(GARLAND)
 
 
 def test_uniform_noise_reproducible():
