@@ -24,7 +24,7 @@ def _comma_list(convert):
 
 
 def build_parser():
-    # every dest but config, jobs and summary is an ExperimentSpec field
+    """Each dest but config, jobs and summary is an ExperimentSpec field."""
     p = argparse.ArgumentParser(
         prog="zipftree", exit_on_error=False,
         description="Run hierarchical-partitioning optimizer experiments and "
@@ -64,6 +64,8 @@ def build_parser():
 
 
 def spec_from_args(args) -> ExperimentSpec:
+    """The ExperimentSpec of parsed `args`: the flags laid over the --config
+    document, a JSON object of ExperimentSpec fields, field by field."""
     names = [f.name for f in dataclasses.fields(ExperimentSpec)]
     fields = {}
     if args.config:
@@ -85,6 +87,10 @@ def spec_from_args(args) -> ExperimentSpec:
 
 
 def main(argv=None) -> int:
+    """Run the CLI and return its exit status: 1, with one `error:` line
+    naming it, for a malformed flag value or a rejected setting, before any
+    task runs or --out is created; argparse's usage and exit 2 for an
+    unknown flag.  A run's fault that is no rejected input raises."""
     try:
         args = build_parser().parse_args(argv)
         spec = spec_from_args(args)

@@ -92,8 +92,9 @@ def _check_unique(values, name):
 
 def parse_algo(token) -> AlgoSpec:
     """The AlgoSpec of "sequool", "doo:1.0:0.5" or {"name": "doo", "nu": 1,
-    "rho": 0.5}; an AlgoSpec passes through.  AlgoSpec checks the setting,
-    and its ValueError comes back naming the token."""
+    "rho": 0.5}; an AlgoSpec passes through.  A token with the wrong number
+    of parts or an object with another key raises ValueError; AlgoSpec
+    checks the setting, and its ValueError comes back naming the token."""
     if isinstance(token, AlgoSpec):
         return token
     try:
@@ -117,14 +118,19 @@ class ExperimentSpec:
     """One experimental grid.
 
     algorithms, budgets and noise_b are nonempty lists or tuples, stored as
-    tuples of their checked entries (noise_b None means (0.0,), and -0.0 is
-    0.0).  seeds is a repeat count >= 1 or a nonempty list of repeat indices
-    (so a later spec can extend an earlier run), stored as the tuple of
-    repeat indices: a count c gives 0..c-1.  No axis repeats an entry
-    (algorithms by label).  out is None (print) or a nonempty path.  The
-    objective must be known and have an optimum; sequool, soo and doo run
-    only with b = 0, and stroquool only with n >= 8.  delta is only written
-    into the records header: no run reads it.  The spec is frozen.
+    tuples of their checked entries: budgets strictly increasing integers
+    >= 1 and noise levels checked_noise_range's floats (noise_b None means
+    (0.0,), and -0.0 is 0.0, so it labels and seeds as 0).  seeds is a
+    repeat count >= 1 or a nonempty list of repeat indices (so a later spec
+    can extend an earlier run), stored as the tuple of repeat indices: a
+    count c gives 0..c-1.  No axis repeats an entry (algorithms by label).
+    out is None (print) or a nonempty path.  The objective must be known
+    and have an optimum; sequool, soo and doo run only with b = 0, and
+    stroquool only with n >= 8.  branching is an integer >= 2 and
+    master_seed an integer; numpy's integers pass and are kept as ints.
+    delta is only written into the records header: no run reads it.  Every
+    rule is checked here, when the spec is built, so a bad grid fails
+    before out is opened or any task runs.  The spec is frozen.
     """
 
     algorithms: tuple
@@ -202,9 +208,10 @@ CSV_FIELDS = tuple(f.name for f in fields(RegretRecord))
 
 
 class TaskError(RuntimeError):
-    """A grid task's run raised; the message names the task and `cause`,
-    also the __cause__, is the original exception.  `cause` survives the
-    pickling of a pool worker's error, which replaces __cause__."""
+    """A grid task's run raised; the message names the task (algorithm,
+    objective, n, b and repeat) and `cause`, also the __cause__, is the
+    original exception.  `cause` survives the pickling of a pool worker's
+    error, which replaces __cause__."""
 
     def __init__(self, message, cause=None):
         super().__init__(message)

@@ -121,9 +121,9 @@ def checked_noise_range(value, name) -> float:
 class NoiseModel:
     """Bounded zero-mean observation noise: y = f(x) + eps with eps uniform
     on [-b, b], b being range_b, a real number >= 0 whose width 2b is
-    finite (checked_noise_range), fixed at construction.  Each instance
-    owns a private stream, seeded by the integer seed >= 0; use one
-    instance per run.
+    finite (checked_noise_range), fixed at construction and read-only.
+    Each instance owns a private stream, seeded by the integer seed >= 0;
+    use one instance per run.
 
     Draws are read from a block drawn ahead (rng.random, 4096 at a time)
     and scaled as each block is drawn, with the operations numpy's
@@ -203,8 +203,10 @@ class EvaluationStream:
 
     observe_sum calls the objective's fn unchecked: it is meant for the
     partition's points, which lie in the domain by construction (see
-    partition.split_cell).  A point that is not a tuple is still converted
-    to a tuple of floats.  Objective.eval stays checked for other callers.
+    partition.split_cell).  A point that is not a tuple -- a sequence of
+    numbers or, in 1-D, a real scalar, numpy's included -- is still
+    converted to a tuple of floats.  Objective.eval stays checked for other
+    callers.
     """
 
     def __init__(self, objective: Objective, noise: NoiseModel | None = None):

@@ -1,53 +1,23 @@
 """Budgeted tree-search optimizers over a K-ary box partition.
 
-All five optimizers consume a budget of n openings and return the point
-x(n) they recommend:
+Each *_run spends a budget of n openings and returns a RunResult:
 
-  sequool_run   -- deterministic feedback; harmonic depth budgets
-                   (depth h = 1 .. h_max gets floor(h_max / h) openings,
-                   h_max = floor(n / H(n)))
-  stroquool_run -- noisy feedback; doubling evaluation counts within the
-                   harmonic schedule and a cross-validation phase
-  soo_run       -- sweep baseline: best cell per depth, down to depth
-                   sqrt(t) after t openings (or the shallowest depth with
-                   an unopened cell, if deeper), whose value matches the
-                   best opened so far in the sweep
-  doo_run       -- optimistic baseline that knows the smoothness (nu, rho)
-  uniform_run   -- breadth-first openings in cell-id order
+  sequool_run   -- deterministic feedback, harmonic depth budgets
+  stroquool_run -- noisy feedback, harmonic over (depth, evaluation count)
+  soo_run       -- depth-sweep baseline
+  doo_run       -- optimistic baseline told the smoothness (nu, rho)
+  uniform_run   -- breadth-first baseline
 
-Each *_run is only a schedule -- which cell to open next, and with how many
-evaluations per child -- over one shared driver, _Run, which opens plain
-(lower, upper, centre) cell tuples with partition.split_cell and keeps the
-objective and its noise, the optional event trace, the running best, the
-counts of openings, charged evaluations, budget units and depth, and the
-RunResult.  SequOOL, StroquOOL and uniform open a whole depth at a time
-from lists kept in index order, and each keeps only what its next step
-reads: uniform the cells its next depth opens with the objective's value
-at their centres, StroquOOL the depth it explores plus, per evaluation
-count, the best cell made so far, from which cross-validation nominates.
-The other four split and observe every cell they open through _Run.open.
-uniform, whose schedule reads no values, books a whole depth at once and
-observes its children in one loop (see uniform_run).  SOO and DOO hold
-their unopened leaves in heaps, where one entry can stand for a run of
-consecutive copies of a fixed cell, opened without a split (see soo_run
-and doo_run).  An untraced SequOOL run stops opening cells once float64
-leaves its level no new point, and adds up the openings it has left (see
-sequool_run).
+Each is a schedule over one driver, _Run, which opens cell tuples with
+partition.split_cell.  Where each rule is stated:
 
-Every schedule hands _Run.open the value of the cell it opens, where it
-holds one (not the root's, nor, in SOO, a NaN or -inf one), and a child
-that carries its parent's centre object (partition.split_cell) takes that
-value instead of a new call.  Noise is still drawn for every observation,
-in opening order.
-
-No schedule has a tuning option: a run reads the budget n, the branching
-K and the trace switch from RunConfig, and DOO also takes the smoothness
-(nu, rho) it assumes.
-
-Budgets are counted in openings; StroquOOL charges an opening performed with
-m evaluations per child as m budget units (see RunResult.budget_units_used).
-Tie-breaking is everywhere by lowest CellId (depth-major, then index) so runs
-are exactly reproducible.
+  run settings           -- RunConfig
+  parent's value reused  -- _Run.open
+  fixed-cell copy runs   -- _Run.open_copies, soo_run, doo_run
+  SequOOL settling       -- sequool_run
+  NaN ranking            -- _rank_key
+  lowest-CellId ties     -- _Run
+  memory held            -- each *_run
 """
 
 from __future__ import annotations
@@ -70,6 +40,9 @@ class RunConfig:
                     not read it (noise draws are seeded by NoiseModel)
     branching    -- K children per opening, an integer >= 2
     record_trace -- keep an event log on the RunResult
+
+    No run takes a tuning option; DOO alone also takes the smoothness
+    (nu, rho) it assumes.  Frozen, so its checked fields stay checked.
     """
 
     budget_n: int
@@ -86,6 +59,8 @@ class RunConfig:
 
 @dataclass
 class RunResult:
+    """What a run returns: its recommendation, budget ledgers and trace."""
+
     recommendation: tuple
     recommendation_value_estimate: float
     openings_used: int
@@ -96,7 +71,13 @@ class RunResult:
 
 
 def _rank_key(value):
-    """Sort key that puts higher values first and a NaN last, as -inf."""
+    """Sort key that puts higher values first and a NaN last, as -inf.
+
+    Every schedule ranks by it, and uniform_run reads a NaN as -inf too, so
+    a NaN cell is recommended only when every value a run saw is NaN; then
+    each run recommends the lowest CellId it evaluated at -inf: uniform its
+    root, the others the root's first child (see _Run.result).
+    """
     return math.inf if value != value else -value
 
 
@@ -107,21 +88,15 @@ class _Run:
     branching.  Schedules name a child by its depth and a key that orders
     the cells of one depth as their CellId indices do (the index itself, or
     a position in a list kept in index order); the running best keeps the
-    highest value, ties going to the lowest (depth, key).
+    highest value, ties going to the lowest (depth, key).  Every schedule
+    breaks its ties by the lowest CellId in the same way, so runs are
+    exactly reproducible.
 
     SequOOL and StroquOOL key ties on list positions and build CellId
-    indices only for a trace, on purpose: a depth-h index is an integer
-    below K^h, and SequOOL at n = 1e5 on garland reaches depth 8,272, where
-    a K = 3 index has 13,111 bits.  Carrying the indices on every run cost
-    about 12% more wall time on perfbench's `deterministic` workload and
-    2 MB more peak memory.  uniform keeps its own running best, which
-    needs no key (see uniform_run).
-
-    SOO and DOO open a run of copies of a fixed cell (partition.fixed_cell)
-    through open_copies(depth, index, count), which performs no split and no
-    evaluation: it moves the counts as `count` openings would and, with a
-    trace, logs one `open` event per copy, so traced and untraced runs take
-    the same path and the trace is the one opening each copy would log.
+    indices only for a trace: SequOOL at n = 1e5 on garland reaches depth
+    8,272, where a K = 3 index has 13,111 bits, and carrying the indices
+    cost about 12% of perfbench's `deterministic` wall time and 2 MB.
+    uniform keeps its own running best, which needs no key.
 
     The run calls the objective's fn unchecked, as its points lie in the
     domain (see __init__), and `evaluations` counts charged observations,
@@ -155,8 +130,11 @@ class _Run:
         """Open `cell` at `depth` with `evals` evaluations per child and log
         the opening under its CellId index `index`; returns [(sum of
         evaluations, value, child)], child j keyed (depth + 1, base + j).
-        `value` is fn's value at the cell's centre, or None when the caller
-        has none; a child that carries that centre object takes it."""
+
+        `value` is fn's value at the cell's centre, or None where the caller
+        has none (a root).  A child that carries that centre object
+        (partition.split_cell) takes it instead of a new call to fn; noise
+        is still drawn for every observation, in opening order."""
         self.log("open", depth, index, evals)
         self.openings += 1
         self.units += evals
@@ -183,12 +161,15 @@ class _Run:
         return out
 
     def open_copies(self, depth, index, count):
-        """Open the `count` copies of a fixed cell at `depth` with CellId
-        indices index .. index + count - 1 (None without a trace), one
-        evaluation per child, without a split or an evaluation.  The running
-        best stays, since a copy's children tie with it one depth deeper and
-        lose.  uniform_run books each depth through it as well, then makes
-        and observes the children itself."""
+        """Open the `count` copies of a fixed cell (partition.fixed_cell) at
+        `depth` with CellId indices index .. index + count - 1 (None without
+        a trace), one evaluation per child, without a split or an
+        evaluation: the counts move as `count` openings would, and a trace
+        logs the `open` event each copy would log, so traced and untraced
+        runs take the same path.  The running best stays, since a copy's
+        children tie with it one depth deeper and lose.  uniform_run books
+        each depth through it as well, then makes and observes the children
+        itself."""
         if self.trace is not None:
             self.trace += [("open", depth, i, 1)
                            for i in range(index, index + count)]
@@ -201,19 +182,17 @@ class _Run:
     def open_level(self, cells, index, depth, chosen):
         """Open, in the order of `chosen` (position -> evaluations per child),
         cells of one depth, given as (sum, value, cell) triples in index
-        order with their CellId indices (`index`, None without a trace).
-        Returns the next depth's triples and indices in index order; the
-        children of the cell at the t-th lowest chosen position sit at
-        t*K .. t*K + K-1."""
+        order with their CellId indices (`index`, None without a trace),
+        keying the children of position i as i*K + j.  Returns the next
+        depth's triples and indices in index order, the children of the
+        t-th lowest chosen position at t*K .. t*K + K-1."""
         K = self.K
-        in_order = sorted(chosen)
-        slot = {i: t * K for t, i in enumerate(in_order)}
-        nxt = [None] * (K * len(chosen))
-        for i, evals in chosen.items():
-            _, value, cell = cells[i]
-            nxt[slot[i]:slot[i] + K] = self.open(
-                cell, depth, slot[i], evals,
-                None if index is None else index[i], value)
+        opened = {i: self.open(cells[i][2], depth, i * K, evals,
+                               None if index is None else index[i],
+                               cells[i][1])
+                  for i, evals in chosen.items()}
+        in_order = sorted(opened)
+        nxt = [triple for i in in_order for triple in opened[i]]
         if index is not None:
             index = [index[i] * K + j for i in in_order for j in range(K)]
         return nxt, index
@@ -240,6 +219,7 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
     depth-h cells by value (all of them if fewer exist), where h_max =
     floor(n / H(n)).  The recommendation is the best evaluated
     representative.  Total openings obey 1 + sum_h floor(h_max/h) <= n + 1.
+    The run keeps the depth it explores and the next.
 
     Without a trace, the run settles once float64 has no new point left.
     Call depth h closed when every child its openings make is its parent
@@ -255,7 +235,7 @@ def sequool_run(obj: Objective, cfg: RunConfig) -> RunResult:
     budget units, charged evaluations (K per opening) and the deepest
     depth (h_max + 1) that remain are added up instead of performed, through
     _Run.open_copies.  A traced run never settles, so its log stays
-    complete.
+    complete, and an untraced run returns the traced run's RunResult.
     """
     n = cfg.budget_n
     run = _Run(obj, None, cfg)
@@ -320,9 +300,11 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
     2^p times, then give each distinct candidate max(1, floor(h_max/2))
     fresh evaluations and recommend the candidate with the best fresh mean.
 
-    The budget-unit ledger (init h_max + exploration quotas + validation
-    evaluations) never exceeds n.  h_max uses H(n) where stroquool_bounds'
-    M uses log2 n (42 against 24 at n = 1e4); source not recorded.
+    The run keeps the depth it explores and, per evaluation count, the best
+    cell made so far, which is all cross-validation reads.  The budget-unit
+    ledger (init h_max + exploration quotas + validation evaluations) never
+    exceeds n.  h_max uses H(n) where stroquool_bounds' M uses log2 n (42
+    against 24 at n = 1e4); source not recorded.
     """
     n = cfg.budget_n
     check_stroquool_budget(n)
@@ -340,9 +322,7 @@ def stroquool_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> R
 
     # evaluation count -> ((rank key, depth, position), (sum, value, cell),
     # CellId index) of the best cell with that many evaluations on the
-    # depths made so far.  Cross-validation reads nothing else, so each
-    # depth is folded in once it is made, and only the depth being explored
-    # stays alive
+    # depths made so far; each depth is folded in once it is made
     top = {}
 
     # exploration: a depth's statistics are final before its loop starts, so
@@ -426,30 +406,31 @@ def soo_run(obj: Objective, cfg: RunConfig) -> RunResult:
     cell if its value is >= every value opened earlier in the sweep.  Every
     sweep thus reaches an unopened cell, so the whole budget is spent --
     Munos (2011) takes the limit sqrt(t) alone, which with K = 2 leaves the
-    sweep short of every unopened cell after 3 openings.  A NaN value ranks
-    below every other, as -inf does.
+    sweep short of every unopened cell after 3 openings.
 
-    A heap entry (key, index, cell, count) stands for `count` copies of a
-    fixed cell at indices index .. index + count - 1, and this is exact.  A
-    fixed cell splits into K copies of itself with its own value, and the
-    children of c copies with consecutive indices are K*c consecutive
-    indices one depth down.  No other leaf of the depth can sort between a
-    run's copies: an index belongs to one subtree only, so the run's keys
-    tie and its indices are its own.  A sweep opens at most one cell per
-    depth, so a run gives up one copy per visit (open_copies) and pushes
-    one entry of K copies one depth down; the copies' children have the
-    copies' value one depth deeper, so they never beat the running best.
+    A heap entry (key, index, value, cell, count) stands for `count` copies
+    of a fixed cell at indices index .. index + count - 1, and this is
+    exact.  A fixed cell splits into K copies of itself with its own value,
+    and the children of c copies with consecutive indices are K*c
+    consecutive indices one depth down.  No other leaf of the depth can
+    sort between a run's copies: an index belongs to one subtree only, so
+    the run's keys tie and its indices are its own.  A sweep opens at most
+    one cell per depth, so a run gives up one copy per visit (open_copies)
+    and pushes one entry of K copies one depth down; the copies' children
+    have the copies' value one depth deeper, so they never beat the running
+    best.  The heaps of unopened leaves are all the run keeps.
     """
     n = cfg.budget_n
     run = _Run(obj, None, cfg)
     K = run.K
 
-    # depth -> heap of (_rank_key(value), index, cell, count) of unopened
-    # leaves (count > 1 only for a run of copies); the root has no value, so
-    # its key lets it pass the sweep test and leaves vmax at -inf.  The sweep
-    # reaches the shallowest leaf with vmax still -inf, so every sweep opens
-    # a cell
-    heaps = {0: [(math.inf, 0, run.root, 1)]}
+    # depth -> heap of (_rank_key(value), index, value, cell, count) of
+    # unopened leaves (count > 1 only for a run of copies); the root has no
+    # value, so its key lets it pass the sweep test and leaves vmax at -inf.
+    # The sweep reaches the shallowest leaf with vmax still -inf, so every
+    # sweep opens a cell.  (key, index) is unique within a depth, so no
+    # comparison reaches a value
+    heaps = {0: [(math.inf, 0, None, run.root, 1)]}
     shallowest = 0  # the shallowest depth whose heap holds a leaf
 
     while run.units < n:
@@ -459,10 +440,11 @@ def soo_run(obj: Objective, cfg: RunConfig) -> RunResult:
                 run.deepest, max(int(math.sqrt(run.units)), shallowest)):
             heap = heaps.get(h)
             if heap and -heap[0][0] >= vmax:
-                key, index, cell, count = heap[0]
+                key, index, value, cell, count = heap[0]
                 if count > 1:
                     # the sweep opens one copy; the rest stay one entry
-                    heapq.heapreplace(heap, (key, index + 1, cell, count - 1))
+                    heapq.heapreplace(heap, (key, index + 1, value, cell,
+                                             count - 1))
                 else:
                     heapq.heappop(heap)
                 vmax = -key
@@ -470,13 +452,11 @@ def soo_run(obj: Objective, cfg: RunConfig) -> RunResult:
                 nxt = heaps.setdefault(h + 1, [])
                 if count > 1 or fixed_cell(cell):
                     run.open_copies(h, index, 1)
-                    heapq.heappush(nxt, (key, base, cell, K))
+                    heapq.heappush(nxt, (key, base, value, cell, K))
                 else:
-                    # a finite key is the cell's negated value
-                    children = run.open(cell, h, base, 1, index,
-                                        None if key == math.inf else -key)
-                    for j, (value, _, child) in enumerate(children):
-                        heapq.heappush(nxt, (_rank_key(value), base + j,
+                    children = run.open(cell, h, base, 1, index, value)
+                    for j, (_, v, child) in enumerate(children):
+                        heapq.heappush(nxt, (_rank_key(v), base + j, v,
                                              child, 1))
                 while not heaps[shallowest]:
                     shallowest += 1  # stops at h + 1, which just got children
@@ -505,6 +485,7 @@ def doo_run(obj: Objective, cfg: RunConfig, nu: float, rho: float) -> RunResult:
     bonus nu * rho^(depth+1) does not grow, and on equal keys the deeper
     entry loses.  So a popped run opens min(count, n - units) copies at
     once (open_copies) and pushes one entry of K copies per copy opened.
+    The heap of unopened leaves is all the run keeps.
     """
     check_nu_rho(nu, rho)
     n = cfg.budget_n
@@ -544,10 +525,11 @@ def uniform_run(obj: Objective, noise: NoiseModel | None, cfg: RunConfig) -> Run
 
     The schedule reads no values, so each depth is one step: open_copies
     books its openings, and one loop splits its cells and observes their
-    children in index order, one evaluation each, a child that carries its
-    parent's centre object taking the parent's value.  The running best
-    takes a mean only if it is strictly higher: the root comes first and
-    positions only grow, so that is the lowest-CellId rule.
+    children in index order, one evaluation each, reusing the parent's
+    value as _Run.open does.  The running best takes a mean only if it is
+    strictly higher: the root comes first and positions only grow, so that
+    is the lowest-CellId rule.  The run keeps only the cells its next depth
+    opens, with fn's values at their centres.
     """
     n = cfg.budget_n
     run = _Run(obj, noise, cfg)

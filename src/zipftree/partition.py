@@ -1,32 +1,19 @@
 """Axis-aligned K-ary partitioning of a box domain.
 
-A cell is "opened" by splitting it into K equal-width children along one axis
-(axis depth % dim, so the axis cycles with depth) and evaluating each child's
-representative point.  The split formula, `split_cell`, works on bare
-(lower, upper, centre) tuples of floats, the centre being the cell's
-representative; the optimizers open such tuples and take only the root,
-with the domain and branching checks, from `make_tree`.
-`cell_containing` names the cell of a point at any depth.  `PartitionTree`
-keeps the root and any cells opened through it as `Cell` objects, and sums
-their observations through objectives.EvaluationStream.observe_sum.
+Cells are (lower, upper, centre) tuples of float tuples, the centre being
+the cell's representative.  Where each rule is stated:
 
-Points are checked against the domain once, not per evaluation: split_cell
-raises unless its children's centres lie inside the parent, so when the
-root's centre lies in the domain every point of the partition does, and
-the optimizers and objectives.EvaluationStream.observe_sum evaluate them
-unchecked (Objective.eval stays checked).
-
-Cells stop shrinking once float64 runs out of width (K = 3 on [0, 1] does
-at depth 34).  A child that equals its parent bit for bit -- every child of
-a split axis with no width left, and the child of a one-ulp cell that
-straddles both its bounds -- comes back as the parent object itself.
-`fixed_cell` tells a cell with no width left on any axis, which splits into
-itself K times at every depth.
-
-A child whose centre alone equals its parent's -- with odd K, the middle
-child of nearly every split -- carries the parent's centre object.  So a
-caller tells every repeated centre by identity, and the optimizers give
-such a child its parent's value instead of calling the objective again.
+  split_cell       -- the split formula, the guard that keeps every point
+                      in the domain, and the children that reuse their
+                      parent or its centre
+  fixed_cell       -- a cell with no width left on any axis
+  cell_containing  -- the cell of a point at any depth
+  checked_integer, is_real, is_finite, checked_range, checked_delta
+                   -- the input rules every module applies
+  make_tree, PartitionTree, Cell
+                   -- a tree of Cell objects; the optimizers take only
+                      its root
+  Box, CellId      -- the domain and a cell's (depth, index) coordinate
 """
 
 from __future__ import annotations
@@ -129,11 +116,13 @@ def split_cell(cell, depth, K):
     the optimizers evaluate them unchecked, while Objective.eval stays
     checked.
 
-    A child that equals the parent bit for bit is the parent object itself.
-    That is a child with edges (a, b) == (lo, hi) and centre 0.5*(a + b) ==
-    centre[axis], where none of lo, hi and the centre is 0.0 or -0.0 (so
-    equal values are equal bits): the straddling child of a one-ulp cell,
-    and every child of a split axis with no width left.  The latter --
+    Cells stop shrinking once float64 runs out of width (K = 3 on [0, 1]
+    does at depth 34).  A child that equals the parent bit for bit is the
+    parent object itself: a child with edges (a, b) == (lo, hi) and centre
+    0.5*(a + b) == centre[axis], where none of lo, hi and the centre is 0.0
+    or -0.0 (so equal values are equal bits).  That is the straddling child
+    of a one-ulp cell, and every child of a split axis with no width left.
+    The latter --
     hi - lo == 0.0 (so lo == hi and both are finite), lo != 0.0 and
     centre[axis] == lo == 0.5*(lo + hi) -- returns `[cell] * K` at once:
     there every edge and centre the formula computes is lo, and the guard
@@ -147,13 +136,11 @@ def split_cell(cell, depth, K):
     as a rule -- gets the parent's centre object, so callers tell the
     repeated point by identity: the optimizers give such a child its
     parent's value instead of calling the objective.
-    A 1-D cell's children are built as (a,), (b,) and (mid,) directly, and
-    neighbours share their common edge tuple: child j's upper is child
-    j+1's lower, the last child's upper is the parent's `upper`, and the
-    first child's lower is the parent's `lower` where the first edge equals
-    lo and is not 0.0, so their bits match (a +-0.0 or NaN first edge gets
-    a new tuple).  The general path splices the split coordinate into
-    slices of the parent's tuples, which gives the same bits.
+
+    A 1-D cell's children are built without slicing, with the general
+    path's bits; neighbours share their common edge tuple, the last child's
+    upper is the parent's `upper`, and the first child's lower is the
+    parent's `lower` where the first edge equals lo and is not 0.0.
     """
     lower, upper, centre = cell
     axis = depth % len(lower)
@@ -218,7 +205,8 @@ def fixed_cell(cell):
 
 def checked_integer(value, name, minimum=-math.inf) -> int:
     """`value`, an integer >= `minimum`, as an int: anything operator.index
-    takes except a bool; anything else raises ValueError."""
+    takes except a bool (numpy's integers pass); anything else raises a
+    ValueError that names `name`."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ValueError(f"{name} must be an integer: {value!r}")
     value = operator.index(value)
@@ -233,7 +221,8 @@ def is_real(value) -> bool:
 
 
 def is_finite(value) -> bool:
-    """True for a finite real number (numpy's included) other than a bool."""
+    """True for a finite real number (numpy's included) other than a bool;
+    an int too large for a float is not finite."""
     try:
         return is_real(value) and math.isfinite(value)
     except OverflowError:  # an int too large for a float
@@ -241,8 +230,9 @@ def is_finite(value) -> bool:
 
 
 def checked_range(value, name) -> float:
-    """`value`, a real number that is finite and >= 0 (a noise range or a
-    tolerance), as a float; anything else raises ValueError."""
+    """`value`, a real number that is finite and >= 0 (a noise range, a
+    tolerance or a dimension d), as a float; anything else raises a
+    ValueError that names `name`."""
     if not (is_finite(value) and value >= 0):
         raise ValueError(f"{name} must be >= 0 and finite: {value!r}")
     return float(value)
@@ -261,7 +251,8 @@ def cell_containing(domain: Box, K: int, point, depth: int) -> CellId:
 
     Slabs are closed-left/open-right (the last slab is closed) so
     membership is a total function on the domain.  The descent splits with
-    split_cell, so it raises where opening would.
+    split_cell, so it raises where opening would.  K is an integer >= 2 and
+    depth an integer >= 0; anything else raises ValueError.
     """
     K = checked_integer(K, "K", 2)
     depth = checked_integer(depth, "depth", 0)
@@ -303,8 +294,8 @@ class PartitionTree:
 
     def open_cell(self, cid, evals_per_child, stream):
         """Open `cid`: materialize its K children and observe each child's
-        representative `evals_per_child` times through `stream`, an
-        EvaluationStream.  Returns [(child id, mean)]."""
+        representative `evals_per_child` times, an integer >= 1, through
+        `stream`, an EvaluationStream.  Returns [(child id, mean)]."""
         parent = self.cells[cid]
         if parent.opened:
             raise ValueError(f"cell already opened: {cid}")
@@ -324,8 +315,8 @@ class PartitionTree:
         return out
 
     def add_evaluations(self, cid, count, stream):
-        """Observe an already-materialized cell `count` more times through
-        `stream`.  Returns the updated mean."""
+        """Observe an already-materialized cell `count` more times, an
+        integer >= 1, through `stream`.  Returns the updated mean."""
         cell = self.cells[cid]
         count = checked_integer(count, "count", 1)
         cell.reward_sum += stream.observe_sum(cell.representative, count)
@@ -334,6 +325,6 @@ class PartitionTree:
 
 
 def make_tree(domain: Box, branching: int = 3) -> PartitionTree:
-    """Fresh tree over `domain`: a single unopened root whose representative
-    is the domain center."""
+    """Fresh tree over `domain`, a Box: a single unopened root whose
+    representative is the domain center.  branching is an integer >= 2."""
     return PartitionTree(domain, branching)

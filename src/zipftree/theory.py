@@ -4,14 +4,10 @@ profiler.
 
 Conventions shared by the bound calculators: nu, rho describe how fast the
 objective can drop inside cells containing an optimum (f >= f* - nu*rho^h at
-depth h); C > 1 and d >= 0 bound the number of near-optimal depth-h cells by
+depth h); C >= 1 and d >= 0 bound the number of near-optimal depth-h cells by
 C*rho^(-d*h); b is the noise half-width and delta the failure probability.
 Every Lambert W that depends on b takes the log of its argument, so no b > 0
 makes it underflow or overflow.
-
-harmonic(n) keeps no table of H(1..n).  Up to n = 2^26 math.fsum sums the
-float64 terms 1/k exactly.  Past 2^26 (where that sum would take seconds) it
-rounds the Euler-Maclaurin series of the true H(n), evaluated to 40 digits.
 """
 
 from __future__ import annotations
@@ -40,12 +36,12 @@ def harmonic(n):
     For n <= 2^26 this is the correctly rounded sum of the float64 terms
     1/k: math.fsum of the terms, drawn one at a time, in O(1) memory.
 
-    For n > 2^26 it is the correctly rounded true H(n), from the
-    Euler-Maclaurin series ln n + gamma + 1/(2n) - 1/(12n^2) + 1/(120n^4)
-    - 1/(252n^6) evaluated to 40 digits; that can differ from the sum of
-    the rounded terms by 1 ulp; decimal is imported only there.  n is an
-    integer >= 1; the last 64 answers are cached per argument type, so 2.0
-    and True are checked too.
+    For n > 2^26, where that sum would take seconds, it is the correctly
+    rounded true H(n), from the Euler-Maclaurin series ln n + gamma +
+    1/(2n) - 1/(12n^2) + 1/(120n^4) - 1/(252n^6) evaluated to 40 digits;
+    that can differ from the sum of the rounded terms by 1 ulp; decimal is
+    imported only there.  n is an integer >= 1; the last 64 answers are
+    cached per argument type, so 2.0 and True are checked too.
     """
     n = checked_integer(n, "n", 1)
     if n > _EXACT_MAX:
@@ -117,6 +113,11 @@ def check_nu_rho(nu, rho):
 
 @dataclass(frozen=True)
 class SmoothnessParams:
+    """What the regret bounds assume of the objective: nu > 0 and rho in
+    (0, 1) (check_nu_rho), C >= 1 and d >= 0, each a finite real number
+    other than a bool; anything else raises ValueError.  Frozen, so a
+    checked field cannot be reassigned."""
+
     nu: float
     rho: float
     C: float
@@ -132,7 +133,8 @@ class SmoothnessParams:
 @dataclass(frozen=True)
 class BoundInputs:
     """What the StroquOOL bounds take: the budget n, an integer >= 1; the
-    noise range b, finite and >= 0; the confidence level delta in (0, 1)."""
+    noise range b, finite and >= 0; the confidence level delta in (0, 1).
+    Frozen, so a checked field cannot be reassigned."""
 
     n: int
     b: float = 0.0
@@ -155,7 +157,9 @@ def _log_product(*factors):
 
 def _decay(h, nu, rho, C, d):
     """The rate both regret bounds share, at depth budget h:
-    nu rho^(h / C) if d = 0, else nu exp(-W(h d log(1/rho) / C) / d)."""
+    nu rho^(h / C) if d = 0, else nu exp(-W(h d log(1/rho) / C) / d).
+    Where W's argument overflows (a huge d), W is taken at the sum of its
+    factors' logs."""
     if d == 0.0:
         return nu * rho ** (h / C)
     x = h * d * math.log(1.0 / rho) / C

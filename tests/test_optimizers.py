@@ -380,14 +380,25 @@ def test_uniform_calls_the_objective_once_per_distinct_centre(K, calls):
                               RunConfig(budget_n=20_000, branching=K))
 
 
-@pytest.mark.parametrize("run,calls", [
-    (lambda obj: sequool_run(obj, RunConfig(budget_n=100_000)), 29_150),
-    (lambda obj: soo_run(obj, RunConfig(budget_n=20_000)), 15_514),
-    (lambda obj: doo_run(obj, RunConfig(budget_n=20_000), 1.0, 0.6), 252),
+# NaN on [0, 1/4) and flat on [3/4, 1]: a NaN cell's heap key is inf, so
+# SOO must take its value from the entry, not from the key
+PLATEAU = Objective("plateau", Box([0.0], [1.0]),
+                    lambda p: math.nan if p[0] < 0.25 else min(p[0], 0.75))
+
+
+@pytest.mark.parametrize("run,base,calls", [
+    (lambda obj: sequool_run(obj, RunConfig(budget_n=100_000)), GARLAND,
+     29_150),
+    (lambda obj: soo_run(obj, RunConfig(budget_n=20_000)), GARLAND, 15_514),
+    (lambda obj: doo_run(obj, RunConfig(budget_n=20_000), 1.0, 0.6), GARLAND,
+     252),
     (lambda obj: stroquool_run(obj, NoiseModel(0.1, seed=0),
-                               RunConfig(budget_n=1_000_000)), 8_359),
-], ids=["sequool", "soo", "doo", "stroquool"])
-def test_runs_call_the_objective_once_per_centre_object(run, calls):
+                               RunConfig(budget_n=1_000_000)), GARLAND, 8_359),
+    (lambda obj: soo_run(obj, RunConfig(budget_n=2_000)), PLATEAU, 3_712),
+    (lambda obj: soo_run(obj, RunConfig(budget_n=2_000, branching=5)),
+     PLATEAU, 5_917),
+], ids=["sequool", "soo", "doo", "stroquool", "soo-plateau", "soo-plateau-K5"])
+def test_runs_call_the_objective_once_per_centre_object(run, base, calls):
     # every opening hands its cell's value to a child that carries the
     # cell's centre object, and StroquOOL's cross-validation reuses its
     # candidates' values, so no centre object reaches fn twice.  Equal
@@ -397,14 +408,14 @@ def test_runs_call_the_objective_once_per_centre_object(run, calls):
 
     def fn(p):
         seen.append(p)
-        return GARLAND.fn(p)
+        return base.fn(p)
 
-    obj = Objective("garland", GARLAND.domain, fn,
-                    optimum_value=GARLAND.optimum_value)
+    obj = Objective(base.name, base.domain, fn,
+                    optimum_value=base.optimum_value)
     res = run(obj)
     assert len(seen) == calls
     assert len(set(map(id, seen))) == calls  # `seen` keeps every id alive
-    assert res == run(GARLAND)
+    assert res == run(base)
 
 
 def test_uniform_noise_reproducible():
